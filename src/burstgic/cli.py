@@ -144,14 +144,20 @@ def _rate(params: dict, key: str, u: UserParams) -> float:
 
 def _d_values(params: dict) -> list:
     if "ds" in params:
-        return [float(d) for d in params["ds"]]
-    grid = params.get("d_grid")
-    if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
-        raise ConfigError("give ds (list) or d_grid ([start, stop, count])")
-    start, stop, count = float(grid[0]), float(grid[1]), int(grid[2])
-    if count < 2 or stop <= start:
-        raise ConfigError("d_grid needs stop > start and count >= 2")
-    return [float(d) for d in np.linspace(start, stop, count)]
+        ds = [float(d) for d in params["ds"]]
+    else:
+        grid = params.get("d_grid")
+        if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
+            raise ConfigError("give ds (list) or d_grid ([start, stop, count])")
+        start, stop, count = float(grid[0]), float(grid[1]), int(grid[2])
+        if count < 2 or stop <= start:
+            raise ConfigError("d_grid needs stop > start and count >= 2")
+        ds = [float(d) for d in np.linspace(start, stop, count)]
+    bad = [d for d in ds if not (math.isfinite(d) and d > 0)]
+    if bad:
+        raise ConfigError(
+            f"spreads d must be positive and finite, got {bad[0]}")
+    return ds
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,21 @@ the offsets are drawn uniformly from [0, d].
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect as _bisect
 
-from burstgic.geometry import BurstLayout, alpha_breakpoints
+from burstgic.geometry import alpha_breakpoints
 from burstgic.model import (
     UserParams,
     capacity_c,
     derive_scheme_v,
     rate_pair,
 )
-from burstgic.reliability import rate_bound
+from burstgic.reliability import covered_lengths
 
 __all__ = [
     "InfeasibleDesignError",
@@ -185,70 +185,78 @@ def please1_holds(u1: UserParams, u2: UserParams, R1: float, R2: float) -> bool:
     return worst >= 1.0
 
 
-def _affine_threshold(s1, s2, user, j, rp, a_probe, b_probe):
-    """Reconstruct the affine map alpha -> reliability threshold on one
-    state interval from two probe evaluations."""
-
-    def at(nu1, nu2):
-        l = BurstLayout(mu1=s1.mu, theta1=s1.theta, nu1=nu1, N1=s1.N,
-                        mu2=s2.mu, theta2=s2.theta, nu2=nu2, N2=s2.N)
-        return rate_bound(l, user, j, rp)
-
-    ta, tb = at(0.0, a_probe), at(0.0, b_probe)
-    slope = (tb - ta) / (b_probe - a_probe)
-    # offsets must enter only through their difference: the coefficient on
-    # nu1 has to cancel the coefficient on nu2
-    h = 1e-5 * max(1.0, abs(a_probe))
-    c1 = (at(h, a_probe + h) - ta) / h
-    if abs(c1) > 1e-6 * max(1.0, abs(slope)):
-        raise AssertionError(
-            f"threshold depends on (nu1, nu2) beyond their difference: "
-            f"joint-shift derivative {c1}"
-        )
-    return slope, ta - slope * a_probe
+def _thresholds(s1, s2, rp1, rp2, nu1, nu2) -> np.ndarray:
+    """Reliability threshold of every codeword, user 1's then user 2's,
+    for arrays of offsets; each entry equals rate_bound on that layout."""
+    covs = covered_lengths(s1.mu, s1.theta, nu1, s1.N,
+                           s2.mu, s2.theta, nu2, s2.N)
+    out = []
+    for s, rp, nu, cov in ((s1, rp1, nu1, covs[0]), (s2, rp2, nu2, covs[1])):
+        lo = np.arange(1, s.N + 1) * s.mu + np.asarray(nu)[..., None]
+        length = (lo + s.theta) - lo
+        out.append(cov * rp.psi + (length - cov) * rp.phi)
+    return np.concatenate(out, axis=-1)
 
 
+def _probes(lo, hi):
+    """Two interior alphas of one breakpoint piece."""
+    if math.isinf(lo):
+        return hi - 1.5, hi - 0.5
+    if math.isinf(hi):
+        return lo + 0.5, lo + 1.5
+    return lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+
+
+@functools.lru_cache(maxsize=256)
 def _alpha_analysis(u1, u2, N1, N2, R1, R2):
-    """Admissible and inadmissible alpha intervals for one (N1, N2)."""
+    """Admissible and inadmissible alpha intervals for one (N1, N2).
+
+    Between consecutive breakpoints each codeword's threshold is affine in
+    alpha; two probes per piece give its slope and intercept. Cached per
+    argument tuple, which the frozen UserParams make hashable.
+    """
     s1, s2, rp1, rp2 = _schemes_and_rates(u1, u2, N1, N2, R1, R2)
     if s1.eta < s1.theta * rp1.psi and s2.eta < s2.theta * rp2.psi:
         # every overlap pattern decodes; offsets are irrelevant
         full = IntervalUnion.from_intervals([(-math.inf, math.inf)])
         return full, IntervalUnion.from_intervals([])
 
-    bps = alpha_breakpoints((s1, s2))
-    edges = [-math.inf] + bps + [math.inf]
+    edges = [-math.inf] + alpha_breakpoints((s1, s2)) + [math.inf]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    pa, pb = np.array([_probes(a, b) for a, b in zip(edges, edges[1:])]).T
+    t = _thresholds(s1, s2, rp1, rp2, 0.0, np.concatenate([pa, pb]))
+    ta, tb = t[:len(pa)], t[len(pa):]
+    slope = (tb - ta) / (pb - pa)[:, None]
+    # offsets must enter only through their difference: the coefficient on
+    # nu1 has to cancel the coefficient on nu2
+    h = 1e-5 * np.maximum(1.0, np.abs(pa))
+    c1 = (_thresholds(s1, s2, rp1, rp2, h, pa + h) - ta) / h[:, None]
+    drift = np.abs(c1) > 1e-6 * np.maximum(1.0, np.abs(slope))
+    if drift.any():
+        raise AssertionError(
+            f"threshold depends on (nu1, nu2) beyond their difference: "
+            f"joint-shift derivative {c1[drift][0]}"
+        )
+    eta = np.repeat([s1.eta, s2.eta], [N1, N2])
+    margin = (ta - slope * pa[:, None]) - eta  # eta < slope*alpha + icept
+    flat = np.abs(slope) <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = -margin / slope
+    clo = np.maximum(lo, np.where(~flat & (slope > 0.0), cut, -math.inf).max(1))
+    chi = np.minimum(hi, np.where(~flat & (slope < 0.0), cut, math.inf).min(1))
+    # a flat threshold at or below eta leaves nothing admissible in the piece
+    good = (clo < chi) & ~(flat & (margin <= 0.0)).any(1)
     adm, bad = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        if math.isinf(lo):
-            pa, pb = hi - 1.5, hi - 0.5
-        elif math.isinf(hi):
-            pa, pb = lo + 0.5, lo + 1.5
+    for l, r, a, b, g in zip(edges, edges[1:], clo.tolist(), chi.tolist(),
+                             good.tolist()):
+        if g:
+            adm.append((a, b))
+            if a > l:
+                bad.append((l, a))
+            if b < r:
+                bad.append((b, r))
         else:
-            pa, pb = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
-        clo, chi = lo, hi
-        for user, s, rp in ((1, s1, rp1), (2, s2, rp2)):
-            for j in range(1, s.N + 1):
-                slope, icept = _affine_threshold(s1, s2, user, j, rp, pa, pb)
-                margin = icept - s.eta  # eta < slope*alpha + icept
-                if abs(slope) <= 1e-12:
-                    if margin <= 0.0:
-                        clo, chi = hi, hi  # nothing admissible here
-                        break
-                elif slope > 0.0:
-                    clo = max(clo, -margin / slope)
-                else:
-                    chi = min(chi, -margin / slope)
-            if clo >= chi:
-                break
-        if clo < chi:
-            adm.append((clo, chi))
-            if clo > lo:
-                bad.append((lo, clo))
-            if chi < hi:
-                bad.append((chi, hi))
-        else:
-            bad.append((lo, hi))
+            bad.append((l, r))
     return IntervalUnion.from_intervals(adm), IntervalUnion.from_intervals(bad)
 
 
@@ -283,8 +291,8 @@ def _triangular_cdf(x: float, d: float) -> float:
 
 def outage(adm: IntervalUnion, d: float) -> float:
     """Probability that the offset difference misses the admissible set."""
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"d must be positive and finite, got {d}")
     p = sum(
         _triangular_cdf(hi, d) - _triangular_cdf(lo, d)
         for lo, hi in adm.intervals

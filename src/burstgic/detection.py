@@ -261,8 +261,9 @@ def channel_run(schedules, codebooks, a1: float, a2: float, seed,
             if start < 0 or start + span > horizon:
                 raise ValueError(
                     f"user {i} burst at {start} leaves the horizon")
-            assert start > last_end, \
-                f"user {i} burst at {start} overlaps its predecessor"
+            if start <= last_end:
+                raise ValueError(
+                    f"user {i} burst at {start} overlaps its predecessor")
             x[start:start + cb.nprime] = cb.preamble
             x[start + cb.nprime:start + span] = cb.words[int(msg)]
             truth.append((i, start, int(msg)))

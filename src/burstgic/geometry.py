@@ -233,7 +233,8 @@ def enumerate_states(N1: int, N2: int) -> list:
     states = []
     for flat in itertools.combinations_with_replacement(alphabet, 2 * N2):
         states.append(ChannelStateS.from_flat(flat))
-    assert len(states) == count
+    if len(states) != count:
+        raise AssertionError(f"enumerated {len(states)} states, expected {count}")
     return states
 
 

@@ -82,10 +82,11 @@ class UserParams:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not (0.0 < self.q <= 1.0):
             raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.P <= 0:
-            raise ValueError(f"P must be positive, got {self.P}")
-        if self.a < 0:
-            raise ValueError(f"cross gain a must be nonnegative, got {self.a}")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise ValueError(f"P must be positive and finite, got {self.P}")
+        if not (math.isfinite(self.a) and self.a >= 0):
+            raise ValueError(
+                f"cross gain a must be nonnegative and finite, got {self.a}")
 
     @property
     def lam(self) -> float:

@@ -3,11 +3,11 @@
 Everything lives in the (R_c1, R_c2) plane. Once a channel state fixes which
 burst overlaps which codeword, both the geometric orderings and the decoding
 conditions are affine in the rates, so each state contributes a polyhedron
-pair (geom_polyhedron, rel_polyhedron) and the full region is their union
-over states and over a finite grid of transmit powers. region() evaluates
-that union pointwise without enumerating states: it rebuilds each grid
-point's own layout and checks every codeword directly, which is the same
-predicate. The symmetric model collapses to a union of intervals on the
+(its geometric and reliability constraints) and the full region is their
+union over states and over a finite grid of transmit powers. region()
+evaluates that union pointwise without enumerating states: it rebuilds each
+grid point's own layout and checks every codeword directly, which is the
+same predicate. The symmetric model collapses to a union of intervals on the
 diagonal (sym_curves, sym_region).
 """
 
@@ -20,111 +20,18 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .design import IntervalUnion
-from .geometry import ChannelStateS, OverlapTriple, triples_from_state
+from .geometry import OverlapTriple
 from .model import UserParams, capacity_c, rate_pair
-
-_AREA_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Open half-plane {(x, y): a*x + b*y < c}."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.a == 0.0 and self.b == 0.0:
-            raise ValueError("half-plane needs a nonzero normal")
-
-    def contains(self, x, y):
-        return self.a * x + self.b * y < self.c
-
-    def margin(self, x, y):
-        """Signed slack c - (a*x + b*y); positive strictly inside."""
-        return self.c - (self.a * x + self.b * y)
-
-
-def _shoelace(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for i, (x, y) in enumerate(poly):
-        x2, y2 = poly[(i + 1) % len(poly)]
-        s += x * y2 - x2 * y
-    return 0.5 * s
-
-
-@dataclass(frozen=True)
-class Polyhedron:
-    """Intersection of finitely many open half-planes (possibly unbounded)."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows or not all(isinstance(r, HalfPlane) for r in self.rows):
-            raise ValueError("need at least one HalfPlane row")
-
-    def contains(self, x, y):
-        return all(r.contains(x, y) for r in self.rows)
-
-    def margin(self, x, y):
-        """Smallest row slack; positive iff strictly inside (vectorized)."""
-        return np.min([r.margin(x, y) for r in self.rows], axis=0)
-
-    def clip(self, x0, x1, y0, y1) -> tuple:
-        """Vertices (CCW) of the polyhedron cut to a box.
-
-        Sutherland-Hodgman against each row in turn, treating boundaries as
-        closed; an empty tuple means the intersection carries no area.
-        """
-        poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        for r in self.rows:
-            if not poly:
-                break
-            out = []
-            for i, p in enumerate(poly):
-                q = poly[(i + 1) % len(poly)]
-                p_in = r.a * p[0] + r.b * p[1] <= r.c
-                q_in = r.a * q[0] + r.b * q[1] <= r.c
-                if p_in:
-                    out.append(p)
-                if p_in != q_in:
-                    den = r.a * (q[0] - p[0]) + r.b * (q[1] - p[1])
-                    t = (r.c - r.a * p[0] - r.b * p[1]) / den
-                    out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-            poly = out
-        if abs(_shoelace(poly)) <= _AREA_TOL:
-            return ()
-        return tuple(poly)
-
-    def is_empty_in(self, x0, x1, y0, y1) -> bool:
-        return not self.clip(x0, x1, y0, y1)
-
-
-def _check_convex(poly):
-    if len(poly) < 3 or abs(_shoelace(poly)) <= _AREA_TOL:
-        raise ValueError("polygon is degenerate")
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        cx, cy = poly[(i + 2) % n]
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if cross < -1e-9 * max(1.0, abs(bx - ax) + abs(by - ay)):
-            raise ValueError("polygon is not convex/CCW")
+from .reliability import covered_lengths
 
 
 @dataclass(frozen=True, eq=False)
 class Region2D:
     """A rate region rendered on a bounding box.
 
-    The primary representation is a boolean occupancy grid (mask[ix, iy]
-    says whether cell center (xs()[ix], ys()[iy]) is achievable), which
-    stays honest for the disconnected, non-convex unions that show up here.
-    A list of convex CCW polygons may ride along when the region came from
-    clipping explicit polyhedra.
+    The region is a boolean occupancy grid (mask[ix, iy] says whether cell
+    center (xs()[ix], ys()[iy]) is achievable), which stays honest for the
+    disconnected, non-convex unions that show up here.
     """
 
     x0: float
@@ -132,15 +39,12 @@ class Region2D:
     y0: float
     y1: float
     mask: np.ndarray
-    polygons: tuple = ()
 
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("degenerate bounding box")
         if self.mask.ndim != 2 or self.mask.dtype != np.bool_:
             raise ValueError("mask must be a 2-d boolean array")
-        for poly in self.polygons:
-            _check_convex(poly)
 
     @property
     def cell(self):
@@ -163,24 +67,6 @@ class Region2D:
         ix = min(int((x - self.x0) / dx), self.mask.shape[0] - 1)
         iy = min(int((y - self.y0) / dy), self.mask.shape[1] - 1)
         return bool(self.mask[ix, iy])
-
-    @classmethod
-    def from_polyhedra(cls, polys, x0, x1, y0, y1, resolution) -> "Region2D":
-        """Rasterize a union of polyhedra, keeping their clipped polygons."""
-        nx = max(2, int(math.ceil((x1 - x0) / resolution)))
-        ny = max(2, int(math.ceil((y1 - y0) / resolution)))
-        xs = x0 + (x1 - x0) / nx * (np.arange(nx) + 0.5)
-        ys = y0 + (y1 - y0) / ny * (np.arange(ny) + 0.5)
-        mask = np.zeros((nx, ny), dtype=bool)
-        kept = []
-        for p in polys:
-            verts = p.clip(x0, x1, y0, y1)
-            if not verts:
-                continue
-            kept.append(verts)
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            mask |= np.asarray(p.margin(X, Y)) > 0
-        return cls(x0, x1, y0, y1, mask, tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -216,135 +102,7 @@ def gamma_grid(u: UserParams, N: int, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-state polyhedra
-
-def geom_polyhedron(S: ChannelStateS, theta1, theta2, lam1, lam2, alpha,
-                    N1: int, N2: int) -> Polyhedron:
-    """Linear constraints pinning every Tx-2 burst endpoint to its interval.
-
-    Intervals are indexed 1..2*N1+1 by the partition Tx-1's burst endpoints
-    cut on the time axis; the state says where each Tx-2 endpoint landed.
-    A run of consecutive endpoints in the same interval only needs its
-    outermost two bounds (their mutual order is already forced by the burst
-    spacing), and the open end intervals have no outer bound at all. The
-    two closing rows keep each user's bursts apart from their successors.
-    """
-    if len(S.pairs) != N2:
-        raise ValueError(f"state has {len(S.pairs)} pairs, expected N2={N2}")
-    if max(S.flat) > 2 * N1 + 1:
-        raise ValueError("state indices exceed 2*N1+1")
-
-    def lower(w):
-        # affine (cR1, cR2, c0) for the interval's left edge, None at w=1
-        if w == 1:
-            return None
-        if w % 2 == 0:
-            return (w // 2 * theta1 / lam1, 0.0, 0.0)
-        return ((w - 1) // 2 * theta1 / lam1, 0.0, theta1)
-
-    def upper(w):
-        if w == 2 * N1 + 1:
-            return None
-        if w % 2 == 0:
-            return (w // 2 * theta1 / lam1, 0.0, theta1)
-        return ((w + 1) // 2 * theta1 / lam1, 0.0, 0.0)
-
-    def endpoint(m):
-        # E_1, E_2, ... = B_1, B'_1, B_2, B'_2, ...
-        j = (m + 1) // 2
-        return (0.0, j * theta2 / lam2, alpha + (theta2 if m % 2 == 0 else 0.0))
-
-    flat = S.flat
-    rows = []
-    m = 1
-    while m <= 2 * N2:
-        m_end = m
-        while m_end < 2 * N2 and flat[m_end] == flat[m - 1]:
-            m_end += 1
-        lo, up = lower(flat[m - 1]), upper(flat[m - 1])
-        if lo is not None:
-            e = endpoint(m)
-            rows.append(HalfPlane(lo[0] - e[0], lo[1] - e[1], e[2] - lo[2]))
-        if up is not None:
-            e = endpoint(m_end)
-            rows.append(HalfPlane(e[0] - up[0], e[1] - up[1], up[2] - e[2]))
-        m = m_end + 1
-    if N1 > 1:
-        rows.append(HalfPlane(-1.0, 0.0, -lam1))
-    if N2 > 1:
-        rows.append(HalfPlane(0.0, -1.0, -lam2))
-    return Polyhedron(rows=tuple(rows))
-
-
-def _covered_affine(t: OverlapTriple, j: int, theta_own, theta_other,
-                    nu_own, nu_other):
-    """Interfered length of codeword j as (coef_mu_own, coef_mu_other, const)."""
-    wm, wp, win = t.w_minus, t.w_plus, t.w_in
-    if wm and wp:
-        if wm == wp:
-            return 0.0, 0.0, theta_own
-        assert wp - wm == win + 1, t
-        return 0.0, -(1.0 + win), theta_own + (1.0 + win) * theta_other
-    if wm:
-        return -float(j), float(wm), nu_other - nu_own + (1.0 + win) * theta_other
-    if wp:
-        return float(j), -float(wp), nu_own - nu_other + theta_own + win * theta_other
-    return 0.0, 0.0, win * theta_other
-
-
-def rel_polyhedron(S: ChannelStateS, theta1, theta2, lam1, lam2, alpha,
-                   gamma1, gamma2, a1, a2, N1: int, N2: int,
-                   P1, P2) -> Polyhedron:
-    """Decoding constraints of every codeword at one fixed power pair.
-
-    The state pins each codeword's overlap triple, making its interfered
-    length affine in (R_c1, R_c2); each decoding condition is then a single
-    open half-plane. The last two rows are the average-power constraints.
-    """
-    if gamma1 < 0 or gamma2 < 0:
-        raise ValueError("powers must be nonnegative")
-    triples = triples_from_state(S, N1, N2)
-    rp = {1: rate_pair(gamma1, gamma2, a2), 2: rate_pair(gamma2, gamma1, a1)}
-    theta = {1: theta1, 2: theta2}
-    lam = {1: lam1, 2: lam2}
-    nu = {1: 0.0, 2: alpha}
-    counts = {1: N1, 2: N2}
-    rows = []
-    for user in (1, 2):
-        other = 3 - user
-        d = rp[user].phi - rp[user].psi
-        for j in range(1, counts[user] + 1):
-            cown, coth, c0 = _covered_affine(
-                triples[(user, j)], j, theta[user], theta[other],
-                nu[user], nu[other])
-            a_own = theta[user] * (1.0 + d * cown / lam[user])
-            b_oth = d * coth * theta[other] / lam[other]
-            rhs = theta[user] * rp[user].phi - d * c0
-            if user == 1:
-                rows.append(HalfPlane(a_own, b_oth, rhs))
-            else:
-                rows.append(HalfPlane(b_oth, a_own, rhs))
-    rows.append(HalfPlane(-1.0, 0.0, lam1 * (1.0 / N1 - gamma1 / P1)))
-    rows.append(HalfPlane(0.0, -1.0, lam2 * (1.0 / N2 - gamma2 / P2)))
-    return Polyhedron(rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
 # the full region on a power grid
-
-def _covered_lengths(R1, R2, lam1, lam2, theta1, theta2, alpha, N1, N2):
-    """Interfered length of every codeword of both users, broadcast over
-    arrays of rate points. Returns (cov1, cov2) with trailing axes N1, N2."""
-    mu1 = theta1 * R1 / lam1
-    mu2 = theta2 * R2 / lam2
-    j1 = np.arange(1, N1 + 1, dtype=float)
-    j2 = np.arange(1, N2 + 1, dtype=float)
-    s1 = mu1[..., None, None] * j1[:, None]
-    s2 = alpha + mu2[..., None, None] * j2[None, :]
-    over = np.minimum(s1 + theta1, s2 + theta2) - np.maximum(s1, s2)
-    np.clip(over, 0.0, None, out=over)
-    return over.sum(axis=-1), over.sum(axis=-2)
-
 
 def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
                    theta1, theta2, alpha, m_grid: int, R1, R2) -> np.ndarray:
@@ -360,8 +118,8 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     if R1.shape != R2.shape:
         raise ValueError("R1 and R2 must have matching shapes")
     base = (R1 > (u1.lam if N1 > 1 else 0.0)) & (R2 > (u2.lam if N2 > 1 else 0.0))
-    cov1, cov2 = _covered_lengths(R1, R2, u1.lam, u2.lam, theta1, theta2,
-                                  alpha, N1, N2)
+    cov1, cov2 = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
+                                 theta2 * R2 / u2.lam, theta2, alpha, N2)
     worst1 = cov1.max(axis=-1)
     worst2 = cov2.max(axis=-1)
     cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P

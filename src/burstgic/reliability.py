@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from burstgic.geometry import BurstLayout
 from burstgic.model import RatePair
 
@@ -19,6 +21,7 @@ __all__ = [
     "DEPENDS",
     "IMPOSSIBLE",
     "RateDecomp",
+    "covered_lengths",
     "rate_decomp",
     "rate_bound",
     "closed_form_bound",
@@ -51,8 +54,34 @@ def rate_decomp(l: BurstLayout, user: int, j: int) -> RateDecomp:
         covered += max(0.0, min(a2, b2) - max(a, b))
     theta = a2 - a
     d = RateDecomp(len_clear=theta - covered, len_interf=covered)
-    assert abs(d.len_clear + d.len_interf - theta) < 1e-12
+    if not abs(d.len_clear + d.len_interf - theta) < 1e-12:
+        raise AssertionError(
+            f"clear {d.len_clear} + interfered {d.len_interf} != length {theta}")
     return d
+
+
+def covered_lengths(mu1, theta1, nu1, N1: int, mu2, theta2, nu2, N2: int):
+    """Interfered length of every codeword of both users.
+
+    Broadcasts over arrays of (mu, nu) and returns (cov1, cov2) whose
+    trailing axes run over codewords 1..N1 and 1..N2. Overlaps accumulate
+    interferer by interferer, as in rate_decomp, so each entry matches
+    rate_decomp's len_interf on the same layout bit for bit.
+    """
+    mu1, nu1, mu2, nu2 = (np.asarray(x, dtype=float)[..., None]
+                          for x in (mu1, nu1, mu2, nu2))
+    lo1 = np.arange(1, N1 + 1) * mu1 + nu1
+    lo2 = np.arange(1, N2 + 1) * mu2 + nu2
+    hi1, hi2 = lo1 + theta1, lo2 + theta2
+
+    def covered(a, a2, b, b2):
+        cov = 0.0
+        for m in range(b.shape[-1]):
+            over = np.minimum(a2, b2[..., m:m + 1]) - np.maximum(a, b[..., m:m + 1])
+            cov = cov + np.maximum(over, 0.0)
+        return cov
+
+    return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)
 
 
 def rate_bound(l: BurstLayout, user: int, j: int, rp: RatePair) -> float:

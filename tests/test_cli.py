@@ -6,6 +6,7 @@ subprocess, and inspects exit code, stdout/stderr, and the emitted files.
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -255,6 +256,38 @@ def test_both_power_tags_rejected(tmp_path):
     res = run_cli("buffers", cfg, tmp_path)
     assert res.returncode == 2
     assert "not both" in res.stderr
+
+
+def test_design_rejects_non_finite_or_nonpositive_spreads(tmp_path):
+    # json.dumps writes NaN and Infinity; 1e309 overflows to inf on read
+    cfg = json.dumps(dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                          ds=["NAN", "BIG"]))
+    cfg = cfg.replace('"NAN"', "NaN").replace('"BIG"', "1e309")
+    bad_grid = dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    d_grid=[0.0, 3.0, 10])
+    for raw in (cfg, json.dumps(bad_grid)):
+        (tmp_path / "config.json").write_text(raw)
+        res = subprocess.run(
+            [sys.executable, "-m", "burstgic.cli", "design",
+             "--config", str(tmp_path / "config.json"),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert res.returncode == 2, res.stderr
+        assert "positive and finite" in res.stderr
+        assert not (tmp_path / "out" / "optimal.csv").exists()
+
+
+def test_non_finite_user_params_are_config_errors(tmp_path):
+    res = run_cli("region", dict(GRID_CFG, user1=dict(USYM, a=math.inf)),
+                  tmp_path)
+    assert res.returncode == 2
+    assert "cross gain" in res.stderr
+    nan_power = {"k": 3, "q": 0.3, "P": math.nan, "a": 0.5}
+    res = run_cli("design", dict(DESIGN_CFG, user1=nan_power,
+                                 R1_over_lambda=0.7, R2_over_lambda=0.7),
+                  tmp_path)
+    assert res.returncode == 2
+    assert "P must be positive and finite" in res.stderr
 
 
 def test_json_format_emits_json(tmp_path):

@@ -255,8 +255,9 @@ def test_outage_full_support():
 
 def test_outage_rejects_nonpositive_spread():
     adm = IntervalUnion.from_intervals([(-1.0, 1.0)])
-    with pytest.raises(ValueError):
-        outage(adm, 0.0)
+    for d in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            outage(adm, d)
 
 
 def test_outage_worked_example_zero_below_dmax():

@@ -209,7 +209,7 @@ def test_overlap_window_variance():
 def test_overlapping_self_bursts_assert():
     rng = np.random.default_rng(11)
     cb = GaussianCodebook.draw(2, 100, 10, 1.0, rng)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="overlaps its predecessor"):
         channel_run((((0, 0), (50, 1)), ()), (cb, cb), 0.0, 0.0, rng, 400)
 
 

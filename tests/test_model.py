@@ -77,6 +77,10 @@ def test_user_params_validation():
         UserParams(k=2, q=1.1, P=1.0, a=0.0)
     with pytest.raises(ValueError):
         UserParams(k=2, q=0.5, P=-1.0, a=0.0)
+    for P, a in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf),
+                 (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            UserParams(k=2, q=0.5, P=P, a=a)
     # boundary q = 1 stays constructible for deterministic arrivals
     assert UserParams(k=1, q=1.0, P=1.0, a=0.0).lam == 1.0
 

@@ -6,19 +6,22 @@ import pytest
 from pytest import approx
 from scipy.optimize import brentq
 
-from burstgic.geometry import BurstLayout, ChannelStateS, overlap_profile, state_of
+from burstgic.geometry import (
+    BurstLayout,
+    ChannelStateS,
+    enumerate_states,
+    overlap_profile,
+    state_of,
+    triples_from_state,
+)
 from burstgic.model import UserParams, capacity_c, rate_pair
 from burstgic.region import (
-    HalfPlane,
-    Polyhedron,
     Region2D,
     _sym_pert_region,
     gamma_grid,
-    geom_polyhedron,
     rbar_c,
     region,
     region_members,
-    rel_polyhedron,
     sym_curves,
     sym_omega,
     sym_region,
@@ -26,6 +29,125 @@ from burstgic.region import (
 from burstgic.reliability import rate_bound
 
 U = UserParams(k=2, q=0.3, P=100.0, a=0.5)  # lam = 0.6
+
+
+# ------------------------------------------- per-state polyhedra (oracle)
+#
+# Each channel state S and power pair contributes one polyhedron in the
+# (R_c1, R_c2) plane: the geometric rows pin every burst endpoint to the
+# interval S names, the reliability rows make every codeword decode. The
+# rows are (a, b, c) for the open half-plane a*R_c1 + b*R_c2 < c. The
+# library never builds them; they are the independent route that
+# region_members must agree with.
+
+def _geom_rows(S, theta1, theta2, lam1, lam2, alpha, N1, N2):
+    """Linear constraints pinning every Tx-2 burst endpoint to its interval.
+
+    Intervals are indexed 1..2*N1+1 by the partition Tx-1's burst endpoints
+    cut on the time axis; the state says where each Tx-2 endpoint landed.
+    A run of consecutive endpoints in the same interval only needs its
+    outermost two bounds (their mutual order is already forced by the burst
+    spacing), and the open end intervals have no outer bound at all. The
+    two closing rows keep each user's bursts apart from their successors.
+    """
+    if len(S.pairs) != N2:
+        raise ValueError(f"state has {len(S.pairs)} pairs, expected N2={N2}")
+    if max(S.flat) > 2 * N1 + 1:
+        raise ValueError("state indices exceed 2*N1+1")
+
+    def lower(w):
+        # affine (cR1, cR2, c0) for the interval's left edge, None at w=1
+        if w == 1:
+            return None
+        if w % 2 == 0:
+            return (w // 2 * theta1 / lam1, 0.0, 0.0)
+        return ((w - 1) // 2 * theta1 / lam1, 0.0, theta1)
+
+    def upper(w):
+        if w == 2 * N1 + 1:
+            return None
+        if w % 2 == 0:
+            return (w // 2 * theta1 / lam1, 0.0, theta1)
+        return ((w + 1) // 2 * theta1 / lam1, 0.0, 0.0)
+
+    def endpoint(m):
+        # E_1, E_2, ... = B_1, B'_1, B_2, B'_2, ...
+        j = (m + 1) // 2
+        return (0.0, j * theta2 / lam2, alpha + (theta2 if m % 2 == 0 else 0.0))
+
+    flat = S.flat
+    rows = []
+    m = 1
+    while m <= 2 * N2:
+        m_end = m
+        while m_end < 2 * N2 and flat[m_end] == flat[m - 1]:
+            m_end += 1
+        lo, up = lower(flat[m - 1]), upper(flat[m - 1])
+        if lo is not None:
+            e = endpoint(m)
+            rows.append((lo[0] - e[0], lo[1] - e[1], e[2] - lo[2]))
+        if up is not None:
+            e = endpoint(m_end)
+            rows.append((e[0] - up[0], e[1] - up[1], up[2] - e[2]))
+        m = m_end + 1
+    if N1 > 1:
+        rows.append((-1.0, 0.0, -lam1))
+    if N2 > 1:
+        rows.append((0.0, -1.0, -lam2))
+    return np.array(rows, dtype=float)
+
+
+def _covered_affine(t, j, theta_own, theta_other, nu_own, nu_other):
+    """Interfered length of codeword j as (coef_mu_own, coef_mu_other, const)."""
+    wm, wp, win = t.w_minus, t.w_plus, t.w_in
+    if wm and wp:
+        if wm == wp:
+            return 0.0, 0.0, theta_own
+        assert wp - wm == win + 1, t
+        return 0.0, -(1.0 + win), theta_own + (1.0 + win) * theta_other
+    if wm:
+        return -float(j), float(wm), nu_other - nu_own + (1.0 + win) * theta_other
+    if wp:
+        return float(j), -float(wp), nu_own - nu_other + theta_own + win * theta_other
+    return 0.0, 0.0, win * theta_other
+
+
+def _rel_rows(S, theta1, theta2, lam1, lam2, alpha, gamma1, gamma2, a1, a2,
+              N1, N2, P1, P2):
+    """Decoding constraints of every codeword at one fixed power pair.
+
+    The state pins each codeword's overlap triple, making its interfered
+    length affine in (R_c1, R_c2); each decoding condition is then a single
+    open half-plane. The last two rows are the average-power constraints.
+    """
+    triples = triples_from_state(S, N1, N2)
+    rp = {1: rate_pair(gamma1, gamma2, a2), 2: rate_pair(gamma2, gamma1, a1)}
+    theta = {1: theta1, 2: theta2}
+    lam = {1: lam1, 2: lam2}
+    nu = {1: 0.0, 2: alpha}
+    counts = {1: N1, 2: N2}
+    rows = []
+    for user in (1, 2):
+        other = 3 - user
+        d = rp[user].phi - rp[user].psi
+        for j in range(1, counts[user] + 1):
+            cown, coth, c0 = _covered_affine(
+                triples[(user, j)], j, theta[user], theta[other],
+                nu[user], nu[other])
+            a_own = theta[user] * (1.0 + d * cown / lam[user])
+            b_oth = d * coth * theta[other] / lam[other]
+            rhs = theta[user] * rp[user].phi - d * c0
+            rows.append((a_own, b_oth, rhs) if user == 1 else (b_oth, a_own, rhs))
+    rows.append((-1.0, 0.0, lam1 * (1.0 / N1 - gamma1 / P1)))
+    rows.append((0.0, -1.0, lam2 * (1.0 / N2 - gamma2 / P2)))
+    return np.array(rows, dtype=float)
+
+
+def _margin(rows, x, y):
+    """Smallest row slack c - (a*x + b*y); positive iff strictly inside."""
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
+    return (rows[:, 2] - (rows[:, 0] * x + rows[:, 1] * y)).min(axis=-1)
 
 
 # ------------------------------------------------------------------ rbar_c
@@ -59,33 +181,17 @@ def test_gamma_grid_interior():
 
 # ---------------------------------------------------------------- polyhedra
 
-def test_halfplane_contains_and_margin():
-    h = HalfPlane(1.0, -2.0, 3.0)
-    assert h.contains(0.0, 0.0)
-    assert not h.contains(5.0, 1.0)
-    assert h.margin(1.0, 1.0) == approx(4.0)
-
-
-def test_polyhedron_clip_box():
-    box = Polyhedron((HalfPlane(1.0, 0.0, 2.0), HalfPlane(0.0, 1.0, 3.0),
-                      HalfPlane(-1.0, 0.0, 0.0), HalfPlane(0.0, -1.0, 0.0)))
-    verts = box.clip(-1.0, 5.0, -1.0, 5.0)
-    assert set(verts) == {(0.0, 0.0), (2.0, 0.0), (2.0, 3.0), (0.0, 3.0)}
-    assert not box.is_empty_in(-1.0, 5.0, -1.0, 5.0)
-    # same rows, window entirely past the x<2 edge
-    assert box.clip(3.0, 5.0, 0.0, 1.0) == ()
-    assert box.is_empty_in(3.0, 5.0, 0.0, 1.0)
-
-
 def test_region2d_lookup():
-    box = Polyhedron((HalfPlane(1.0, 0.0, 2.0), HalfPlane(0.0, 1.0, 3.0),
-                      HalfPlane(-1.0, 0.0, 0.0), HalfPlane(0.0, -1.0, 0.0)))
-    r = Region2D.from_polyhedra([box], 0.0, 4.0, 0.0, 4.0, 0.1)
+    xs = (np.arange(40) + 0.5) * 0.1
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    r = Region2D(0.0, 4.0, 0.0, 4.0, (X < 2.0) & (Y < 3.0))
     assert r.contains(1.0, 1.0)
     assert not r.contains(3.5, 3.5)
     assert not r.contains(-1.0, 1.0)  # outside the window
-    assert len(r.polygons) == 1 and len(r.polygons[0]) == 4
     assert r.mask.shape == (40, 40)
+    assert r.xs() == approx(xs) and r.ys() == approx(xs)
+    with pytest.raises(ValueError):
+        Region2D(0.0, 4.0, 0.0, 4.0, X)  # not a boolean mask
 
 
 def test_geometry_rows_worked_example():
@@ -93,8 +199,7 @@ def test_geometry_rows_worked_example():
     # bursts land in intervals (1, 2) and (2, 4) cut by the first user's
     # bursts, at theta = (1.3, 0.7), lam = (0.8, 0.5), offset 0.9.
     S = ChannelStateS(pairs=((1, 2), (2, 4)))
-    poly = geom_polyhedron(S, 1.3, 0.7, 0.8, 0.5, 0.9, 2, 2)
-    got = [(r.a, r.b, r.c) for r in poly.rows]
+    got = [tuple(r) for r in _geom_rows(S, 1.3, 0.7, 0.8, 0.5, 0.9, 2, 2)]
     expected = [
         (-1.625, 1.4, -0.9),
         (1.625, -1.4, 1.6),
@@ -114,19 +219,18 @@ def test_geometry_rows_open_end_intervals():
     # no upper edge, so only one lower-edge row survives (and single-burst
     # users get no immediacy row)
     S = ChannelStateS(pairs=((3, 3),))
-    poly = geom_polyhedron(S, 1.0, 1.0, 0.5, 0.5, 0.0, 1, 1)
-    assert len(poly.rows) == 1
-    r = poly.rows[0]
-    assert (r.a, r.b, r.c) == approx((2.0, -2.0, -1.0))
+    rows = _geom_rows(S, 1.0, 1.0, 0.5, 0.5, 0.0, 1, 1)
+    assert len(rows) == 1
+    assert tuple(rows[0]) == approx((2.0, -2.0, -1.0))
 
 
 def test_geometry_rows_validate_state():
     with pytest.raises(ValueError):
-        geom_polyhedron(ChannelStateS(pairs=((1, 2),)), 1.0, 1.0, 0.5, 0.5,
-                        0.0, 1, 2)
+        _geom_rows(ChannelStateS(pairs=((1, 2),)), 1.0, 1.0, 0.5, 0.5,
+                   0.0, 1, 2)
     with pytest.raises(ValueError):
-        geom_polyhedron(ChannelStateS(pairs=((1, 9),)), 1.0, 1.0, 0.5, 0.5,
-                        0.0, 1, 1)
+        _geom_rows(ChannelStateS(pairs=((1, 9),)), 1.0, 1.0, 0.5, 0.5,
+                   0.0, 1, 1)
 
 
 def test_geometry_polyhedron_roundtrip():
@@ -147,8 +251,8 @@ def test_geometry_polyhedron_roundtrip():
             S = state_of(base)
         except ValueError:
             continue
-        poly = geom_polyhedron(S, th1, th2, lam1, lam2, alpha, N1, N2)
-        assert poly.contains(R1, R2)
+        rows = _geom_rows(S, th1, th2, lam1, lam2, alpha, N1, N2)
+        assert _margin(rows, R1, R2) > 0
         for _ in range(12):
             Q1 = float(rng.uniform(lam1 * 1.01, lam1 * 8))
             Q2 = float(rng.uniform(lam2 * 1.01, lam2 * 8))
@@ -158,7 +262,7 @@ def test_geometry_polyhedron_roundtrip():
                 S2 = state_of(other)
             except ValueError:
                 continue
-            m = float(poly.margin(Q1, Q2))
+            m = float(_margin(rows, Q1, Q2))
             if abs(m) < 1e-9:
                 continue  # knife-edge between states
             tested += 1
@@ -187,31 +291,31 @@ def test_reliability_rows_match_codeword_bounds():
             S = state_of(lay)
         except ValueError:
             continue
-        poly = rel_polyhedron(S, th1, th2, lam1, lam2, alpha, g1, g2,
-                              a1, a2, N1, N2, P1, P2)
-        assert len(poly.rows) == N1 + N2 + 2
+        rows = _rel_rows(S, th1, th2, lam1, lam2, alpha, g1, g2,
+                         a1, a2, N1, N2, P1, P2)
+        assert len(rows) == N1 + N2 + 2
         rp1 = rate_pair(g1, g2, a2)
         rp2 = rate_pair(g2, g1, a1)
         bounds = [rate_bound(lay, 1, j, rp1) - th1 * R1 for j in range(1, N1 + 1)]
         bounds += [rate_bound(lay, 2, j, rp2) - th2 * R2 for j in range(1, N2 + 1)]
-        for row, b in zip(poly.rows, bounds):
-            m = row.margin(R1, R2)
+        for row, b in zip(rows, bounds):
+            m = row[2] - (row[0] * R1 + row[1] * R2)
             if abs(m) < 1e-9 or abs(b) < 1e-9:
                 continue
             tested += 1
             assert (m > 0) == (b > 0)
-        prow1, prow2 = poly.rows[-2:]
-        assert (prow1.a, prow1.b) == (-1.0, 0.0)
-        assert prow1.c == approx(lam1 * (1.0 / N1 - g1 / P1))
-        assert (prow2.a, prow2.b) == (0.0, -1.0)
-        assert prow2.c == approx(lam2 * (1.0 / N2 - g2 / P2))
+        prow1, prow2 = rows[-2:]
+        assert tuple(prow1[:2]) == (-1.0, 0.0)
+        assert prow1[2] == approx(lam1 * (1.0 / N1 - g1 / P1))
+        assert tuple(prow2[:2]) == (0.0, -1.0)
+        assert prow2[2] == approx(lam2 * (1.0 / N2 - g2 / P2))
     assert tested > 100
 
 
 def test_reliability_rows_reject_negative_power():
     with pytest.raises(ValueError):
-        rel_polyhedron(ChannelStateS(pairs=((1, 1),)), 1.0, 1.0, 0.5, 0.5,
-                       0.0, -1.0, 2.0, 0.5, 0.5, 1, 1, 10.0, 10.0)
+        _rel_rows(ChannelStateS(pairs=((1, 1),)), 1.0, 1.0, 0.5, 0.5,
+                  0.0, -1.0, 2.0, 0.5, 0.5, 1, 1, 10.0, 10.0)
 
 
 # ------------------------------------------------------------- full region
@@ -257,6 +361,43 @@ def test_region_members_asymmetric_against_direct():
     got = region_members(U, u2, 1, 3, 0.8, 1.2, 1.7, 5, R1, R2)
     for x, y, g in zip(R1, R2, got):
         assert g == _member_direct(U, u2, 1, 3, 0.8, 1.2, 1.7, 5, x, y)
+
+
+U3 = UserParams(k=3, q=0.2, P=40.0, a=0.8)
+
+
+@pytest.mark.parametrize("u2, N1, N2, th1, th2, alpha, m_grid", [
+    (U, 2, 2, 1.0, 1.0, 0.5, 6),
+    (U3, 1, 3, 0.8, 1.2, 1.7, 5),
+    (U3, 3, 2, 1.1, 0.9, 0.3, 5),
+], ids=["2x2", "1x3", "3x2"])
+def test_region_members_match_union_of_state_polyhedra(u2, N1, N2, th1, th2,
+                                                       alpha, m_grid):
+    # the region is the union, over every channel state and grid power
+    # pair, of the state's geometric and reliability polyhedra
+    u1 = U
+    rng = np.random.default_rng(N1 * 10 + N2)
+    R1 = rng.uniform(0.0, 1.05 * rbar_c(u1, N1), 2000)
+    R2 = rng.uniform(0.0, 1.05 * rbar_c(u2, N2), 2000)
+    inside = np.zeros(R1.shape, dtype=bool)
+    near = np.zeros(R1.shape, dtype=bool)
+    for S in enumerate_states(N1, N2):
+        geom = _margin(_geom_rows(S, th1, th2, u1.lam, u2.lam, alpha, N1, N2),
+                       R1, R2)
+        if not (geom > -1e-9).any():
+            continue  # no sampled point in or near this state
+        for g1, g2 in itertools.product(gamma_grid(u1, N1, m_grid),
+                                        gamma_grid(u2, N2, m_grid)):
+            rel = _rel_rows(S, th1, th2, u1.lam, u2.lam, alpha, g1, g2,
+                            u1.a, u2.a, N1, N2, u1.P, u2.P)
+            m = np.minimum(geom, _margin(rel, R1, R2))
+            inside |= m > 0
+            near |= np.abs(m) <= 1e-9
+    got = region_members(u1, u2, N1, N2, th1, th2, alpha, m_grid, R1, R2)
+    keep = ~near
+    assert keep.sum() >= 1990
+    assert 100 < got[keep].sum() < keep.sum() - 100
+    assert np.array_equal(got[keep], inside[keep])
 
 
 def test_region_members_power_grid_nesting():

@@ -14,6 +14,7 @@ from burstgic.reliability import (
     IMPOSSIBLE,
     closed_form_bound,
     corollary1_class,
+    covered_lengths,
     rate_bound,
     rate_decomp,
 )
@@ -168,3 +169,35 @@ def test_corollary1_classes():
     assert corollary1_class(theta * rp.psi, theta, rp) == DEPENDS
     with pytest.raises(ValueError):
         corollary1_class(0.5, 0.0, rp)
+
+
+def test_covered_lengths_match_rate_decomp_exactly():
+    # the vectorized kernel accumulates overlaps in rate_decomp's order, so
+    # every entry must equal the geometric route bit for bit
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        N1, N2 = (int(n) for n in rng.integers(1, 5, 2))
+        th1, th2 = rng.uniform(0.2, 1.5, 2)
+        mu1 = rng.uniform(th1 * 1.01, th1 * 4, 6)
+        mu2 = rng.uniform(th2 * 1.01, th2 * 4, 6)
+        nu1, nu2 = rng.uniform(-3.0, 3.0, (2, 6))
+        cov1, cov2 = covered_lengths(mu1, th1, nu1, N1, mu2, th2, nu2, N2)
+        assert cov1.shape == (6, N1) and cov2.shape == (6, N2)
+        for i in range(6):
+            l = BurstLayout(mu1[i], th1, nu1[i], N1, mu2[i], th2, nu2[i], N2)
+            assert cov1[i].tolist() == [rate_decomp(l, 1, j).len_interf
+                                        for j in range(1, N1 + 1)]
+            assert cov2[i].tolist() == [rate_decomp(l, 2, j).len_interf
+                                        for j in range(1, N2 + 1)]
+
+
+def test_covered_lengths_broadcast_scalars():
+    # scalar offsets against a grid of burst spacings
+    mu = np.array([[2.0, 3.0], [4.0, 5.0]])
+    cov1, cov2 = covered_lengths(mu, 1.0, 0.0, 2, 2.0, 1.0, 0.5, 3)
+    assert cov1.shape == (2, 2, 2) and cov2.shape == (2, 2, 3)
+    # identical spacing shifted by half a burst: every codeword but the
+    # second user's last one overlaps exactly half its length
+    assert cov1[0, 0].tolist() == [0.5, 0.5]
+    assert cov2[0, 0].tolist() == [0.5, 0.5, 0.0]
+
