@@ -397,11 +397,15 @@ def cmd_detect(rc: RunConfig) -> list:
             "e2e_errors": r.e2e_errors,
             "e2e_error_rate": r.e2e_error_rate,
             "eff_rate": r.eff_rate,
+            "decode_none": r.decode_none,
+            "decode_ambiguous": r.decode_ambiguous,
+            "decode_wrong": r.decode_wrong,
         })
     header = ("n", "nprime", "trials", "traces", "bursts_total",
               "bursts_located", "recovered_traces", "recovery_rate",
               "misid_errors", "misid_rate", "false_alarms", "decode_errors",
-              "e2e_errors", "e2e_error_rate", "eff_rate")
+              "e2e_errors", "e2e_error_rate", "eff_rate", "decode_none",
+              "decode_ambiguous", "decode_wrong")
     return [_emit(out, header, rc.out / "detect", rc.fmt)]
 
 

@@ -136,6 +136,36 @@ def typicality_test(xs, ys, tp: TypicalityParams) -> bool:
     return max(typicality_deviations(xs, ys, tp)) < tp.eps
 
 
+def deviations_from_sums(sum_x, sum_y, cross, m: int, tp: TypicalityParams):
+    """dx, dy, dxy of the typicality test from the sums over m samples.
+
+    sum_x = ||x||^2, sum_y = ||y||^2 and cross = <x, y>; any of them may
+    be an array and they broadcast, so the same step serves the window
+    scan (one x, many windows of y) and decoding (many x, one y). The
+    residual energy ||y - coef*x||^2 is expanded from the three sums.
+    """
+    sum_res = sum_y - 2.0 * tp.coef * cross + tp.coef ** 2 * sum_x
+    dx = abs(_mean_log_gauss(sum_x, m, tp.var_x) + tp.h_x)
+    dy = abs(_mean_log_gauss(sum_y, m, tp.var_y) + tp.h_y)
+    joint = (_mean_log_gauss(sum_x, m, tp.var_x)
+             - 0.5 * math.log2(2.0 * math.pi * tp.var_res)
+             - LOG2E * sum_res / (2.0 * m * tp.var_res))
+    dxy = abs(joint + tp.h_joint)
+    return dx, dy, dxy
+
+
+def _window_sums(y, m: int):
+    """||y[t:t+m]||^2 for every window start t, from one cumulative sum."""
+    csum = np.concatenate(([0.0], np.cumsum(y * y)))
+    return csum[m:] - csum[:-m]
+
+
+def _typical_from_sums(sum_x, sum_y, cross, m: int, tp: TypicalityParams):
+    """(pass mask, joint deviation) of deviations_from_sums at tp.eps."""
+    dx, dy, dxy = deviations_from_sums(sum_x, sum_y, cross, m, tp)
+    return (dx < tp.eps) & (dy < tp.eps) & (dxy < tp.eps), dxy
+
+
 def scan_typicality(y, xs, tp: TypicalityParams):
     """Typicality of (xs, y[t:t+m]) for every window start t.
 
@@ -151,20 +181,34 @@ def scan_typicality(y, xs, tp: TypicalityParams):
         raise ValueError("empty reference sequence")
     if y.size < m:
         return np.zeros(0, dtype=bool), np.zeros(0)
-    sum_x = float(xs @ xs)
-    dx = abs(_mean_log_gauss(sum_x, m, tp.var_x) + tp.h_x)
-    csum = np.concatenate(([0.0], np.cumsum(y * y)))
-    sum_y = csum[m:] - csum[:-m]
-    cross = np.correlate(y, xs, mode="valid")
-    sum_res = sum_y - 2.0 * tp.coef * cross + tp.coef ** 2 * sum_x
-    dy = np.abs(-0.5 * math.log2(2.0 * math.pi * tp.var_y)
-                - LOG2E * sum_y / (2.0 * m * tp.var_y) + tp.h_y)
-    joint = (_mean_log_gauss(sum_x, m, tp.var_x)
-             - 0.5 * math.log2(2.0 * math.pi * tp.var_res)
-             - LOG2E * sum_res / (2.0 * m * tp.var_res))
-    dxy = np.abs(joint + tp.h_joint)
-    ok = (dx < tp.eps) & (dy < tp.eps) & (dxy < tp.eps)
-    return ok, dxy
+    return _typical_from_sums(float(xs @ xs), _window_sums(y, m),
+                              np.correlate(y, xs, mode="valid"), m, tp)
+
+
+def scan_densities(y, preambles, tps) -> dict:
+    """scan_typicality of both preambles under all four densities.
+
+    preambles[0] is tested against p1/p2 and preambles[1] against p3/p4,
+    as in estimate_arrivals. The window energies are summed once per
+    trace and each preamble is cross-correlated once, so the result is
+    {pdf: (ok, joint_dev)}, identical to four scan_typicality calls.
+    """
+    y = np.asarray(y, dtype=float)
+    preambles = [np.asarray(p, dtype=float) for p in preambles]
+    m = preambles[0].size
+    if m == 0 or preambles[1].size != m:
+        raise ValueError("preambles must be nonempty and of equal length")
+    if y.size < m:
+        empty = (np.zeros(0, dtype=bool), np.zeros(0))
+        return {pdf: empty for pdf in PDF_IDS}
+    sum_y = _window_sums(y, m)
+    out = {}
+    for xs, pdfs in zip(preambles, (("p1", "p2"), ("p3", "p4"))):
+        cross = np.correlate(y, xs, mode="valid")
+        sum_x = float(xs @ xs)
+        for pdf in pdfs:
+            out[pdf] = _typical_from_sums(sum_x, sum_y, cross, m, tps[pdf])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +251,14 @@ class GaussianCodebook:
         """Effective codebook rate log2(M)/n actually simulated."""
         return math.log2(self.M) / self.n
 
+    def segment_stats(self, ys, lo: int):
+        """(||w_s||^2, <w_s, ys>) for every codeword w, as length-M arrays.
+
+        w_s is the codeword's symbols lo .. lo + len(ys) - 1.
+        """
+        ws = self.words[:, lo:lo + ys.size]
+        return np.einsum("ij,ij->i", ws, ws), np.einsum("ij,j->i", ws, ys)
+
     @classmethod
     def draw(cls, M: int, n: int, nprime: int, gamma: float,
              rng: np.random.Generator) -> "GaussianCodebook":
@@ -222,6 +274,64 @@ class GaussianCodebook:
             raise ValueError("eta must be positive")
         M = 1 << int(math.floor(n * eta))
         return cls.draw(M, n, nprime, gamma, rng)
+
+
+@dataclass(frozen=True, eq=False)
+class SentWordCodebook:
+    """An M-word Gaussian codebook of which only the sent word is drawn.
+
+    sent is an M = 1 GaussianCodebook holding the preamble and the
+    codeword that went on the air; it stands at index msg. The other
+    M - 1 codewords never reach the channel, so they are independent of
+    the received samples, and decoding reads only their per-segment sums.
+    segment_stats draws those sums exactly in distribution: for
+    w ~ N(0, gamma I_m) and a fixed y, <w, y> = sqrt(gamma)*||y||*Z and
+    ||w||^2 = gamma*(Z^2 + chi2_{m-1}) with one shared Z ~ N(0, 1).
+    Every call draws fresh values from rng, which matches disjoint
+    segments of independent codewords; decoding the same trace twice
+    therefore sees two different sets of unsent words.
+    """
+
+    sent: GaussianCodebook
+    M: int
+    msg: int
+    rng: np.random.Generator
+
+    def __post_init__(self):
+        if self.sent.M != 1:
+            raise ValueError("sent must hold exactly the one sent codeword")
+        if not 1 <= self.M <= M_CAP:
+            raise ValueError(f"M must be in [1, {M_CAP}]")
+        if not 0 <= self.msg < self.M:
+            raise ValueError(f"message index {self.msg} outside [0, {self.M})")
+
+    @property
+    def n(self) -> int:
+        return self.sent.n
+
+    @property
+    def preamble(self) -> np.ndarray:
+        return self.sent.preamble
+
+    @property
+    def gamma(self) -> float:
+        return self.sent.gamma
+
+    def segment_stats(self, ys, lo: int):
+        """(||w_s||^2, <w_s, ys>) for every codeword w, as length-M arrays.
+
+        Entry msg is computed from the sent codeword exactly as
+        GaussianCodebook.segment_stats does; the rest are drawn.
+        """
+        m = ys.size
+        z = self.rng.standard_normal(self.M)
+        chi2 = self.rng.chisquare(m - 1, self.M) if m > 1 else 0.0
+        sum_x = self.gamma * (z * z + chi2)
+        cross = math.sqrt(self.gamma * float(ys @ ys)) * z
+        sent_x, sent_cross = self.sent.segment_stats(ys, lo)
+        sum_x[self.msg] = sent_x[0]
+        cross[self.msg] = sent_cross[0]
+        return sum_x, cross
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +415,9 @@ def estimate_arrivals(trace: RxTrace, preambles, tps, nprime: int,
     s1, s2 = (np.asarray(p, dtype=float) for p in preambles)
     if s1.size != nprime or s2.size != nprime:
         raise ValueError("preamble lengths must equal nprime")
-    y = trace.y
-    ok1, dev1 = scan_typicality(y, s1, tps["p1"])
-    ok3, dev3 = scan_typicality(y, s2, tps["p3"])
-    ok2, _ = scan_typicality(y, s1, tps["p2"])
-    ok4, _ = scan_typicality(y, s2, tps["p4"])
+    scans = scan_densities(trace.y, (s1, s2), tps)
+    (ok1, dev1), (ok2, _), (ok3, dev3), (ok4, _) = (
+        scans[pdf] for pdf in PDF_IDS)
     T = ok1.size
     found = []
     ends = {1: -1, 2: -1}
@@ -370,14 +478,17 @@ def codeword_segments(code_start: int, n: int, other_spans) -> tuple:
     return tuple(segs)
 
 
-def decode_codeword(trace: RxTrace, codebook: GaussianCodebook, segments,
-                    tps):
+def decode_codeword(trace: RxTrace, codebook, segments, tps):
     """Unique codeword passing every per-segment typicality test.
 
     segments is a list of ((start, stop), pdf id) slot ranges that
     partition the codeword span contiguously; symbol l of each candidate
     aligns with slot segments[0][0][0] + l. Returns the message index,
     DECODE_NONE if no candidate passes, DECODE_AMBIGUOUS if several do.
+
+    codebook is a GaussianCodebook or a SentWordCodebook; only its M, n
+    and segment_stats are read. Each segment's per-candidate sums
+    (||w_s||^2, <w_s, y_s>) go through the same pass test as the scan.
     """
     if not segments:
         raise ValueError("need at least one segment")
@@ -401,23 +512,11 @@ def decode_codeword(trace: RxTrace, codebook: GaussianCodebook, segments,
             f"segments cover {total} slots, codewords have {codebook.n}")
     alive = np.ones(codebook.M, dtype=bool)
     for (a, b), pdf in segments:
-        tp = tps[pdf]
-        m = b - a
         ysl = y[a:b]
-        wsl = codebook.words[:, a - base:b - base]
-        sum_x = np.einsum("ij,ij->i", wsl, wsl)
-        sum_y = float(ysl @ ysl)
-        res = ysl[None, :] - tp.coef * wsl
-        sum_res = np.einsum("ij,ij->i", res, res)
-        dx = np.abs(-0.5 * math.log2(2.0 * math.pi * tp.var_x)
-                    - LOG2E * sum_x / (2.0 * m * tp.var_x) + tp.h_x)
-        dy = abs(_mean_log_gauss(sum_y, m, tp.var_y) + tp.h_y)
-        dxy = np.abs(-0.5 * math.log2(2.0 * math.pi * tp.var_x)
-                     - LOG2E * sum_x / (2.0 * m * tp.var_x)
-                     - 0.5 * math.log2(2.0 * math.pi * tp.var_res)
-                     - LOG2E * sum_res / (2.0 * m * tp.var_res)
-                     + tp.h_joint)
-        alive &= (dx < tp.eps) & (dxy < tp.eps) & (dy < tp.eps)
+        sum_x, cross = codebook.segment_stats(ysl, a - base)
+        ok, _ = _typical_from_sums(sum_x, float(ysl @ ysl), cross, b - a,
+                                   tps[pdf])
+        alive &= ok
         if not alive.any():
             return DECODE_NONE
     winners = np.flatnonzero(alive)
@@ -480,6 +579,8 @@ class DetectionRow:
     rescan for a second arrival inside a live burst faces a mismatched
     density whose log-likelihood gap shrinks with the interference ratio
     and is not reliably rejectable at preamble-length windows.
+    decode_errors = decode_none + decode_ambiguous + decode_wrong: no
+    codeword passed, several passed, or a single wrong one passed.
     """
 
     n: int
@@ -494,6 +595,9 @@ class DetectionRow:
     decode_errors: int
     e2e_errors: int
     eff_rate: float
+    decode_none: int
+    decode_ambiguous: int
+    decode_wrong: int
 
     @property
     def recovery_rate(self) -> float:
@@ -521,8 +625,9 @@ class DetectionRow:
 def _score_trace(trace, own_cb, other_cb, tps, nprime, own_user, starts,
                  own_start, other_span, own_msg):
     """Score one receiver: recovery, located bursts, misid, false alarms,
-    own-message decode. Sender labels from the scan are receiver-local
-    (1 = own, 2 = cross) and are mapped back to user ids here."""
+    own-message decode outcome ("ok", DECODE_NONE, DECODE_AMBIGUOUS or
+    "wrong"). Sender labels from the scan are receiver-local (1 = own,
+    2 = cross) and are mapped back to user ids here."""
     est = estimate_arrivals(trace, (own_cb.preamble, other_cb.preamble),
                             tps, nprime, (own_cb.n, other_cb.n))
     claimed = {slot: (own_user if s == 1 else 3 - own_user)
@@ -536,22 +641,32 @@ def _score_trace(trace, own_cb, other_cb, tps, nprime, own_user, starts,
                 mis += 1
     fa = sum(1 for slot in claimed if slot not in starts)
     segs = codeword_segments(own_start + nprime, own_cb.n, (other_span,))
-    dec_ok = decode_codeword(trace, own_cb, segs, tps) == own_msg
-    return located == len(starts), located, mis, fa, dec_ok
+    decoded = decode_codeword(trace, own_cb, segs, tps)
+    if decoded == own_msg:
+        outcome = "ok"
+    elif decoded in (DECODE_NONE, DECODE_AMBIGUOUS):
+        outcome = decoded
+    else:
+        outcome = "wrong"
+    return located == len(starts), located, mis, fa, outcome
 
 
 def _run_trial(n: int, nprime: int, cfg: DetectionConfig,
                rng: np.random.Generator):
-    cb1 = GaussianCodebook.draw(cfg.M, n, nprime, cfg.gamma1, rng)
-    cb2 = GaussianCodebook.draw(cfg.M, n, nprime, cfg.gamma2, rng)
+    """One trial; only the preambles and the two sent codewords are
+    drawn as symbols, the unsent words enter through SentWordCodebook."""
+    sent1 = GaussianCodebook.draw(1, n, nprime, cfg.gamma1, rng)
+    sent2 = GaussianCodebook.draw(1, n, nprime, cfg.gamma2, rng)
     span = nprime + n
     t1 = int(rng.integers(0, 2 * nprime))
     t2 = t1 + span + int(rng.integers(nprime, 3 * nprime))
     horizon = t2 + span + 2 * nprime
     msg1 = int(rng.integers(cfg.M))
     msg2 = int(rng.integers(cfg.M))
-    tr1, tr2 = channel_run((((t1, msg1),), ((t2, msg2),)), (cb1, cb2),
+    tr1, tr2 = channel_run((((t1, 0),), ((t2, 0),)), (sent1, sent2),
                            cfg.a1, cfg.a2, rng, horizon)
+    cb1 = SentWordCodebook(sent1, cfg.M, msg1, rng)
+    cb2 = SentWordCodebook(sent2, cfg.M, msg2, rng)
     tps1 = rx_params(cfg.eps, cfg.gamma1, cfg.gamma2, cfg.a2)
     tps2 = rx_params(cfg.eps, cfg.gamma2, cfg.gamma1, cfg.a1)
     starts = {t1: 1, t2: 2}
@@ -577,6 +692,11 @@ def detection_experiment(cfg: DetectionConfig, trials: int, seed) -> tuple:
     pattern of the true schedule, i.e. for a receiver that has resolved
     the burst boundaries before decoding, so the decode column isolates
     codeword discrimination rather than compounding scan mistakes.
+    Decoding errors are split into no candidate passing, several
+    passing, and a single wrong one. Only the sent codewords are drawn
+    as symbols; each receiver decodes against a SentWordCodebook whose
+    other M - 1 words are exact draws of their sufficient statistics, so
+    the cost grows with M times the number of segments rather than M*n.
     Trials draw from independent spawned streams, so the report is
     reproducible for a given seed and safe to parallelize later.
     """
@@ -586,22 +706,27 @@ def detection_experiment(cfg: DetectionConfig, trials: int, seed) -> tuple:
     per_n = np.random.SeedSequence(seed).spawn(len(cfg.n_values))
     for idx, (n, seq) in enumerate(zip(cfg.n_values, per_n)):
         nprime = cfg.nprime_for(idx)
-        recovered = located = mis = fa = dec_err = e2e = 0
+        recovered = located = mis = fa = e2e = 0
+        decoded = dict.fromkeys(("ok", DECODE_NONE, DECODE_AMBIGUOUS,
+                                 "wrong"), 0)
         for rng in map(np.random.default_rng, seq.spawn(trials)):
             scores = _run_trial(n, nprime, cfg, rng)
             trial_ok = True
-            for rec, loc, m, f, d_ok in scores:
+            for rec, loc, m, f, outcome in scores:
                 recovered += rec
                 located += loc
                 mis += m
                 fa += f
-                dec_err += not d_ok
-                trial_ok &= rec and d_ok
+                decoded[outcome] += 1
+                trial_ok &= rec and outcome == "ok"
             e2e += not trial_ok
         rows.append(DetectionRow(
             n=n, nprime=nprime, trials=trials, traces=2 * trials,
             bursts_total=4 * trials, bursts_located=located,
             recovered_traces=recovered, misid_errors=mis,
-            false_alarms=fa, decode_errors=dec_err, e2e_errors=e2e,
-            eff_rate=math.log2(cfg.M) / n))
+            false_alarms=fa, decode_errors=2 * trials - decoded["ok"],
+            e2e_errors=e2e, eff_rate=math.log2(cfg.M) / n,
+            decode_none=decoded[DECODE_NONE],
+            decode_ambiguous=decoded[DECODE_AMBIGUOUS],
+            decode_wrong=decoded["wrong"]))
     return tuple(rows)

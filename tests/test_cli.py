@@ -214,7 +214,7 @@ def test_detect_error_trend_and_schema(tmp_path):
         "n", "nprime", "trials", "traces", "bursts_total", "bursts_located",
         "recovered_traces", "recovery_rate", "misid_errors", "misid_rate",
         "false_alarms", "decode_errors", "e2e_errors", "e2e_error_rate",
-        "eff_rate"]
+        "eff_rate", "decode_none", "decode_ambiguous", "decode_wrong"]
 
 
 def test_detect_seed_reproducible(tmp_path):

@@ -15,7 +15,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("name", ["design_walkthrough.py",
                                   "overlap_bounds.py",
-                                  "rate_region_tour.py"])
+                                  "rate_region_tour.py",
+                                  "detection_walkthrough.py",
+                                  "buffer_schedulers.py"])
 def test_demo_exits_cleanly(name):
     res = subprocess.run([sys.executable, str(DEMOS / name)],
                          capture_output=True, text=True, timeout=120)

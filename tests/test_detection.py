@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from burstgic.detection import (
     M_CAP,
     DetectionConfig,
     GaussianCodebook,
+    PDF_IDS,
     RxTrace,
+    SentWordCodebook,
     TypicalityParams,
     channel_run,
     codeword_segments,
     decode_codeword,
     detection_experiment,
+    deviations_from_sums,
     eps_guard,
     estimate_arrivals,
     rx_params,
+    scan_densities,
     scan_typicality,
     typicality_deviations,
     typicality_test,
@@ -143,6 +148,30 @@ def test_scan_edge_cases():
     assert ok.size == 0 and dev.size == 0
     with pytest.raises(ValueError):
         scan_typicality(np.zeros(10), np.zeros(0), tp)
+
+
+def test_scan_densities_match_scan_typicality():
+    # shared window sums and one correlation per preamble must not move a
+    # single bit of any density's pass mask or joint deviation
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        g1, g2, a = rng.uniform(1.0, 100.0, size=2).tolist() + [0.3]
+        m = int(rng.integers(2, 70))
+        y = rng.uniform(1.0, 12.0) * rng.standard_normal(
+            int(rng.integers(m, 3000)))
+        s1 = math.sqrt(g1) * rng.standard_normal(m)
+        s2 = math.sqrt(g2) * rng.standard_normal(m)
+        tps = rx_params(0.4, g1, g2, a)
+        scans = scan_densities(y, (s1, s2), tps)
+        for pdf, xs in zip(PDF_IDS, (s1, s1, s2, s2)):
+            ok, dev = scan_typicality(y, xs, tps[pdf])
+            assert np.array_equal(scans[pdf][0], ok)
+            assert np.array_equal(scans[pdf][1], dev)
+    tps = rx_params(0.4, GAMMA, GAMMA, 0.3)
+    short = scan_densities(np.zeros(3), (np.ones(5), np.ones(5)), tps)
+    assert all(ok.size == 0 and dev.size == 0 for ok, dev in short.values())
+    with pytest.raises(ValueError):
+        scan_densities(np.zeros(10), (np.ones(4), np.ones(5)), tps)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +404,102 @@ def test_decode_segment_validation():
         decode_codeword(trace, cb, (((0, 100), "p7"),), tps)
 
 
+# Dense vs sufficient-statistic decoding: a short codeword whose second
+# half is interfered (so it decodes over one p1 and one p2 segment) at a
+# rate where all four outcomes occur often.
+ORACLE_M, ORACLE_N, ORACLE_NPRIME, ORACLE_GAMMA, ORACLE_A = 256, 16, 4, 4.0, 0.5
+
+
+def _oracle_trial(rng, sufficient):
+    """One decode outcome: "ok", DECODE_NONE, DECODE_AMBIGUOUS or "wrong"."""
+    n, nprime = ORACLE_N, ORACLE_NPRIME
+    if sufficient:
+        cb = GaussianCodebook.draw(1, n, nprime, ORACLE_GAMMA, rng)
+    else:
+        cb = GaussianCodebook.draw(ORACLE_M, n, nprime, ORACLE_GAMMA, rng)
+    other = GaussianCodebook.draw(1, n, nprime, ORACLE_GAMMA, rng)
+    msg = int(rng.integers(ORACLE_M))
+    t2 = nprime + n // 2
+    tr, _ = channel_run((((0, 0 if sufficient else msg),), ((t2, 0),)),
+                        (cb, other), 0.0, ORACLE_A, rng, t2 + nprime + n)
+    if sufficient:
+        cb = SentWordCodebook(cb, ORACLE_M, msg, rng)
+    segs = codeword_segments(nprime, n, ((t2, t2 + nprime + n),))
+    assert [pdf for _, pdf in segs] == ["p1", "p2"]
+    tps = rx_params(0.45, ORACLE_GAMMA, ORACLE_GAMMA, ORACLE_A)
+    out = decode_codeword(tr, cb, segs, tps)
+    if out == msg:
+        return "ok"
+    return out if out in (DECODE_NONE, DECODE_AMBIGUOUS) else "wrong"
+
+
+def test_sufficient_statistic_decoding_matches_dense():
+    # Each outcome count of the two paths must agree within 4 standard
+    # deviations of the difference of two binomial counts at the pooled
+    # rate (false-alarm odds about 6e-5 per outcome if the paths agree).
+    # Dropping the Z^2 term, drawing ||w||^2 with its own Z, or using
+    # chi2_m instead of chi2_{m-1} each moves some count past 5 of them.
+    trials = 2000
+    counts = {}
+    for seed, sufficient in ((31, False), (32, True)):
+        rng = np.random.default_rng(seed)
+        outcomes = [_oracle_trial(rng, sufficient) for _ in range(trials)]
+        counts[sufficient] = {k: outcomes.count(k) for k in
+                              ("ok", DECODE_NONE, DECODE_AMBIGUOUS, "wrong")}
+    for k, dense in counts[False].items():
+        suff = counts[True][k]
+        assert dense >= 100 and suff >= 100, (k, dense, suff)
+        p = (dense + suff) / (2 * trials)
+        sd = math.sqrt(2 * trials * p * (1 - p))
+        assert abs(dense - suff) <= 4.0 * sd, (k, dense, suff, sd)
+
+
+def test_sent_word_statistics_bit_identical_to_dense():
+    rng = np.random.default_rng(33)
+    n, nprime = ORACLE_N, ORACLE_NPRIME
+    tps = rx_params(0.45, ORACLE_GAMMA, ORACLE_GAMMA, ORACLE_A)
+    for _ in range(20):
+        cb = GaussianCodebook.draw(ORACLE_M, n, nprime, ORACLE_GAMMA, rng)
+        other = GaussianCodebook.draw(1, n, nprime, ORACLE_GAMMA, rng)
+        msg = int(rng.integers(ORACLE_M))
+        t2 = nprime + int(rng.integers(1, n))
+        tr, _ = channel_run((((0, msg),), ((t2, 0),)), (cb, other), 0.0,
+                            ORACLE_A, rng, t2 + nprime + n)
+        sent = GaussianCodebook(words=cb.words[msg:msg + 1].copy(),
+                                preamble=cb.preamble, gamma=cb.gamma)
+        suff = SentWordCodebook(sent, ORACLE_M, msg, rng)
+        for (a, b), pdf in codeword_segments(nprime, n,
+                                             ((t2, t2 + nprime + n),)):
+            ys = tr.y[a:b]
+            sum_y = float(ys @ ys)
+            dense_x, dense_c = cb.segment_stats(ys, a - nprime)
+            suff_x, suff_c = suff.segment_stats(ys, a - nprime)
+            assert suff_x.shape == suff_c.shape == (ORACLE_M,)
+            dev_dense = deviations_from_sums(dense_x[msg], sum_y,
+                                             dense_c[msg], b - a, tps[pdf])
+            dev_suff = deviations_from_sums(suff_x[msg], sum_y,
+                                            suff_c[msg], b - a, tps[pdf])
+            assert dev_dense == dev_suff
+
+
+def test_sent_word_codebook_validation():
+    rng = np.random.default_rng(34)
+    sent = GaussianCodebook.draw(1, 10, 3, 2.0, rng)
+    cb = SentWordCodebook(sent, 8, 7, rng)
+    assert (cb.M, cb.n, cb.gamma) == (8, 10, 2.0)
+    assert cb.preamble is sent.preamble
+    with pytest.raises(ValueError):
+        SentWordCodebook(GaussianCodebook.draw(2, 10, 3, 2.0, rng), 8, 0, rng)
+    with pytest.raises(ValueError):
+        SentWordCodebook(sent, M_CAP + 1, 0, rng)
+    with pytest.raises(ValueError):
+        SentWordCodebook(sent, 8, 8, rng)
+    # a one-symbol segment has no orthogonal part: ||w||^2 = gamma * Z^2
+    x, c = cb.segment_stats(np.array([1.5]), 4)
+    others = np.arange(8) != 7
+    assert x[others] == approx(c[others] ** 2 / 1.5 ** 2)
+
+
 def test_codeword_segments_basic():
     segs = codeword_segments(100, 50, ((120, 140),))
     assert segs == (((100, 120), "p1"), ((120, 140), "p2"),
@@ -455,6 +580,8 @@ def test_experiment_bookkeeping():
         assert 0 <= row.e2e_errors <= row.trials
         assert row.misid_errors <= row.bursts_located
         assert row.eff_rate == approx(3 / n)
+        assert (row.decode_none + row.decode_ambiguous + row.decode_wrong
+                == row.decode_errors)
 
 
 def test_experiment_nprime_override():
@@ -463,6 +590,21 @@ def test_experiment_nprime_override():
                           nprime_values=(20,))
     rows = detection_experiment(cfg, trials=4, seed=9)
     assert rows[0].nprime == 20
+
+
+def test_experiment_memory_at_codebook_cap():
+    # a dense 2^16 x 4000 codebook alone would take about 2.1 GB; the
+    # experiment draws only the sent words and per-segment statistics
+    cfg = DetectionConfig(n_values=(4000,), gamma1=GAMMA, gamma2=GAMMA,
+                          a1=0.1, a2=0.1, eps=0.48, M=M_CAP)
+    tracemalloc.start()
+    try:
+        rows = detection_experiment(cfg, trials=1, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0].traces == 2
+    assert peak < 64 * 2 ** 20
 
 
 def test_experiment_config_validation():
