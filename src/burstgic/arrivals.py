@@ -45,6 +45,8 @@ def trial_rngs(seed: int, trials: int, streams_per_trial: int = 1):
     Splitting off SeedSequence children keeps trials reproducible even if
     they are later farmed out in parallel.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     roots = np.random.SeedSequence(seed).spawn(trials)
     if streams_per_trial == 1:
         return [np.random.default_rng(s) for s in roots]

@@ -84,7 +84,9 @@ def _load_config(command: str, args) -> RunConfig:
             f"unknown scenario {scenario!r} for {command}; "
             f"expected one of {SCENARIOS[command]}")
     out = Path(args.out if args.out is not None else raw.get("out", "."))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        seed = _integer(raw.get("seed", 0), "seed")
     fmt = args.format if args.format is not None else raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -104,8 +106,19 @@ def _number(params: dict, key: str, default=None) -> float:
         raise ConfigError(f"missing required field {key!r}")
     try:
         return float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+
+
+def _integer(val, name: str) -> int:
+    """An integral config value; non-finite or fractional ones are errors."""
+    try:
+        x = float(val)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and x == math.floor(x)):
+        raise ConfigError(f"field {name!r} must be an integer, got {val!r}")
+    return int(val) if isinstance(val, int) else int(x)
 
 
 def _power(params: dict, key: str, default=None) -> float:
@@ -125,7 +138,7 @@ def _user(params: dict, key: str) -> UserParams:
     if not isinstance(spec, dict):
         raise ConfigError(f"missing user block {key!r}")
     try:
-        return UserParams(k=int(_need(spec, "k")),
+        return UserParams(k=_integer(_need(spec, "k"), "k"),
                           q=float(_need(spec, "q")),
                           P=_power(spec, "P", default=1.0),
                           a=float(spec.get("a", 0.0)))
@@ -149,7 +162,8 @@ def _d_values(params: dict) -> list:
         grid = params.get("d_grid")
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
             raise ConfigError("give ds (list) or d_grid ([start, stop, count])")
-        start, stop, count = float(grid[0]), float(grid[1]), int(grid[2])
+        start, stop = float(grid[0]), float(grid[1])
+        count = _integer(grid[2], "d_grid count")
         if count < 2 or stop <= start:
             raise ConfigError("d_grid needs stop > start and count >= 2")
         ds = [float(d) for d in np.linspace(start, stop, count)]
@@ -198,13 +212,13 @@ def _finite(x: float):
 def cmd_buffers(rc: RunConfig) -> list:
     p = rc.params
     u = _user(p, "user")
-    n_values = [int(n) for n in _need(p, "n_values")]
-    N = int(_number(p, "N"))
+    n_values = [_integer(n, "n_values") for n in _need(p, "n_values")]
+    N = _integer(_need(p, "N"), "N")
     theta = _number(p, "theta")
     delta = _number(p, "delta")
-    trials = int(_number(p, "trials", 200))
+    trials = _integer(p.get("trials", 200), "trials")
     nprime = p.get("nprime")
-    nprime = int(nprime) if nprime is not None else None
+    nprime = _integer(nprime, "nprime") if nprime is not None else None
     gap_rows = []
     imm_rows = []
     for n in n_values:
@@ -289,10 +303,10 @@ def cmd_region(rc: RunConfig) -> list:
 def _region_grid(rc: RunConfig) -> list:
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
-    N1, N2 = int(_number(p, "N1")), int(_number(p, "N2"))
+    N1, N2 = _integer(_need(p, "N1"), "N1"), _integer(_need(p, "N2"), "N2")
     theta1, theta2 = _number(p, "theta1"), _number(p, "theta2")
     alpha = _number(p, "alpha")
-    m_grid = int(_number(p, "m_grid", 10))
+    m_grid = _integer(p.get("m_grid", 10), "m_grid")
     resolution = p.get("resolution")
     try:
         reg = region(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
@@ -323,16 +337,16 @@ def _region_grid(rc: RunConfig) -> list:
 
 def _region_symmetric(rc: RunConfig) -> list:
     p = rc.params
-    N = int(_number(p, "N"))
+    N = _integer(_need(p, "N"), "N")
     theta = _number(p, "theta")
     if "lam" in p:
         lam = _number(p, "lam")
     else:
-        lam = int(_number(p, "k")) * _number(p, "q")
+        lam = _integer(_need(p, "k"), "k") * _number(p, "q")
     a = _number(p, "a")
     P = _power(p, "P")
     alpha = _number(p, "alpha")
-    n_gamma = int(_number(p, "n_gamma", 2048))
+    n_gamma = _integer(p.get("n_gamma", 2048), "n_gamma")
     try:
         intervals = sym_region(N, theta, lam, a, P, alpha, n_gamma).intervals
     except ValueError as e:
@@ -352,7 +366,9 @@ def _region_symmetric(rc: RunConfig) -> list:
         c = curves
         hi_max = max((hi for _, hi in intervals), default=lam)
         g_max = (1.0 / N + 1.05 * hi_max / lam) * P
-        points = int(_number(p, "curve_points", 256))
+        points = _integer(p.get("curve_points", 256), "curve_points")
+        if points < 1:
+            raise ConfigError(f"curve_points must be >= 1, got {points}")
         rows = []
         for g in np.linspace(g_max / points, g_max, points):
             rows.append({"gamma": float(g), "f": float(c.f(g)),
@@ -368,19 +384,21 @@ def cmd_detect(rc: RunConfig) -> list:
     nprime_values = p.get("nprime_values")
     try:
         cfg = DetectionConfig(
-            n_values=tuple(int(n) for n in _need(p, "n_values")),
+            n_values=tuple(_integer(n, "n_values")
+                           for n in _need(p, "n_values")),
             gamma1=_power(p, "gamma1"),
             gamma2=_power(p, "gamma2"),
             a1=_number(p, "a1"),
             a2=_number(p, "a2"),
             eps=_number(p, "eps"),
-            M=int(_number(p, "M")),
-            nprime_values=(tuple(int(m) for m in nprime_values)
+            M=_integer(_need(p, "M"), "M"),
+            nprime_values=(tuple(_integer(m, "nprime_values")
+                                 for m in nprime_values)
                            if nprime_values is not None else None),
         )
     except ValueError as e:
         raise ConfigError(str(e))
-    trials = int(_number(p, "trials", 200))
+    trials = _integer(p.get("trials", 200), "trials")
     rows = detection_experiment(cfg, trials, rc.seed)
     out = []
     for r in rows:

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect as _bisect
 
 from burstgic.geometry import alpha_breakpoints
 from burstgic.model import (
     UserParams,
     capacity_c,
     derive_scheme_v,
+    find_root,
     rate_pair,
 )
 from burstgic.reliability import covered_lengths
@@ -114,8 +114,8 @@ class OutageCurve:
 def rbar_target(u: UserParams, N: int) -> float:
     """Largest average rate with a decodable interference-free codeword.
 
-    Solves theta_hat(R) * C(gamma_hat(R)) = k/N for R on (0, lam) by
-    bisection; the left side strictly exceeds k/N below the root.
+    Solves theta_hat(R) * C(gamma_hat(R)) = k/N for R on (0, lam) with
+    model.find_root; the left side strictly exceeds k/N below the root.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -133,7 +133,7 @@ def rbar_target(u: UserParams, N: int) -> float:
         )
     if h(hi) >= 0.0:  # theta*phi -> 0 as R -> lam, so this cannot happen
         raise InfeasibleDesignError("bracketing failed at R near lam")
-    return float(_bisect(h, lo, hi, xtol=1e-10))
+    return find_root(h, lo, hi)
 
 
 def _n_window(u: UserParams, R: float) -> list:

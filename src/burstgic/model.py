@@ -8,6 +8,7 @@ else. All logarithms are base 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "SchemeVI",
     "RatePair",
     "capacity_c",
+    "find_root",
     "rate_pair",
     "derive_scheme_v",
     "limit_power_rate",
@@ -33,6 +35,71 @@ def capacity_c(x: float) -> float:
     if x < 0:
         raise ValueError(f"SNR must be nonnegative, got {x}")
     return 0.5 * math.log2(1.0 + x)
+
+
+_XTOL = 1e-10
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def find_root(f, lo: float, hi: float) -> float:
+    """Root of a continuous scalar f between lo and a bracket end >= hi.
+
+    While f(lo) and f(hi) have the same strict sign, hi doubles; doubling
+    past the largest float is a ValueError. The bracket is then solved by
+    Brent's method, stepped exactly as the C brentq that the tests use as
+    an oracle (xtol 1e-10, rtol 4*eps, at most 100 iterations), so both
+    return the same float. A zero denominator in the interpolation step
+    bisects, as the inf or NaN quotient of IEEE division does in C.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    while (fpre < 0 and fcur < 0) or (fpre > 0 and fcur > 0):
+        xcur *= 2.0
+        if math.isinf(xcur):
+            raise ValueError(
+                f"no sign change of f on [{lo}, {hi}*2**k] before overflow")
+        fcur = float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre < 0) != (fcur < 0):  # fpre != 0; fcur == 0 returns below
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(
+        f"root finder did not converge in {_MAXITER} iterations at x={xcur}")
 
 
 @dataclass(frozen=True)

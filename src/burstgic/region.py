@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .design import IntervalUnion
 from .geometry import OverlapTriple
-from .model import UserParams, capacity_c, rate_pair
+from .model import UserParams, capacity_c, find_root, rate_pair
 from .reliability import covered_lengths
 
 
@@ -76,10 +75,7 @@ def _rbar_raw(lam: float, P: float, N: int) -> float:
     def short(R):
         return R - capacity_c((1.0 / N + R / lam) * P)
 
-    hi = 64.0
-    while short(hi) < 0:
-        hi *= 2.0
-    return brentq(short, 0.0, hi, xtol=1e-10)
+    return find_root(short, 0.0, 64.0)
 
 
 def rbar_c(u: UserParams, N: int) -> float:
@@ -168,6 +164,8 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
 def _check_sym_args(N, theta, lam, a, P, alpha):
     if not (isinstance(N, int) and N >= 1):
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    if not all(map(math.isfinite, (theta, lam, a, P, alpha))):
+        raise ValueError("theta, lam, a, P and alpha must be finite")
     if theta <= 0 or lam <= 0 or P <= 0:
         raise ValueError("theta, lam and P must be positive")
     if a < 0 or alpha < 0:
@@ -294,7 +292,8 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
         gamma0 = (1.0 + math.sqrt(1.0 + 4.0 * a * a)) / (2.0 * a * a)
     else:
         gamma0 = math.inf
-    t = 2.0 ** (2.0 * lam) - 1.0
+    # psi = lam needs SNR t = 2**(2*lam) - 1; beyond float range gamma1 = +inf
+    t = 2.0 ** (2.0 * lam) - 1.0 if lam < 512.0 else math.inf
     den = 1.0 - a * t
     gamma1 = t / den if den > 0 else math.inf
     if alpha == 0:
@@ -307,10 +306,7 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
             s = capacity_c(g / (1.0 + a * g))
             return s + alpha / theta * (p - s) - kap * lam
 
-        hi = 1.0
-        while short(hi) < 0:
-            hi *= 2.0
-        gamma2 = brentq(short, 0.0, hi, xtol=1e-10)
+        gamma2 = find_root(short, 0.0, 1.0)
     return SymCurves(N, theta, lam, a, P, alpha, gamma0, gamma1, gamma2)
 
 
@@ -422,10 +418,7 @@ def sym_region(N: int, theta, lam, a, P, alpha, n_gamma: int = 2048) -> Interval
             s = capacity_c(g / (1.0 + a * g))
             return s + alpha / theta * (p - s) - (g / P - 1.0) * lam
 
-        hi = 2.0 * P
-        while short(hi) > 0:
-            hi *= 2.0
-        gstar = brentq(short, 0.0, hi, xtol=1e-10)
+        gstar = find_root(short, 0.0, 2.0 * P)
         return IntervalUnion.from_intervals([(0.0, (gstar / P - 1.0) * lam)])
     if not alpha < theta:
         return _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from pytest import approx
 
 from burstgic.region import sym_region
@@ -29,6 +30,8 @@ GRID_CFG = {"scenario": "grid", "user1": USYM, "user2": USYM,
 DETECT_CFG = {"scenario": "detect", "n_values": [400, 1600],
               "gamma1_db": 20, "gamma2_db": 20, "a1": 0.1, "a2": 0.1,
               "eps": 0.48, "M": 8, "trials": 60}
+SYM_CFG = {"scenario": "symmetric", "N": 2, "theta": 1.0, "lam": 0.6,
+           "a": 0.5, "P_db": 20, "alpha": 0.5}
 
 
 def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=()):
@@ -288,6 +291,54 @@ def test_non_finite_user_params_are_config_errors(tmp_path):
                   tmp_path)
     assert res.returncode == 2
     assert "P must be positive and finite" in res.stderr
+
+
+# json.dumps writes math.inf as Infinity, which reads back as inf, just as
+# an overflowing literal such as 1e309 does
+SYM_P_NAN = {k: v for k, v in SYM_CFG.items() if k != "P_db"}
+SYM_P_NAN["P"] = math.nan
+
+
+@pytest.mark.parametrize("command, cfg, needle", [
+    ("region", dict(SYM_CFG, alpha=math.nan), "must be finite"),
+    ("region", dict(SYM_CFG, alpha=math.inf), "must be finite"),
+    ("region", dict(SYM_CFG, theta=math.inf), "must be finite"),
+    ("region", dict(SYM_CFG, lam=math.nan), "must be finite"),
+    ("region", dict(SYM_CFG, a=math.nan), "must be finite"),
+    ("region", SYM_P_NAN, "must be finite"),
+    ("region", dict(SYM_CFG, lam=1e300), "before overflow"),
+    ("region", {"scenario": "symmetric", "N": 2, "theta": 2.4737,
+                "lam": 1.9023, "a": 1.4283, "P": 3.2709, "alpha": 0.0038},
+     "before overflow"),
+    ("region", dict(SYM_CFG, N=math.inf), "'N' must be an integer"),
+    ("region", dict(SYM_CFG, N=2.5), "'N' must be an integer"),
+    ("region", dict(SYM_CFG, n_gamma=math.inf), "'n_gamma' must be"),
+    ("region", dict(SYM_CFG, curve_points=0), "curve_points"),
+    ("region", dict(GRID_CFG, N1=math.inf), "'N1' must be an integer"),
+    ("region", dict(GRID_CFG, m_grid=math.inf), "'m_grid' must be"),
+    ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    d_grid=[0.05, 3.0, math.inf]), "'d_grid count' must be"),
+    ("buffers", dict(BUFFERS_CFG, trials=math.inf), "'trials' must be"),
+    ("buffers", dict(BUFFERS_CFG, trials=0), "at least one trial"),
+    ("buffers", dict(BUFFERS_CFG, user={"k": math.inf, "q": 0.3}),
+     "'k' must be an integer"),
+    ("detect", dict(DETECT_CFG, trials=math.inf), "'trials' must be"),
+    ("detect", dict(DETECT_CFG, M=math.inf), "'M' must be an integer"),
+])
+def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
+    res = run_cli(command, cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert needle in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, burstgic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_json_format_emits_json(tmp_path):

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from burstgic.model import (
     InfeasibleRateError,
@@ -11,6 +13,7 @@ from burstgic.model import (
     UserParams,
     capacity_c,
     derive_scheme_v,
+    find_root,
     limit_power_rate,
     rate_pair,
     stability_ok,
@@ -31,6 +34,29 @@ def test_capacity_rejects_negative():
 @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=1e-6, max_value=10.0))
 def test_capacity_strictly_increasing(x, dx):
     assert capacity_c(x + dx) > capacity_c(x)
+
+
+def test_find_root_expands_bracket():
+    def f(x):
+        return x - 1000.0
+
+    assert find_root(f, 0.0, 1.0) == brentq(f, 0.0, 1024.0, xtol=1e-10)
+    assert find_root(f, 0.0, 1000.0) == 1000.0  # exact root at a bracket end
+    with pytest.raises(ValueError, match="before overflow"):
+        find_root(lambda x: -1.0, 0.0, 1.0)
+
+
+def test_find_root_zero_denominator_bisects_like_brentq():
+    # at this scale the inverse-quadratic denominator underflows to 0; C's
+    # brentq divides to inf or NaN there and bisects, and so must find_root
+    rng = random.Random(5)
+    for _ in range(50):
+        r, c = rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0)
+
+        def f(x):
+            return 1e-120 * ((x - r) ** 3 + c * (x - r))
+
+        assert find_root(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=1e-10)
 
 
 def test_rate_pair_no_interference_collapses():

@@ -632,3 +632,88 @@ def test_sym_region_matches_region_diagonal():
         edges = [b for iv in sym.intervals for b in iv]
         for i in mismatch:
             assert min(abs(Rs[i] - b) for b in edges) < cell
+
+
+# ------------------------------------------------- root finder vs brentq
+#
+# The package solves its scalar root problems with model.find_root. The
+# oracle below is how they were solved before: double hi from the same
+# start while the sign has not changed, then scipy's brentq at xtol 1e-10.
+# region_points.csv prints the box edges at full precision, so the roots
+# must agree bit for bit, not just within tolerance.
+
+def _brentq_doubling(short, hi, grow_while_negative):
+    while (short(hi) < 0) if grow_while_negative else (short(hi) > 0):
+        hi *= 2.0
+    return brentq(short, 0.0, hi, xtol=1e-10)
+
+
+def test_root_problems_match_brentq_exactly():
+    rng = np.random.default_rng(2024)
+    overflowed = 0
+    for _ in range(300):
+        lam = 10 ** rng.uniform(-2, 1.5)
+        P = 10 ** rng.uniform(-3, 5)
+        theta = 10 ** rng.uniform(-2, 1.5)
+        a = 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-3, 2)
+        alpha = rng.uniform(0.0, theta)
+        N = int(rng.integers(1, 8))
+
+        # rate cap rbar_c: R = C((1/N + R/lam) P)
+        u = UserParams(k=int(rng.integers(1, 9)), q=rng.uniform(0.01, 1.0),
+                       P=P, a=a)
+        want = _brentq_doubling(
+            lambda R: R - capacity_c((1.0 / N + R / u.lam) * u.P), 64.0, True)
+        assert rbar_c(u, N) == want
+
+        def psi(g):
+            return capacity_c(g / (1.0 + a * g))
+
+        # sym_curves' gamma2: the overlap-free cap meets (1 + alpha/theta) lam
+        def cap_short(g):
+            return psi(g) + alpha / theta * (capacity_c(g) - psi(g)) \
+                - (1.0 + alpha / theta) * lam
+
+        try:
+            want = _brentq_doubling(cap_short, 1.0, True)
+        except ValueError:  # f(inf) is NaN: no root below overflow
+            overflowed += 1
+            with pytest.raises(ValueError, match="before overflow"):
+                sym_curves(max(N, 2), theta, lam, a, P, alpha)
+        else:
+            assert sym_curves(max(N, 2), theta, lam, a, P, alpha).gamma2 == want
+
+        # sym_region at N = 1: the same cap meets the power line
+        def line_short(g):
+            return psi(g) + alpha / theta * (capacity_c(g) - psi(g)) \
+                - (g / P - 1.0) * lam
+
+        gstar = _brentq_doubling(line_short, 2.0 * P, False)
+        (lo, hi), = sym_region(1, theta, lam, a, P, alpha).intervals
+        assert (lo, hi) == (0.0, (gstar / P - 1.0) * lam)
+    assert overflowed < 30  # the comparison must mostly be of real roots
+
+
+def test_sym_curves_bracket_overflow_is_value_error():
+    # the overlap-free cap saturates below (1 + alpha/theta) lam, so no
+    # finite power reaches it; this once surfaced as "f(inf) is NaN"
+    with pytest.raises(ValueError, match="no sign change .* before overflow"):
+        sym_curves(2, 2.4737, 1.9023, 1.4283, 3.2709, 0.0038)
+
+
+@pytest.mark.parametrize("bad", ["theta", "lam", "a", "P", "alpha"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sym_args_must_be_finite(bad, value):
+    args = dict(theta=1.0, lam=0.6, a=0.5, P=100.0, alpha=0.5)
+    args[bad] = value
+    for N in (1, 2):
+        with pytest.raises(ValueError, match="finite"):
+            sym_region(N, **args)
+
+
+def test_sym_curves_huge_rate_needs_infinite_power():
+    # 2**(2*lam) overflows: psi = lam is out of reach, so gamma1 = +inf
+    # and the handoff power has no finite root either
+    with pytest.raises(ValueError, match="before overflow"):
+        sym_curves(2, 1.0, 1e300, 0.5, 100.0, 0.5)
+    assert math.isinf(sym_curves(2, 1.0, 1e300, 0.5, 100.0, 0.0).gamma1)
