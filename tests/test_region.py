@@ -637,10 +637,10 @@ def test_sym_region_matches_region_diagonal():
 # ------------------------------------------------- root finder vs brentq
 #
 # The package solves its scalar root problems with model.find_root. The
-# oracle below is how they were solved before: double hi from the same
-# start while the sign has not changed, then scipy's brentq at xtol 1e-10.
-# region_points.csv prints the box edges at full precision, so the roots
-# must agree bit for bit, not just within tolerance.
+# oracle doubles hi from the same start while the sign has not changed,
+# then calls scipy's brentq at xtol 1e-10. region_points.csv prints the box
+# edges at full precision, so the roots must agree bit for bit, not just
+# within tolerance.
 
 def _brentq_doubling(short, hi, grow_while_negative):
     while (short(hi) < 0) if grow_while_negative else (short(hi) > 0):
@@ -696,7 +696,7 @@ def test_root_problems_match_brentq_exactly():
 
 def test_sym_curves_bracket_overflow_is_value_error():
     # the overlap-free cap saturates below (1 + alpha/theta) lam, so no
-    # finite power reaches it; this once surfaced as "f(inf) is NaN"
+    # finite power reaches it
     with pytest.raises(ValueError, match="no sign change .* before overflow"):
         sym_curves(2, 2.4737, 1.9023, 1.4283, 3.2709, 0.0038)
 
