@@ -313,12 +313,6 @@ def _region_grid(rc: RunConfig) -> list:
                      float(resolution) if resolution is not None else None)
     except ValueError as e:
         raise ConfigError(str(e))
-    rows = []
-    xs, ys = reg.xs(), reg.ys()
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            rows.append({"R_c1": float(x), "R_c2": float(y),
-                         "member": int(reg.mask[ix, iy])})
     meta = {
         "scenario": rc.scenario,
         "box": [reg.x0, reg.x1, reg.y0, reg.y1],
@@ -329,10 +323,33 @@ def _region_grid(rc: RunConfig) -> list:
         "alpha": alpha,
     }
     return [
-        _emit(rows, ("R_c1", "R_c2", "member"), rc.out / "region_points",
-              rc.fmt),
+        _emit_grid(reg, rc.out / "region_points", rc.fmt),
         _write_json(meta, rc.out / "region_meta.json"),
     ]
+
+
+def _emit_grid(reg, base: Path, fmt: str) -> Path:
+    """Write the occupancy grid as (R_c1, R_c2, member) rows, x-major.
+
+    The CSV is assembled one x-row at a time from each coordinate's repr,
+    the text csv.writer gives a float, so the bytes match _emit's.
+    """
+    header = ("R_c1", "R_c2", "member")
+    xs, ys = reg.xs().tolist(), reg.ys().tolist()
+    if fmt != "csv":
+        rows = [{"R_c1": x, "R_c2": y, "member": int(m)}
+                for x, row in zip(xs, reg.mask.tolist())
+                for y, m in zip(ys, row)]
+        return _emit(rows, header, base, fmt)
+    tails = np.array([[f"{y!r},0\r\n" for y in ys],
+                      [f"{y!r},1\r\n" for y in ys]], dtype=object)
+    path = base.with_suffix(".csv")
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for x, row in zip(xs, reg.mask):
+            head = f"{x!r},"
+            fh.write(head + head.join(np.where(row, tails[1], tails[0])))
+    return path
 
 
 def _region_symmetric(rc: RunConfig) -> list:
@@ -357,7 +374,7 @@ def _region_symmetric(rc: RunConfig) -> list:
     curves = sym_curves(N, theta, lam, a, P, alpha) \
         if N >= 2 and alpha < theta else None
     if curves is not None:
-        meta["gamma0"] = curves.gamma0
+        meta["gamma0"] = _finite(curves.gamma0)
         meta["gamma1"] = _finite(curves.gamma1)
         meta["gamma2"] = _finite(curves.gamma2)
         meta["branch_low"] = curves.branch_low

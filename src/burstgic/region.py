@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import IntervalUnion
-from .geometry import OverlapTriple
 from .model import UserParams, capacity_c, find_root, rate_pair
 from .reliability import covered_lengths
 
@@ -108,30 +107,51 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     both power budgets hold, for at least one power pair on the grid. The
     worst codeword suffices because all of a user's codewords share the
     same (phi, psi) at a fixed power pair.
+
+    Only undecided cells are tested: a cell leaves once it is a member, or
+    once g1 exceeds its power cap (the grid rises, so no later row admits
+    it). Every test is the same elementwise expression on the same values,
+    so the mask is exactly that of testing all cells at every power pair.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
     if R1.shape != R2.shape:
         raise ValueError("R1 and R2 must have matching shapes")
     base = (R1 > (u1.lam if N1 > 1 else 0.0)) & (R2 > (u2.lam if N2 > 1 else 0.0))
-    cov1, cov2 = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
-                                 theta2 * R2 / u2.lam, theta2, alpha, N2)
-    worst1 = cov1.max(axis=-1)
-    worst2 = cov2.max(axis=-1)
-    cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P
-    cap2 = (1.0 / N2 + R2 / u2.lam) * u2.P
-    members = np.zeros(R1.shape, dtype=bool)
+    idx = np.flatnonzero(base)
+    r1, r2 = R1.ravel()[idx], R2.ravel()[idx]
+    cov1, cov2 = covered_lengths(theta1 * r1 / u1.lam, theta1, 0.0, N1,
+                                 theta2 * r2 / u2.lam, theta2, alpha, N2)
+    # operands of the undecided cells, one contiguous row each
+    cols = np.stack((theta1 * r1, cov1.max(axis=-1),
+                     (1.0 / N1 + r1 / u1.lam) * u1.P,
+                     theta2 * r2, cov2.max(axis=-1),
+                     (1.0 / N2 + r2 / u2.lam) * u2.P))
+    members = np.zeros(R1.size, dtype=bool)
+    hit = np.zeros(idx.size, dtype=bool)
+    g2s = gamma_grid(u2, N2, m_grid)
     for g1 in gamma_grid(u1, N1, m_grid):
-        for g2 in gamma_grid(u2, N2, m_grid):
+        keep = ~hit & (g1 <= cols[2])
+        if not keep.all():
+            idx, cols = idx[keep], cols.compress(keep, axis=1)
+        if idx.size == 0:
+            break
+        load1, worst1, cap1, load2, worst2, cap2 = cols
+        hit = np.zeros(idx.size, dtype=bool)
+        for g2 in g2s:
             rp1 = rate_pair(g1, g2, u2.a)
             rp2 = rate_pair(g2, g1, u1.a)
-            ok = (g1 <= cap1) & (g2 <= cap2)
-            ok &= theta1 * R1 < theta1 * rp1.phi - (rp1.phi - rp1.psi) * worst1
-            ok &= theta2 * R2 < theta2 * rp2.phi - (rp2.phi - rp2.psi) * worst2
-            members |= ok
-        if members.all():
-            break
-    return members & base
+            ok = g2 <= cap2
+            ok &= load1 < theta1 * rp1.phi - (rp1.phi - rp1.psi) * worst1
+            ok &= load2 < theta2 * rp2.phi - (rp2.phi - rp2.psi) * worst2
+            hit |= ok
+        members[idx[hit]] = True
+    return members.reshape(R1.shape)
+
+
+#: Largest grid region() builds. region_members peaks near 200 bytes a cell,
+#: about 460 MB of resident memory at the cap.
+MAX_CELLS = 2 ** 21
 
 
 def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
@@ -147,10 +167,14 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     hi2 = rbar_c(u2, N2)
     if resolution is None:
         resolution = max(hi1 - lo1, hi2 - lo2) / 100.0
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
-    nx = max(2, int(math.ceil((hi1 - lo1) / resolution)))
-    ny = max(2, int(math.ceil((hi2 - lo2) / resolution)))
+    wx, wy = (hi1 - lo1) / resolution, (hi2 - lo2) / resolution
+    nx = max(2, int(math.ceil(wx))) if wx <= MAX_CELLS else math.inf
+    ny = max(2, int(math.ceil(wy))) if wy <= MAX_CELLS else math.inf
+    if nx * ny > MAX_CELLS:
+        raise ValueError(f"resolution {resolution} needs more than "
+                         f"{MAX_CELLS} grid cells")
     xs = lo1 + (hi1 - lo1) / nx * (np.arange(nx) + 0.5)
     ys = lo2 + (hi2 - lo2) / ny * (np.arange(ny) + 0.5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -170,43 +194,6 @@ def _check_sym_args(N, theta, lam, a, P, alpha):
         raise ValueError("theta, lam and P must be positive")
     if a < 0 or alpha < 0:
         raise ValueError("a and alpha must be nonnegative")
-
-
-def _jstar(mu: float, alpha: float) -> int:
-    """Offset class: the j with alpha/j < mu < alpha/(j-1)."""
-    if alpha <= 0:
-        return 1
-    js = int(math.floor(alpha / mu)) + 1
-    if not alpha / js < mu:
-        raise ValueError(f"mu={mu} sits exactly on a breakpoint alpha/{js}")
-    return js
-
-
-def sym_omega(N: int, mu: float, theta: float, alpha: float) -> dict:
-    """Overlap triples of the symmetric layout, straight from (mu, theta, alpha).
-
-    Closed-form counterpart of overlap_profile when both users share N, mu
-    and theta (offsets 0 and alpha >= 0). w_in is always 0: equal-length
-    bursts never nest strictly.
-    """
-    if mu <= 0 or theta <= 0:
-        raise ValueError("mu and theta must be positive")
-    if N > 1 and mu <= theta:
-        raise ValueError("bursts overlap their own successors")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    js = _jstar(mu, alpha)
-    lo_ok = mu > (alpha - theta) / (js - 1) if js > 1 else alpha < theta
-    hi_ok = mu < (alpha + theta) / js
-    out = {}
-    for j in range(1, N + 1):
-        wm1 = j - js if j >= js + 1 and hi_ok else 0
-        wp1 = j - js + 1 if j >= js and lo_ok else 0
-        wm2 = j + js - 1 if j <= N - js + 1 and lo_ok else 0
-        wp2 = j + js if j <= N - js and hi_ok else 0
-        out[(1, j)] = OverlapTriple(wm1, wp1, 0)
-        out[(2, j)] = OverlapTriple(wm2, wp2, 0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -238,7 +225,13 @@ class SymCurves:
     @property
     def branch_low(self) -> bool:
         """True when lam < psi(gamma0), the empty-until-gamma1 branch."""
-        return self.a == 0.0 or self.lam < self.psi(self.gamma0)
+        if self.a == 0.0:
+            return True
+        if math.isinf(self.gamma0):
+            # gamma0 beyond float range means a < 1e-154, where psi(gamma0)
+            # = log2((b + sqrt(b^2 + 4))/2)/2 equals log2(1/a)/2 in floats
+            return self.lam < -0.5 * math.log2(self.a)
+        return self.lam < self.psi(self.gamma0)
 
     def phi(self, gamma):
         return capacity_c(gamma)
@@ -289,7 +282,10 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
     if not alpha < theta:
         raise ValueError(f"closed form needs alpha < theta, got {alpha} >= {theta}")
     if a > 0:
-        gamma0 = (1.0 + math.sqrt(1.0 + 4.0 * a * a)) / (2.0 * a * a)
+        # (1 + sqrt(1 + 4a^2)) / (2a^2) with b = 1/a: finite for huge a,
+        # +inf only where the true value overflows too
+        b = 1.0 / a
+        gamma0 = b * (0.5 * (b + math.sqrt(b * b + 4.0)))
     else:
         gamma0 = math.inf
     # psi = lam needs SNR t = 2**(2*lam) - 1; beyond float range gamma1 = +inf

@@ -50,8 +50,10 @@ from burstgic.model import (
     limit_power_rate,
     rate_pair,
 )
-from burstgic.region import rbar_c, region, sym_curves, sym_omega, sym_region
+from burstgic.region import rbar_c, region, sym_curves, sym_region
 from burstgic.reliability import closed_form_bound, rate_bound
+
+from oracles import sym_omega
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
 U2 = UserParams(k=2, q=0.4, P=1000.0, a=0.7)

@@ -5,6 +5,7 @@ subprocess, and inspects exit code, stdout/stderr, and the emitted files.
 """
 
 import csv
+import io
 import json
 import math
 import subprocess
@@ -175,6 +176,53 @@ def test_region_m_grid_refinement_grows_mask(tmp_path):
         got[name] = np.array([int(r["member"]) for r in rows], dtype=bool)
     assert np.all(got["fine"] | ~got["coarse"])
     assert got["fine"].sum() > got["coarse"].sum()
+
+
+def test_region_grid_csv_bytes_match_csv_writer(tmp_path):
+    # the grid CSV is written by columns; it must be the exact bytes that
+    # csv.writer gives for the rows the JSON format carries
+    cfg = dict(GRID_CFG, user2=U2, N2=3, theta2=1.2, alpha=1.7, m_grid=6,
+               resolution=0.3)
+    for fmt in ("csv", "json"):
+        res = run_cli("region", cfg, tmp_path, out=fmt,
+                      extra=("--format", fmt))
+        assert res.returncode == 0, res.stderr
+    rows = json.loads((tmp_path / "json" / "region_points.json").read_text())
+    header = ["R_c1", "R_c2", "member"]
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([row[k] for k in header])
+    assert 0 < sum(r["member"] for r in rows) < len(rows)
+    want = buf.getvalue().encode()
+    assert (tmp_path / "csv" / "region_points.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("resolution", [1e-7, 5e-324])
+def test_region_grid_cell_budget_is_config_error(tmp_path, resolution):
+    res = run_cli("region", dict(GRID_CFG, resolution=resolution), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "grid cells" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out" / "region_points.csv").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e200])
+def test_region_symmetric_extreme_cross_gain(tmp_path, a):
+    # gamma0 ~ 1/a^2 overflows for tiny a, and a^2 itself overflows for
+    # huge a; either way the outputs must stay strict JSON
+    res = run_cli("region", dict(SYM_CFG, a=a), tmp_path)
+    assert res.returncode in (0, 2), res.stderr
+    assert "Traceback" not in res.stderr
+    emitted = list((tmp_path / "out").glob("*.json"))
+    assert emitted or res.returncode == 2
+    for path in emitted:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_region_symmetric_scenario(tmp_path):

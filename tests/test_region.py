@@ -23,10 +23,11 @@ from burstgic.region import (
     region,
     region_members,
     sym_curves,
-    sym_omega,
     sym_region,
 )
-from burstgic.reliability import rate_bound
+from burstgic.reliability import covered_lengths, rate_bound
+
+from oracles import sym_omega
 
 U = UserParams(k=2, q=0.3, P=100.0, a=0.5)  # lam = 0.6
 
@@ -400,6 +401,90 @@ def test_region_members_match_union_of_state_polyhedra(u2, N1, N2, th1, th2,
     assert np.array_equal(got[keep], inside[keep])
 
 
+# ------------------------------------- every cell at every power pair (oracle)
+#
+# region_members tests only undecided cells. This is its former body, which
+# tests every cell at every power pair; the two masks must agree exactly.
+
+def _members_full_grid(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, R1, R2):
+    R1 = np.asarray(R1, dtype=float)
+    R2 = np.asarray(R2, dtype=float)
+    if R1.shape != R2.shape:
+        raise ValueError("R1 and R2 must have matching shapes")
+    base = (R1 > (u1.lam if N1 > 1 else 0.0)) & (R2 > (u2.lam if N2 > 1 else 0.0))
+    cov1, cov2 = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
+                                 theta2 * R2 / u2.lam, theta2, alpha, N2)
+    worst1 = cov1.max(axis=-1)
+    worst2 = cov2.max(axis=-1)
+    cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P
+    cap2 = (1.0 / N2 + R2 / u2.lam) * u2.P
+    members = np.zeros(R1.shape, dtype=bool)
+    for g1 in gamma_grid(u1, N1, m_grid):
+        for g2 in gamma_grid(u2, N2, m_grid):
+            rp1 = rate_pair(g1, g2, u2.a)
+            rp2 = rate_pair(g2, g1, u1.a)
+            ok = (g1 <= cap1) & (g2 <= cap2)
+            ok &= theta1 * R1 < theta1 * rp1.phi - (rp1.phi - rp1.psi) * worst1
+            ok &= theta2 * R2 < theta2 * rp2.phi - (rp2.phi - rp2.psi) * worst2
+            members |= ok
+        if members.all():
+            break
+    return members & base
+
+
+def _random_user(rng):
+    return UserParams(k=int(rng.integers(1, 4)), q=float(rng.uniform(0.1, 0.6)),
+                      P=float(10 ** rng.uniform(0.5, 3.0)),
+                      a=float(rng.choice([0.0, rng.uniform(0.05, 2.0)])))
+
+
+def _rates(rng, u, N, shape):
+    # spans [0, 1.1 rbar_c], so points at or below lam and beyond the cap
+    # both occur; the exact endpoints lam and rbar_c are planted too
+    rb = rbar_c(u, N)
+    R = rng.uniform(0.0, 1.1 * rb, shape)
+    if R.ndim:
+        R.flat[:2] = u.lam, rb
+    return R
+
+
+def test_region_members_matches_full_grid_oracle():
+    rng = np.random.default_rng(606)
+    seen = {"in": 0, "out": 0}
+    for trial in range(36):
+        u1, u2 = _random_user(rng), _random_user(rng)
+        N1, N2 = (int(n) for n in rng.integers(1, 4, 2))
+        th1, th2 = (float(t) for t in rng.uniform(0.3, 1.5, 2))
+        alpha = float(rng.choice([0.0, 0.25, 0.9, 1.7, 4.0]))
+        m_grid = (2, 5, 12)[trial % 3]
+        args = (u1, u2, N1, N2, th1, th2, alpha, m_grid)
+        for shape in ((), (37,), (6, 9)):
+            R1, R2 = _rates(rng, u1, N1, shape), _rates(rng, u2, N2, shape)
+            got = region_members(*args, R1, R2)
+            want = _members_full_grid(*args, R1, R2)
+            assert got.shape == want.shape == np.shape(R1)
+            assert got.dtype == want.dtype == np.bool_
+            assert np.array_equal(got, want), (args, shape)
+            seen["in"] += int(want.sum())
+            seen["out"] += int(want.size - want.sum())
+    assert min(seen.values()) > 100  # both outcomes are well represented
+
+
+def test_region_members_full_grid_oracle_all_and_none():
+    # a far offset keeps the users apart, so the box interior is all in;
+    # beyond rbar_c nothing decodes, and at or below lam nothing is in
+    rb = rbar_c(U, 2)
+    pts = np.linspace(U.lam + 0.1 * (rb - U.lam), rb - 0.1 * (rb - U.lam), 12)
+    X, Y = np.meshgrid(pts, pts, indexing="ij")
+    cases = {"all": X, "beyond": X + rb, "below": X - (rb - U.lam)}
+    for name, R1 in cases.items():
+        R2 = Y if name == "all" else R1.T
+        args = (U, U, 2, 2, 1.0, 1.0, 20.0, 12, R1, R2)
+        got = region_members(*args)
+        assert np.array_equal(got, _members_full_grid(*args))
+        assert got.all() if name == "all" else not got.any(), name
+
+
 def test_region_members_power_grid_nesting():
     rng = np.random.default_rng(3)
     R1 = rng.uniform(U.lam * 1.02, rbar_c(U, 2), 400)
@@ -525,6 +610,21 @@ def test_sym_curves_interval_consistent_with_gap():
             assert f == 0.0 and g == 0.0
         else:
             assert g > f > 0.0
+
+
+def test_sym_curves_gamma0_at_extreme_cross_gain():
+    # gamma0 = (1 + sqrt(1 + 4a^2)) / (2a^2) stays finite for huge a ...
+    c = sym_curves(2, 1.0, 0.6, 1e200, 100.0, 0.5)
+    assert c.gamma0 == approx(1e-200, rel=1e-12)
+    assert not c.branch_low
+    # ... and near overflow psi(gamma0) approaches log2(1/a)/2, the value
+    # branch_low compares once gamma0 itself is past float range
+    c = sym_curves(2, 1.0, 0.6, 1e-150, 100.0, 0.5)
+    assert c.psi(c.gamma0) == approx(-0.5 * math.log2(1e-150), rel=1e-12)
+    for a in (1e-200, 5e-324):
+        assert math.isinf(sym_curves(2, 1.0, 0.6, a, 100.0, 0.5).gamma0)
+    assert sym_curves(2, 1.0, 0.6, 1e-200, 100.0, 0.5).branch_low
+    assert not sym_curves(2, 1.0, 400.0, 1e-200, 100.0, 0.0).branch_low
 
 
 def test_sym_curves_rejects_large_offset():
