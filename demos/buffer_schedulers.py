@@ -30,7 +30,7 @@ T = 2000
 taus = np.empty((T, N))
 for t, rng in enumerate(trial_rngs(7, T)):
     ind = (rng.random(9000) < u.q).astype(np.uint8)
-    sched = run_async_scheduler(ArrivalTrace(indicators=ind, seed=-1), u,
+    sched = run_async_scheduler(ArrivalTrace(indicators=ind), u,
                                 n=n, N=N, nprime=8, theta=1.0, nu=0.5)
     taus[t] = sched.taus
 print(f"trigger moments over {T} runs (n={n}, N={N}):")
@@ -56,7 +56,7 @@ mstar = math.floor((1 / u.q) / theta)
 counts = {}
 for rng in trial_rngs(19, 300):
     ind = (rng.random(40_000) < u.q).astype(np.uint8)
-    sync = run_sync_scheduler(ArrivalTrace(indicators=ind, seed=-1), u,
+    sync = run_sync_scheduler(ArrivalTrace(indicators=ind), u,
                               n=n_big, N=1, theta=theta)
     counts[sync.sigmas[0]] = counts.get(sync.sigmas[0], 0) + 1
 mode = max(counts, key=counts.get)

@@ -39,19 +39,16 @@ class ResonanceError(ValueError):
     synchronous-vs-asynchronous delay gap theorem does not apply."""
 
 
-def trial_rngs(seed: int, trials: int, streams_per_trial: int = 1):
-    """Independent child generators, one (or a tuple) per trial.
+def trial_rngs(seed: int, trials: int):
+    """Independent child generators, one per trial.
 
     Splitting off SeedSequence children keeps trials reproducible even if
     they are later farmed out in parallel.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    roots = np.random.SeedSequence(seed).spawn(trials)
-    if streams_per_trial == 1:
-        return [np.random.default_rng(s) for s in roots]
-    return [tuple(np.random.default_rng(c) for c in s.spawn(streams_per_trial))
-            for s in roots]
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,6 @@ class ArrivalTrace:
     """0/1 arrival indicators for stream-relative slots 1..horizon."""
 
     indicators: np.ndarray
-    seed: int
 
     @property
     def horizon(self) -> int:
@@ -103,23 +99,26 @@ def simulate_arrivals(u, horizon: int, seed: int) -> ArrivalTrace:
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng(seed)
-    ind = (rng.random(horizon) < u.q).astype(np.uint8)
-    return ArrivalTrace(indicators=ind, seed=seed)
+    return ArrivalTrace(_arrivals_from(rng, u.q, horizon))
 
 
 def _arrivals_from(rng, q: float, horizon: int) -> np.ndarray:
-    return (rng.random(horizon) < q).astype(np.uint8)
+    return rng.random(horizon) < q
 
 
 def _trigger_slots(indicators: np.ndarray, k: int, chunk: int, N: int) -> np.ndarray:
-    """Stream-relative slots where cumulative bits first reach j*chunk."""
-    cum = k * np.cumsum(indicators, dtype=np.int64)
-    need = chunk * np.arange(1, N + 1, dtype=np.int64)
-    if cum[-1] < need[-1]:
+    """Stream-relative slots where cumulative bits first reach j*chunk.
+
+    Codeword j completes with arrival event ceil(j*chunk/k); event 0 (no
+    bits needed) counts as slot 0.
+    """
+    slots = np.flatnonzero(indicators) + 1
+    events = -(-chunk * np.arange(1, N + 1) // k)
+    if events[-1] > len(slots):
         raise HorizonTooShortError(
-            f"trace supplies {int(cum[-1])} bits, need {int(need[-1])}"
+            f"trace supplies {k * len(slots)} bits, need {N * chunk}"
         )
-    return np.searchsorted(cum, need, side="left") + 1
+    return np.append(0, slots)[events]
 
 
 def run_async_scheduler(tr: ArrivalTrace, u, n: int, N: int,
@@ -131,20 +130,19 @@ def run_async_scheduler(tr: ArrivalTrace, u, n: int, N: int,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    eta = u.k / N
-    chunk = math.floor(n * eta)
+    chunk = math.floor(n * (u.k / N))
     if chunk < u.k:
         raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
     if nprime is None:
         nprime = math.ceil(math.sqrt(n))
+    if nprime < 0:
+        raise ValueError(f"nprime must be nonnegative, got {nprime}")
     n_i = math.floor(n * theta)
     s0 = max(math.floor(n * nu), 1)
     rel = _trigger_slots(tr.indicators, u.k, chunk, N)
     taus = tuple(int(s0 - 1 + r) for r in rel)
     busy = nprime + n_i
-    violations = tuple(
-        j for j in range(2, N + 1) if taus[j - 1] <= taus[j - 2] + busy - 1
-    )
+    violations = tuple(int(j) + 2 for j in np.flatnonzero(np.diff(rel) < busy))
     return BurstSchedule(taus=taus, n=n, nprime=nprime, n_i=n_i,
                          violations=violations)
 
@@ -162,22 +160,17 @@ def run_sync_scheduler(tr: ArrivalTrace, u, n: int, N: int, theta: float) -> Syn
     n_i = math.floor(n * theta)
     if n_i < 1:
         raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
-    cum = u.k * np.cumsum(tr.indicators, dtype=np.int64)
-    sigmas = []
-    m = 1
-    for j in range(1, N + 1):
-        while True:
-            end = m * n_i
-            if end > tr.horizon:
-                raise HorizonTooShortError(
-                    f"checkpoint {end} beyond horizon {tr.horizon}"
-                )
-            if cum[end - 1] >= j * chunk:
-                sigmas.append(end)
-                m += 1
-                break
-            m += 1
-    return SyncSchedule(sigmas=tuple(sigmas), n_i=n_i)
+    # the first checkpoint at or after codeword j's trigger, pushed on to
+    # follow the previous dispatch: m_j = max(r_j, m_{j-1} + 1)
+    j = np.arange(1, N + 1)
+    r = np.maximum(1, -(-_trigger_slots(tr.indicators, u.k, chunk, N) // n_i))
+    m = np.maximum.accumulate(r - j) + j
+    if m[-1] * n_i > tr.horizon:
+        end = (tr.horizon // n_i + 1) * n_i
+        raise HorizonTooShortError(
+            f"checkpoint {end} beyond horizon {tr.horizon}"
+        )
+    return SyncSchedule(sigmas=tuple(int(s) for s in m * n_i), n_i=n_i)
 
 
 def _check_resonance(mu: float, theta: float, N: int, tol: float = 1e-9):
@@ -189,6 +182,27 @@ def _check_resonance(mu: float, theta: float, N: int, tol: float = 1e-9):
             )
 
 
+def _trial_schedules(u, n: int, N: int, theta: float, trials: int, seed: int,
+                     schedule):
+    """schedule(trace) on one fresh arrival trace per trial.
+
+    A trace too short for schedule is redrawn from the same stream at twice
+    the horizon, and later trials keep the longer horizon.
+    """
+    chunk = math.floor(n * (u.k / N))
+    # generous horizon: mean trigger span plus slack for the sync checkpoints
+    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
+    for rng in trial_rngs(seed, trials):
+        while True:
+            try:
+                ind = _arrivals_from(rng, u.q, horizon)
+                result = schedule(ArrivalTrace(ind))
+                break
+            except HorizonTooShortError:
+                horizon *= 2
+        yield result
+
+
 def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
                          trials: int, seed: int) -> np.ndarray:
     """Per-j frequency of the slotted scheme lagging by a (1+delta) factor.
@@ -196,28 +210,19 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
     Runs both schedulers on common traces and reports, for each codeword j,
     the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     mu = 1.0 / (N * u.q)
     _check_resonance(mu, theta, N)
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    chunk = math.floor(n * (u.k / N))
-    n_i = math.floor(n * theta)
-    # generous horizon: mean trigger span plus slack for the sync checkpoints
-    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * n_i + 64
-    hits = np.zeros(N, dtype=np.int64)
-    for rng in trial_rngs(seed, trials):
-        while True:
-            ind = _arrivals_from(rng, u.q, horizon)
-            tr = ArrivalTrace(indicators=ind, seed=-1)
-            try:
-                sched = run_async_scheduler(tr, u, n, N, 0, theta, 0.0)
-                sync = run_sync_scheduler(tr, u, n, N, theta)
-                break
-            except HorizonTooShortError:
-                horizon *= 2
-        for j in range(N):
-            if sync.sigmas[j] > (1.0 + delta) * sched.taus[j]:
-                hits[j] += 1
+    pairs = _trial_schedules(u, n, N, theta, trials, seed, lambda tr: (
+        run_async_scheduler(tr, u, n, N, 0, theta, 0.0),
+        run_sync_scheduler(tr, u, n, N, theta)))
+    hits = sum(np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
+               for sched, sync in pairs)
     return hits / trials
 
 
@@ -227,20 +232,12 @@ def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
     burst has left the transmitter."""
     if N < 2:
         raise ValueError("violations need at least two codewords")
-    chunk = math.floor(n * (u.k / N))
-    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
-    bad = 0
-    for rng in trial_rngs(seed, trials):
-        while True:
-            tr = ArrivalTrace(indicators=_arrivals_from(rng, u.q, horizon), seed=-1)
-            try:
-                sched = run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)
-                break
-            except HorizonTooShortError:
-                horizon *= 2
-        if sched.violations:
-            bad += 1
-    return bad / trials
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    scheds = _trial_schedules(
+        u, n, N, theta, trials, seed,
+        lambda tr: run_async_scheduler(tr, u, n, N, nprime, theta, 0.0))
+    return sum(bool(s.violations) for s in scheds) / trials
 
 
 def binomial_tail_bound(N: int, p: float, eps: float) -> float:

@@ -105,9 +105,12 @@ def _number(params: dict, key: str, default=None) -> float:
     if val is None:
         raise ConfigError(f"missing required field {key!r}")
     try:
-        return float(val)
+        x = float(val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"field {key!r} must be finite, got {val!r}")
+    return x
 
 
 def _integer(val, name: str) -> int:
@@ -130,7 +133,15 @@ def _power(params: dict, key: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing power field {key} (or {key}_db)")
         return default
-    return float(lin) if lin is not None else 10.0 ** (float(db) / 10.0)
+    name, val = (key, lin) if lin is not None else (key + "_db", db)
+    try:
+        x = float(val) if lin is not None else 10.0 ** (float(val) / 10.0)
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"power {key} must be positive and finite, got "
+                          f"{name} = {val!r} (dB values must be finite too)")
+    return x
 
 
 def _user(params: dict, key: str) -> UserParams:
@@ -331,24 +342,28 @@ def _region_grid(rc: RunConfig) -> list:
 def _emit_grid(reg, base: Path, fmt: str) -> Path:
     """Write the occupancy grid as (R_c1, R_c2, member) rows, x-major.
 
-    The CSV is assembled one x-row at a time from each coordinate's repr,
-    the text csv.writer gives a float, so the bytes match _emit's.
+    Both formats are assembled one x-row at a time from each coordinate's
+    repr, the text csv.writer and json.dumps give a float, so the bytes
+    match _emit's.
     """
-    header = ("R_c1", "R_c2", "member")
-    xs, ys = reg.xs().tolist(), reg.ys().tolist()
-    if fmt != "csv":
-        rows = [{"R_c1": x, "R_c2": y, "member": int(m)}
-                for x, row in zip(xs, reg.mask.tolist())
-                for y, m in zip(ys, row)]
-        return _emit(rows, header, base, fmt)
-    tails = np.array([[f"{y!r},0\r\n" for y in ys],
-                      [f"{y!r},1\r\n" for y in ys]], dtype=object)
-    path = base.with_suffix(".csv")
+    if fmt == "csv":
+        start, head, tail, sep, end = (
+            "R_c1,R_c2,member\r\n", "{!r},", "{!r},{}\r\n", "", "")
+    else:
+        start, head, tail, sep, end = (
+            "[\n", '  {{\n    "R_c1": {!r},\n    "R_c2": ',
+            '{!r},\n    "member": {}\n  }}', ",\n", "\n]\n")
+    ys = reg.ys().tolist()
+    tails = np.array([[tail.format(y, m) for y in ys] for m in (0, 1)],
+                     dtype=object)
+    path = base.with_suffix("." + fmt)
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for x, row in zip(xs, reg.mask):
-            head = f"{x!r},"
-            fh.write(head + head.join(np.where(row, tails[1], tails[0])))
+        fh.write(start)
+        for i, (x, row) in enumerate(zip(reg.xs().tolist(), reg.mask)):
+            cell = head.format(x)
+            fh.write((sep if i else "") + cell + (sep + cell).join(
+                np.where(row, tails[1], tails[0])))
+        fh.write(end)
     return path
 
 
@@ -417,30 +432,12 @@ def cmd_detect(rc: RunConfig) -> list:
         raise ConfigError(str(e))
     trials = _integer(p.get("trials", 200), "trials")
     rows = detection_experiment(cfg, trials, rc.seed)
-    out = []
-    for r in rows:
-        out.append({
-            "n": r.n, "nprime": r.nprime, "trials": r.trials,
-            "traces": r.traces, "bursts_total": r.bursts_total,
-            "bursts_located": r.bursts_located,
-            "recovered_traces": r.recovered_traces,
-            "recovery_rate": r.recovery_rate,
-            "misid_errors": r.misid_errors,
-            "misid_rate": r.misid_rate,
-            "false_alarms": r.false_alarms,
-            "decode_errors": r.decode_errors,
-            "e2e_errors": r.e2e_errors,
-            "e2e_error_rate": r.e2e_error_rate,
-            "eff_rate": r.eff_rate,
-            "decode_none": r.decode_none,
-            "decode_ambiguous": r.decode_ambiguous,
-            "decode_wrong": r.decode_wrong,
-        })
     header = ("n", "nprime", "trials", "traces", "bursts_total",
               "bursts_located", "recovered_traces", "recovery_rate",
               "misid_errors", "misid_rate", "false_alarms", "decode_errors",
               "e2e_errors", "e2e_error_rate", "eff_rate", "decode_none",
               "decode_ambiguous", "decode_wrong")
+    out = [{k: getattr(r, k) for k in header} for r in rows]
     return [_emit(out, header, rc.out / "detect", rc.fmt)]
 
 

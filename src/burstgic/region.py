@@ -161,6 +161,9 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     The box is [lam1*1{N1>1}, rbar_c1] x [lam2*1{N2>1}, rbar_c2] and
     resolution is the cell size (default: a 100x100 grid).
     """
+    if not all(math.isfinite(t) and t > 0 for t in (theta1, theta2)):
+        raise ValueError(f"theta1 and theta2 must be positive and finite, "
+                         f"got {theta1} and {theta2}")
     lo1 = u1.lam if N1 > 1 else 0.0
     lo2 = u2.lam if N2 > 1 else 0.0
     hi1 = rbar_c(u1, N1)

@@ -294,7 +294,7 @@ def test_scheduler_stochastic_laws():
     taus = np.empty((T, N))
     for t, rng in enumerate(trial_rngs(7, T)):
         ind = (rng.random(9000) < u.q).astype(np.uint8)
-        tr = ArrivalTrace(indicators=ind, seed=-1)
+        tr = ArrivalTrace(indicators=ind)
         sched = run_async_scheduler(tr, u, n=n, N=N, nprime=8, theta=1.0,
                                     nu=nu)
         taus[t] = sched.taus
@@ -317,7 +317,7 @@ def test_scheduler_stochastic_laws():
         n_big = 100_000
         chunk = math.floor(n_big * u2.k / 2)
         ind = (rng.random(500_000) < u2.q).astype(np.uint8)
-        sched = run_async_scheduler(ArrivalTrace(indicators=ind, seed=-1),
+        sched = run_async_scheduler(ArrivalTrace(indicators=ind),
                                     u2, n=n_big, N=2, nprime=None,
                                     theta=s.theta, nu=0.0)
         window = sched.taus[-1] + sched.nprime + sched.n_i
@@ -334,7 +334,7 @@ def test_scheduler_stochastic_laws():
     T_mode = 400
     for rng in trial_rngs(19, T_mode):
         ind = (rng.random(70_000) < u.q).astype(np.uint8)
-        sync = run_sync_scheduler(ArrivalTrace(indicators=ind, seed=-1), u,
+        sync = run_sync_scheduler(ArrivalTrace(indicators=ind), u,
                                   n=n_mode, N=1, theta=theta)
         hits += sync.sigmas[0] == (mstar + 1) * n_i
     assert hits / T_mode >= 0.95

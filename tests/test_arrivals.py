@@ -8,6 +8,7 @@ from burstgic.arrivals import (
     BurstSchedule,
     HorizonTooShortError,
     ResonanceError,
+    SyncSchedule,
     binomial_tail_bound,
     delay_gap_experiment,
     immediacy_violation_freq,
@@ -97,7 +98,7 @@ def test_trigger_law_matches_negative_binomial():
     taus = np.empty((T, N))
     for t, rng in enumerate(trial_rngs(7, T)):
         ind = (rng.random(horizon) < u.q).astype(np.uint8)
-        tr = ArrivalTrace(indicators=ind, seed=-1)
+        tr = ArrivalTrace(indicators=ind)
         sched = run_async_scheduler(tr, u, n=n, N=N, nprime=8, theta=1.0, nu=nu)
         taus[t] = sched.taus
     shift = math.floor(n * nu) - 1
@@ -151,7 +152,7 @@ def test_sync_first_dispatch_mode():
     T = 300
     for rng in trial_rngs(19, T):
         ind = (rng.random(30_000) < u.q).astype(np.uint8)
-        tr = ArrivalTrace(indicators=ind, seed=-1)
+        tr = ArrivalTrace(indicators=ind)
         sync = run_sync_scheduler(tr, u, n=n, N=1, theta=theta)
         hits += sync.sigmas[0] == (mstar + 1) * n_i
     assert hits / T >= 0.9
@@ -161,7 +162,7 @@ def test_sync_never_beats_async():
     u = UserParams(k=2, q=0.4, P=1.0, a=0.0)
     for rng in trial_rngs(23, 200):
         ind = (rng.random(4000) < u.q).astype(np.uint8)
-        tr = ArrivalTrace(indicators=ind, seed=-1)
+        tr = ArrivalTrace(indicators=ind)
         sched = run_async_scheduler(tr, u, n=300, N=3, nprime=0, theta=0.7, nu=0.0)
         sync = run_sync_scheduler(tr, u, n=300, N=3, theta=0.7)
         assert all(s >= t for s, t in zip(sync.sigmas, sched.taus))
@@ -211,3 +212,100 @@ def test_tail_bound_domain():
     for bad in [(0, 0.5, 1.0), (10, 0.0, 1.0), (10, 1.0, 1.0), (10, 0.5, 0.0)]:
         with pytest.raises(ValueError):
             binomial_tail_bound(*bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the cumulative-sum schedulers that the arrival-slot ones replaced
+
+
+def _cumsum_trigger_slots(indicators, k, chunk, N):
+    """Stream-relative slots where cumulative bits first reach j*chunk."""
+    cum = k * np.cumsum(indicators, dtype=np.int64)
+    need = chunk * np.arange(1, N + 1, dtype=np.int64)
+    if cum[-1] < need[-1]:
+        raise HorizonTooShortError(
+            f"trace supplies {int(cum[-1])} bits, need {int(need[-1])}"
+        )
+    return np.searchsorted(cum, need, side="left") + 1
+
+
+def _cumsum_async(tr, u, n, N, nprime, theta, nu):
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    eta = u.k / N
+    chunk = math.floor(n * eta)
+    if chunk < u.k:
+        raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
+    if nprime is None:
+        nprime = math.ceil(math.sqrt(n))
+    n_i = math.floor(n * theta)
+    s0 = max(math.floor(n * nu), 1)
+    rel = _cumsum_trigger_slots(tr.indicators, u.k, chunk, N)
+    taus = tuple(int(s0 - 1 + r) for r in rel)
+    busy = nprime + n_i
+    violations = tuple(
+        j for j in range(2, N + 1) if taus[j - 1] <= taus[j - 2] + busy - 1
+    )
+    return BurstSchedule(taus=taus, n=n, nprime=nprime, n_i=n_i,
+                         violations=violations)
+
+
+def _checkpoint_sync(tr, u, n, N, theta):
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    chunk = math.floor(n * (u.k / N))
+    n_i = math.floor(n * theta)
+    if n_i < 1:
+        raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
+    cum = u.k * np.cumsum(tr.indicators, dtype=np.int64)
+    sigmas = []
+    m = 1
+    for j in range(1, N + 1):
+        while True:
+            end = m * n_i
+            if end > tr.horizon:
+                raise HorizonTooShortError(
+                    f"checkpoint {end} beyond horizon {tr.horizon}"
+                )
+            if cum[end - 1] >= j * chunk:
+                sigmas.append(end)
+                m += 1
+                break
+            m += 1
+    return SyncSchedule(sigmas=tuple(sigmas), n_i=n_i)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e)
+
+
+def test_schedulers_match_cumsum_oracles():
+    # seeded random traces, short horizons included, bool and uint8
+    # indicators; the schedules or the exception types must agree
+    rng = np.random.default_rng(2024)
+    seen = {"async ok": 0, "sync ok": 0, "short": 0, "chunk 0": 0}
+    for _ in range(4000):
+        u = UserParams(k=int(rng.integers(1, 5)),
+                       q=float(rng.uniform(0.05, 1.0)), P=1.0, a=0.0)
+        N = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 60))
+        theta = float(rng.uniform(0.01, 2.0))
+        nu = float(rng.uniform(0.0, 1.0))
+        nprime = None if rng.random() < 0.2 else int(rng.integers(0, 12))
+        ind = rng.random(int(rng.integers(1, 300))) < u.q
+        tr = ArrivalTrace(ind if rng.random() < 0.5 else ind.astype(np.uint8))
+        got = _outcome(run_async_scheduler, tr, u, n, N, nprime, theta, nu)
+        assert got == _outcome(_cumsum_async, tr, u, n, N, nprime, theta, nu)
+        got_sync = _outcome(run_sync_scheduler, tr, u, n, N, theta)
+        assert got_sync == _outcome(_checkpoint_sync, tr, u, n, N, theta)
+        seen["async ok"] += isinstance(got, BurstSchedule)
+        seen["sync ok"] += isinstance(got_sync, SyncSchedule)
+        seen["short"] += HorizonTooShortError in (got, got_sync)
+        if isinstance(got_sync, SyncSchedule) and n * u.k < N:
+            seen["chunk 0"] += 1
+            assert got_sync.sigmas == tuple(
+                m * got_sync.n_i for m in range(1, N + 1))
+    assert min(seen.values()) >= 20, seen

@@ -197,6 +197,9 @@ def test_region_grid_csv_bytes_match_csv_writer(tmp_path):
     assert 0 < sum(r["member"] for r in rows) < len(rows)
     want = buf.getvalue().encode()
     assert (tmp_path / "csv" / "region_points.csv").read_bytes() == want
+    raw = (tmp_path / "json" / "region_points.json").read_bytes()
+    assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True)
+                   + "\n").encode()
 
 
 @pytest.mark.parametrize("resolution", [1e-7, 5e-324])
@@ -345,6 +348,8 @@ def test_non_finite_user_params_are_config_errors(tmp_path):
 # an overflowing literal such as 1e309 does
 SYM_P_NAN = {k: v for k, v in SYM_CFG.items() if k != "P_db"}
 SYM_P_NAN["P"] = math.nan
+DETECT_GAMMA_INF = {k: v for k, v in DETECT_CFG.items() if k != "gamma1_db"}
+DETECT_GAMMA_INF["gamma1"] = math.inf
 
 
 @pytest.mark.parametrize("command, cfg, needle", [
@@ -372,6 +377,18 @@ SYM_P_NAN["P"] = math.nan
      "'k' must be an integer"),
     ("detect", dict(DETECT_CFG, trials=math.inf), "'trials' must be"),
     ("detect", dict(DETECT_CFG, M=math.inf), "'M' must be an integer"),
+    ("detect", dict(DETECT_CFG, a1=math.inf), "'a1' must be finite"),
+    ("detect", DETECT_GAMMA_INF, "gamma1 must be positive and finite"),
+    ("detect", dict(DETECT_CFG, gamma1_db=1e308),
+     "gamma1 must be positive and finite"),
+    ("region", dict(GRID_CFG, alpha=math.nan), "'alpha' must be finite"),
+    ("region", dict(GRID_CFG, theta1=math.inf), "'theta1' must be finite"),
+    ("region", dict(GRID_CFG, theta1=-1),
+     "theta1 and theta2 must be positive"),
+    ("buffers", dict(BUFFERS_CFG, delta=math.nan), "'delta' must be finite"),
+    ("buffers", dict(BUFFERS_CFG, N=0), "N must be >= 1"),
+    ("buffers", dict(BUFFERS_CFG, theta=0), "theta must be positive"),
+    ("buffers", dict(BUFFERS_CFG, nprime=-5), "nprime must be nonnegative"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     res = run_cli(command, cfg, tmp_path)
