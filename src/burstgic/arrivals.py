@@ -20,12 +20,10 @@ __all__ = [
     "ArrivalTrace",
     "BurstSchedule",
     "SyncSchedule",
-    "simulate_arrivals",
     "run_async_scheduler",
     "run_sync_scheduler",
     "delay_gap_experiment",
     "immediacy_violation_freq",
-    "binomial_tail_bound",
     "trial_rngs",
 ]
 
@@ -92,14 +90,6 @@ class SyncSchedule:
     def __post_init__(self):
         if any(s % self.n_i for s in self.sigmas):
             raise ValueError("dispatch slots must be multiples of n_i")
-
-
-def simulate_arrivals(u, horizon: int, seed: int) -> ArrivalTrace:
-    """I.i.d. Bernoulli(q) arrival indicators, one per slot."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = np.random.default_rng(seed)
-    return ArrivalTrace(_arrivals_from(rng, u.q, horizon))
 
 
 def _arrivals_from(rng, q: float, horizon: int) -> np.ndarray:
@@ -239,13 +229,3 @@ def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
         lambda tr: run_async_scheduler(tr, u, n, N, nprime, theta, 0.0))
     return sum(bool(s.violations) for s in scheds) / trials
 
-
-def binomial_tail_bound(N: int, p: float, eps: float) -> float:
-    """Chernoff-style upper bound on P(Bin(N,p) >= (1+eps)*N*p)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return math.exp(-((1.0 + eps) * math.log(1.0 + eps) - eps) * N * p)

@@ -100,28 +100,45 @@ def _need(params: dict, key: str):
     return params[key]
 
 
+def _float(val, key: str) -> float:
+    """float(val); a boolean, which float() reads as 0 or 1, is an error."""
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+
+
 def _number(params: dict, key: str, default=None) -> float:
     val = params.get(key, default)
     if val is None:
         raise ConfigError(f"missing required field {key!r}")
-    try:
-        x = float(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+    x = _float(val, key)
     if not math.isfinite(x):
         raise ConfigError(f"field {key!r} must be finite, got {val!r}")
     return x
 
 
 def _integer(val, name: str) -> int:
-    """An integral config value; non-finite or fractional ones are errors."""
+    """An integral config value; non-finite, fractional or boolean ones
+    are errors."""
     try:
-        x = float(val)
+        x = math.nan if isinstance(val, bool) else float(val)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and x == math.floor(x)):
         raise ConfigError(f"field {name!r} must be an integer, got {val!r}")
     return int(val) if isinstance(val, int) else int(x)
+
+
+def _list(params: dict, key: str) -> list:
+    """A list field; anything but a non-empty JSON array is an error."""
+    val = _need(params, key)
+    if not (isinstance(val, list) and val):
+        raise ConfigError(f"field {key!r} must be a non-empty list, "
+                          f"got {val!r}")
+    return val
 
 
 def _power(params: dict, key: str, default=None) -> float:
@@ -150,9 +167,9 @@ def _user(params: dict, key: str) -> UserParams:
         raise ConfigError(f"missing user block {key!r}")
     try:
         return UserParams(k=_integer(_need(spec, "k"), "k"),
-                          q=float(_need(spec, "q")),
+                          q=_float(_need(spec, "q"), "q"),
                           P=_power(spec, "P", default=1.0),
-                          a=float(spec.get("a", 0.0)))
+                          a=_float(spec.get("a", 0.0), "a"))
     except ValueError as e:
         raise ConfigError(f"{key}: {e}")
 
@@ -168,7 +185,7 @@ def _rate(params: dict, key: str, u: UserParams) -> float:
 
 def _d_values(params: dict) -> list:
     if "ds" in params:
-        ds = [float(d) for d in params["ds"]]
+        ds = [float(d) for d in _list(params, "ds")]
     else:
         grid = params.get("d_grid")
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
@@ -223,7 +240,7 @@ def _finite(x: float):
 def cmd_buffers(rc: RunConfig) -> list:
     p = rc.params
     u = _user(p, "user")
-    n_values = [_integer(n, "n_values") for n in _need(p, "n_values")]
+    n_values = [_integer(n, "n_values") for n in _list(p, "n_values")]
     N = _integer(_need(p, "N"), "N")
     theta = _number(p, "theta")
     delta = _number(p, "delta")
@@ -413,11 +430,12 @@ def _region_symmetric(rc: RunConfig) -> list:
 
 def cmd_detect(rc: RunConfig) -> list:
     p = rc.params
-    nprime_values = p.get("nprime_values")
+    nprime_values = (_list(p, "nprime_values")
+                     if p.get("nprime_values") is not None else None)
     try:
         cfg = DetectionConfig(
             n_values=tuple(_integer(n, "n_values")
-                           for n in _need(p, "n_values")),
+                           for n in _list(p, "n_values")),
             gamma1=_power(p, "gamma1"),
             gamma2=_power(p, "gamma2"),
             a1=_number(p, "a1"),

@@ -68,34 +68,8 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, x: float) -> bool:
-        for lo, hi in self.intervals:
-            if lo < x < hi:
-                return True
-        return False
-
-    def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized membership (boundary points count as outside only up
-        to float resolution, which is immaterial for continuous draws)."""
-        if self.is_empty:
-            return np.zeros(len(xs), dtype=bool)
-        bounds = np.array([b for iv in self.intervals for b in iv])
-        return np.searchsorted(bounds, xs) % 2 == 1
-
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion.from_intervals(self.intervals + other.intervals)
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a_lo, a_hi in self.intervals:
-            for b_lo, b_hi in other.intervals:
-                lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion.from_intervals(out)
-
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
 
 
 @dataclass(frozen=True)

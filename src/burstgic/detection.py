@@ -166,32 +166,16 @@ def _typical_from_sums(sum_x, sum_y, cross, m: int, tp: TypicalityParams):
     return (dx < tp.eps) & (dy < tp.eps) & (dxy < tp.eps), dxy
 
 
-def scan_typicality(y, xs, tp: TypicalityParams):
-    """Typicality of (xs, y[t:t+m]) for every window start t.
-
-    Returns (ok, joint_dev): a boolean vector over the len(y)-m+1 window
-    positions and the joint-condition deviation at each (used to break
-    ties between senders). The sliding sums come from a cumulative sum
-    and a cross-correlation, so a whole trace is one vectorized pass.
-    """
-    y = np.asarray(y, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    m = xs.size
-    if m == 0:
-        raise ValueError("empty reference sequence")
-    if y.size < m:
-        return np.zeros(0, dtype=bool), np.zeros(0)
-    return _typical_from_sums(float(xs @ xs), _window_sums(y, m),
-                              np.correlate(y, xs, mode="valid"), m, tp)
-
-
 def scan_densities(y, preambles, tps) -> dict:
-    """scan_typicality of both preambles under all four densities.
+    """typicality_test of both preambles at every window of y, under all
+    four densities.
 
     preambles[0] is tested against p1/p2 and preambles[1] against p3/p4,
     as in estimate_arrivals. The window energies are summed once per
-    trace and each preamble is cross-correlated once, so the result is
-    {pdf: (ok, joint_dev)}, identical to four scan_typicality calls.
+    trace and each preamble is cross-correlated once. The result is
+    {pdf: (ok, joint_dev)} over the len(y)-m+1 window starts t: ok[t] is
+    typicality_test on y[t:t+m], and joint_dev[t] is that window's
+    joint-condition deviation (used to break ties between senders).
     """
     y = np.asarray(y, dtype=float)
     preambles = [np.asarray(p, dtype=float) for p in preambles]
@@ -265,15 +249,6 @@ class GaussianCodebook:
         words = math.sqrt(gamma) * rng.standard_normal((M, n))
         preamble = math.sqrt(gamma) * rng.standard_normal(nprime)
         return cls(words=words, preamble=preamble, gamma=gamma)
-
-    @classmethod
-    def from_rate(cls, n: int, eta: float, nprime: int, gamma: float,
-                  rng: np.random.Generator) -> "GaussianCodebook":
-        """Codebook with M = 2^floor(n*eta), guarded by the size cap."""
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        M = 1 << int(math.floor(n * eta))
-        return cls.draw(M, n, nprime, gamma, rng)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,20 +12,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from burstgic.model import stability_ok
-
 __all__ = [
     "DegenerateLayoutError",
     "BurstLayout",
     "OverlapTriple",
     "ChannelStateS",
-    "layout_of",
     "overlap_profile",
     "state_of",
-    "triples_from_state",
     "enumerate_states",
     "alpha_breakpoints",
-    "mild_check",
 ]
 
 # tolerance used internally when deciding whether endpoints coincide
@@ -131,18 +126,6 @@ class ChannelStateS:
         return cls(pairs=tuple((flat[m], flat[m + 1]) for m in range(0, len(flat), 2)))
 
 
-def layout_of(schemes, nu1: float, nu2: float) -> BurstLayout:
-    """Place both users' bursts given their schemes and start offsets."""
-    s1, s2 = schemes
-    for i, s in enumerate((s1, s2), 1):
-        if not stability_ok(s):
-            raise ValueError(f"user {i}: scheme is unstable (mu <= theta)")
-    return BurstLayout(
-        mu1=s1.mu, theta1=s1.theta, nu1=nu1, N1=s1.N,
-        mu2=s2.mu, theta2=s2.theta, nu2=nu2, N2=s2.N,
-    )
-
-
 def _check_mild(l: BurstLayout, tol: float = _COINCIDENCE_TOL):
     ends1 = [e for b in l.bursts(1) for e in b]
     ends2 = [e for b in l.bursts(2) for e in b]
@@ -187,35 +170,6 @@ def state_of(l: BurstLayout) -> ChannelStateS:
     return ChannelStateS(pairs=tuple(pairs))
 
 
-def triples_from_state(S: ChannelStateS, N1: int, N2: int) -> dict:
-    """Overlap triples of every codeword, reconstructed from the state alone.
-
-    Works because the state pins down exactly which Tx-1 interval holds each
-    Tx-2 endpoint: evenness of an index says the endpoint is inside a burst.
-    """
-    if len(S.pairs) != N2:
-        raise ValueError(f"state has {len(S.pairs)} pairs, expected N2={N2}")
-    if S.flat and max(S.flat) > 2 * N1 + 1:
-        raise ValueError("state indices exceed 2*N1+1")
-    out = {}
-    for j, (u, v) in enumerate(S.pairs, 1):
-        w_minus = u // 2 if u % 2 == 0 else 0
-        w_plus = v // 2 if v % 2 == 0 else 0
-        w_in = sum(1 for m in range(1, N1 + 1) if u <= 2 * m - 1 and v >= 2 * m + 1)
-        out[(2, j)] = OverlapTriple(w_minus, w_plus, w_in)
-    for m in range(1, N1 + 1):
-        w_minus = w_plus = w_in = 0
-        for j, (u, v) in enumerate(S.pairs, 1):
-            if u <= 2 * m - 1 and v >= 2 * m:
-                w_minus = j
-            if u <= 2 * m and v >= 2 * m + 1:
-                w_plus = j
-            if u == v == 2 * m:
-                w_in += 1
-        out[(1, m)] = OverlapTriple(w_minus, w_plus, w_in)
-    return out
-
-
 def enumerate_states(N1: int, N2: int) -> list:
     """All channel states reachable for burst counts (N1, N2).
 
@@ -258,11 +212,3 @@ def alpha_breakpoints(schemes) -> list:
             out.append(v)
     return out
 
-
-def mild_check(schemes, nu1: float, nu2: float, tol: float) -> bool:
-    """True when no burst-endpoint pair sits within tol of coinciding."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    s1, s2 = schemes
-    alpha = nu2 - nu1
-    return all(abs(alpha - v) > tol for v in _critical_alphas(s1, s2))

@@ -57,15 +57,6 @@ class Region2D:
         ny = self.mask.shape[1]
         return self.y0 + self.cell[1] * (np.arange(ny) + 0.5)
 
-    def contains(self, x, y) -> bool:
-        """Membership of the cell holding (x, y); False outside the box."""
-        if not (self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1):
-            return False
-        dx, dy = self.cell
-        ix = min(int((x - self.x0) / dx), self.mask.shape[0] - 1)
-        iy = min(int((y - self.y0) / dy), self.mask.shape[1] - 1)
-        return bool(self.mask[ix, iy])
-
 
 # ---------------------------------------------------------------------------
 # rate caps and power grids

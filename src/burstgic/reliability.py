@@ -17,20 +17,12 @@ from burstgic.geometry import BurstLayout
 from burstgic.model import RatePair
 
 __all__ = [
-    "ALWAYS_RELIABLE",
-    "DEPENDS",
-    "IMPOSSIBLE",
     "RateDecomp",
     "covered_lengths",
     "rate_decomp",
     "rate_bound",
     "closed_form_bound",
-    "corollary1_class",
 ]
-
-ALWAYS_RELIABLE = "ALWAYS_RELIABLE"
-DEPENDS = "DEPENDS"
-IMPOSSIBLE = "IMPOSSIBLE"
 
 
 @dataclass(frozen=True)
@@ -128,18 +120,3 @@ def closed_form_bound(triple, schemes, nu1: float, nu2: float,
         covered = (j * mu + nu + theta) - (wp * mu_o + nu_o) + w * theta_o
     return theta * rp.phi - (rp.phi - rp.psi) * covered
 
-
-def corollary1_class(eta: float, theta: float, rp: RatePair) -> str:
-    """Classify a load against the best and worst case thresholds.
-
-    ALWAYS_RELIABLE: decodes no matter how the bursts fall. IMPOSSIBLE:
-    fails even with no interference at all. DEPENDS: the burst offsets
-    decide.
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if eta < theta * rp.psi:
-        return ALWAYS_RELIABLE
-    if eta >= theta * rp.phi:
-        return IMPOSSIBLE
-    return DEPENDS

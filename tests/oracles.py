@@ -1,4 +1,9 @@
-"""Closed-form oracles that only the tests use.
+"""Oracles and helpers that only the tests use.
+
+Closed forms of the symmetric layout, the overlap triples rebuilt from a
+channel state, the degeneracy filter for burst offsets, and membership
+and intersection of interval unions (the Monte Carlo side of the outage
+checks). Names that a single test module needs live in that module.
 
 Importable from any test module because pytest puts this directory on
 sys.path.
@@ -6,7 +11,10 @@ sys.path.
 
 import math
 
-from burstgic.geometry import OverlapTriple
+import numpy as np
+
+from burstgic.design import IntervalUnion
+from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
 
 
 def _jstar(mu: float, alpha: float) -> int:
@@ -44,3 +52,68 @@ def sym_omega(N: int, mu: float, theta: float, alpha: float) -> dict:
         out[(1, j)] = OverlapTriple(wm1, wp1, 0)
         out[(2, j)] = OverlapTriple(wm2, wp2, 0)
     return out
+
+
+def triples_from_state(S: ChannelStateS, N1: int, N2: int) -> dict:
+    """Overlap triples of every codeword, reconstructed from the state alone.
+
+    Works because the state pins down exactly which Tx-1 interval holds each
+    Tx-2 endpoint: evenness of an index says the endpoint is inside a burst.
+    """
+    if len(S.pairs) != N2:
+        raise ValueError(f"state has {len(S.pairs)} pairs, expected N2={N2}")
+    if S.flat and max(S.flat) > 2 * N1 + 1:
+        raise ValueError("state indices exceed 2*N1+1")
+    out = {}
+    for j, (u, v) in enumerate(S.pairs, 1):
+        w_minus = u // 2 if u % 2 == 0 else 0
+        w_plus = v // 2 if v % 2 == 0 else 0
+        w_in = sum(1 for m in range(1, N1 + 1) if u <= 2 * m - 1 and v >= 2 * m + 1)
+        out[(2, j)] = OverlapTriple(w_minus, w_plus, w_in)
+    for m in range(1, N1 + 1):
+        w_minus = w_plus = w_in = 0
+        for j, (u, v) in enumerate(S.pairs, 1):
+            if u <= 2 * m - 1 and v >= 2 * m:
+                w_minus = j
+            if u <= 2 * m and v >= 2 * m + 1:
+                w_plus = j
+            if u == v == 2 * m:
+                w_in += 1
+        out[(1, m)] = OverlapTriple(w_minus, w_plus, w_in)
+    return out
+
+
+def mild_check(schemes, nu1: float, nu2: float, tol: float) -> bool:
+    """True when no burst-endpoint pair sits within tol of coinciding."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    s1, s2 = schemes
+    alpha = nu2 - nu1
+    return all(abs(alpha - v) > tol for v in _critical_alphas(s1, s2))
+
+
+def contains(iu: IntervalUnion, x: float) -> bool:
+    for lo, hi in iu.intervals:
+        if lo < x < hi:
+            return True
+    return False
+
+
+def contains_many(iu: IntervalUnion, xs: np.ndarray) -> np.ndarray:
+    """Vectorized membership. A point equal to an interval's left end
+    counts as outside and one equal to its right end as inside, which is
+    immaterial for continuous draws."""
+    if iu.is_empty:
+        return np.zeros(len(xs), dtype=bool)
+    bounds = np.array([b for iv in iu.intervals for b in iv])
+    return np.searchsorted(bounds, xs) % 2 == 1
+
+
+def intersect(iu: IntervalUnion, other: IntervalUnion) -> IntervalUnion:
+    out = []
+    for a_lo, a_hi in iu.intervals:
+        for b_lo, b_hi in other.intervals:
+            lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if lo < hi:
+                out.append((lo, hi))
+    return IntervalUnion.from_intervals(out)

@@ -40,7 +40,6 @@ from burstgic.geometry import (
     DegenerateLayoutError,
     alpha_breakpoints,
     enumerate_states,
-    mild_check,
     overlap_profile,
     state_of,
 )
@@ -53,7 +52,7 @@ from burstgic.model import (
 from burstgic.region import rbar_c, region, sym_curves, sym_region
 from burstgic.reliability import closed_form_bound, rate_bound
 
-from oracles import sym_omega
+from oracles import contains_many, mild_check, sym_omega
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
 U2 = UserParams(k=2, q=0.4, P=1000.0, a=0.7)
@@ -278,7 +277,7 @@ def test_outage_matches_monte_carlo():
         if not 0.02 < p < 0.9:
             continue
         nu = rng.uniform(0.0, d, size=(2, 1_000_000))
-        phat = 1.0 - adm.contains_many(nu[1] - nu[0]).mean()
+        phat = 1.0 - contains_many(adm, nu[1] - nu[0]).mean()
         se = math.sqrt(phat * (1.0 - phat) / 1_000_000)
         assert abs(p - phat) <= 3.0 * se, (p, phat, se)
         done += 1

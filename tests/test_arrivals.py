@@ -9,15 +9,22 @@ from burstgic.arrivals import (
     HorizonTooShortError,
     ResonanceError,
     SyncSchedule,
-    binomial_tail_bound,
+    _arrivals_from,
     delay_gap_experiment,
     immediacy_violation_freq,
     run_async_scheduler,
     run_sync_scheduler,
-    simulate_arrivals,
     trial_rngs,
 )
 from burstgic.model import UserParams
+
+
+def simulate_arrivals(u, horizon: int, seed: int) -> ArrivalTrace:
+    """I.i.d. Bernoulli(q) arrival indicators, one per slot."""
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    rng = np.random.default_rng(seed)
+    return ArrivalTrace(_arrivals_from(rng, u.q, horizon))
 
 
 def test_simulate_deterministic_arrivals():
@@ -189,29 +196,6 @@ def test_delay_gap_trend_in_n():
     f2 = delay_gap_experiment(u, 10_000, N=1, theta=1.5, delta=0.2,
                               trials=300, seed=9)
     assert f2[0] >= f1[0]
-
-
-def test_tail_bound_value():
-    got = binomial_tail_bound(100, 0.5, 1.0)
-    assert got == pytest.approx(math.exp(-(2 * math.log(2) - 1) * 50))
-    assert got == pytest.approx(4.1e-9, rel=0.05)
-
-
-def test_tail_bound_small_eps_near_one():
-    assert binomial_tail_bound(100, 0.5, 1e-9) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_tail_bound_dominates_monte_carlo():
-    rng = np.random.default_rng(31)
-    draws = rng.binomial(100, 0.5, size=1_000_000)
-    mc = (draws >= 60).mean()  # (1+eps)*N*p with eps = 0.2
-    assert binomial_tail_bound(100, 0.5, 0.2) >= mc
-
-
-def test_tail_bound_domain():
-    for bad in [(0, 0.5, 1.0), (10, 0.0, 1.0), (10, 1.0, 1.0), (10, 0.5, 0.0)]:
-        with pytest.raises(ValueError):
-            binomial_tail_bound(*bad)
 
 
 # ---------------------------------------------------------------------------

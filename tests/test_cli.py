@@ -389,6 +389,19 @@ DETECT_GAMMA_INF["gamma1"] = math.inf
     ("buffers", dict(BUFFERS_CFG, N=0), "N must be >= 1"),
     ("buffers", dict(BUFFERS_CFG, theta=0), "theta must be positive"),
     ("buffers", dict(BUFFERS_CFG, nprime=-5), "nprime must be nonnegative"),
+    # a list field given as a string would be read one character at a time
+    ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    ds="123"), "'ds' must be a non-empty list"),
+    ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    ds=[]), "'ds' must be a non-empty list"),
+    ("buffers", dict(BUFFERS_CFG, n_values="99"),
+     "'n_values' must be a non-empty list"),
+    ("detect", dict(DETECT_CFG, nprime_values="20"),
+     "'nprime_values' must be a non-empty list"),
+    # a JSON boolean is not a number
+    ("buffers", dict(BUFFERS_CFG, trials=True), "'trials' must be an integer"),
+    ("buffers", dict(BUFFERS_CFG, user={"k": 2, "q": True}),
+     "'q' must be a number"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     res = run_cli(command, cfg, tmp_path)

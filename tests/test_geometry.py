@@ -10,13 +10,11 @@ from burstgic.geometry import (
     OverlapTriple,
     alpha_breakpoints,
     enumerate_states,
-    layout_of,
-    mild_check,
     overlap_profile,
     state_of,
-    triples_from_state,
 )
-from burstgic.model import SchemeVI, UserParams
+
+from oracles import mild_check, triples_from_state
 
 
 def _layout(mu1, th1, nu1, N1, mu2, th2, nu2, N2):
@@ -30,16 +28,6 @@ def _layout(mu1, th1, nu1, N1, mu2, th2, nu2, N2):
 # patterns: both ends covered by different bursts / one fully inside /
 # right end covered plus one inside
 FIG8 = _layout(3.0, 2.3, 0.0, 3, 2.05, 0.5, 0.9, 5)
-
-
-def test_layout_of_places_bursts():
-    u = UserParams(k=1, q=0.5, P=10.0, a=0.5)
-    s1 = SchemeVI(user=u, N=1, theta=0.4, R_c=1.25, gamma=5.0)  # mu = 1
-    s2 = SchemeVI(user=u, N=1, theta=0.3, R_c=1.25, gamma=5.0)
-    l = layout_of((s1, s2), 0.0, 0.05)
-    assert l.burst(1, 1) == pytest.approx((1.0, 1.4))
-    assert s2.mu == pytest.approx(0.75)
-    assert l.burst(2, 1) == pytest.approx((0.8, 1.1))
 
 
 def test_layout_translation_equivariant():

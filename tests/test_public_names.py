@@ -1,0 +1,67 @@
+"""The package's public names resolve, and none of them serves only tests.
+
+A public module-level def or class in src/burstgic must be used by the
+package itself, by a demo or by the benchmark, or be exported in
+burstgic.__all__. Code that only tests call lives in tests/oracles.py or
+beside the one test module that uses it.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import burstgic
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "burstgic"
+SUBMODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def test_all_names_resolve():
+    missing = [name for name in burstgic.__all__ if not hasattr(burstgic, name)]
+    for sub in SUBMODULES:
+        mod = importlib.import_module(f"burstgic.{sub}")
+        missing += [f"{sub}.{name}" for name in getattr(mod, "__all__", ())
+                    if not hasattr(mod, name)]
+    assert missing == []
+
+
+def _reads(node) -> set:
+    """Identifiers node reads: names, attributes, import aliases, and
+    string constants that are (dotted) identifiers, so prose such as a
+    docstring never counts."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                out.update(parts)
+    return out
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def test_every_public_def_is_used_or_exported():
+    files = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "bench").glob("*.py")]
+    defined, used = [], set()
+    for path in files:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if _is_all(stmt):  # listing a name is not using it
+                continue
+            own = getattr(stmt, "name", None)  # def and class statements
+            used |= _reads(stmt) - {own}
+            if path.parent == SRC and own and not own.startswith("_"):
+                defined.append(f"{path.stem}.{own}")
+    unused = [q for q in defined if q.split(".")[1] not in used
+              and q.split(".")[1] not in burstgic.__all__]
+    assert not unused, f"public names nothing outside tests/ uses: {unused}"

@@ -9,11 +9,7 @@ from burstgic.geometry import (
 )
 from burstgic.model import rate_pair
 from burstgic.reliability import (
-    ALWAYS_RELIABLE,
-    DEPENDS,
-    IMPOSSIBLE,
     closed_form_bound,
-    corollary1_class,
     covered_lengths,
     rate_bound,
     rate_decomp,
@@ -156,19 +152,6 @@ def test_inconsistent_triples_rejected():
         closed_form_bound(OverlapTriple(1, 3, 0), (s1, s2), 0.0, 0.0, 1, 1, RP)
     with pytest.raises(ValueError):
         closed_form_bound(OverlapTriple(2, 2, 1), (s1, s2), 0.0, 0.0, 1, 1, RP)
-
-
-def test_corollary1_classes():
-    rp = rate_pair(5.0, 3.0, 0.5)
-    theta = 2.0
-    assert corollary1_class(0.0, theta, rp) == ALWAYS_RELIABLE
-    assert corollary1_class(theta * rp.phi, theta, rp) == IMPOSSIBLE
-    mid = theta * (rp.phi + rp.psi) / 2
-    assert corollary1_class(mid, theta, rp) == DEPENDS
-    # threshold boundaries: eta = theta*psi is already not guaranteed
-    assert corollary1_class(theta * rp.psi, theta, rp) == DEPENDS
-    with pytest.raises(ValueError):
-        corollary1_class(0.5, 0.0, rp)
 
 
 def test_covered_lengths_match_rate_decomp_exactly():
