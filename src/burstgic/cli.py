@@ -7,9 +7,11 @@ notebook or plotting script would consume.
 
 Power-like config fields accept either linear or dB with an explicit
 suffix tag: write "P": 100.0 or "P_db": 20.0 (never both). Conversion
-happens only at this boundary; everything downstream is linear.
+happens only at this boundary; everything downstream is linear. A
+config number must be a JSON number: a string or a boolean is an error.
 
-Exit codes: 0 success, 2 config error, 3 infeasible scenario.
+Exit codes: 0 success, 2 config error, 3 infeasible scenario; any other
+fault exits 1 with a traceback.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from burstgic.design import (
 )
 from burstgic.detection import DetectionConfig, detection_experiment
 from burstgic.model import UserParams
-from burstgic.region import rbar_c, region, sym_curves, sym_region
+from burstgic.region import region, sym_curves, sym_region
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,14 +85,16 @@ def _load_config(command: str, args) -> RunConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r} for {command}; "
             f"expected one of {SCENARIOS[command]}")
-    out = Path(args.out if args.out is not None else raw.get("out", "."))
+    out = args.out if args.out is not None else raw.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"field 'out' must be a string, got {out!r}")
     seed = args.seed
     if seed is None:
         seed = _integer(raw.get("seed", 0), "seed")
     fmt = args.format if args.format is not None else raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    return RunConfig(scenario=scenario, params=raw, out=out, seed=seed,
+    return RunConfig(scenario=scenario, params=raw, out=Path(out), seed=seed,
                      fmt=fmt)
 
 
@@ -101,17 +105,18 @@ def _need(params: dict, key: str):
 
 
 def _float(val, key: str) -> float:
-    """float(val); a boolean, which float() reads as 0 or 1, is an error."""
-    if not isinstance(val, bool):
+    """A JSON number (an int or float, not a bool) as a float. Strings,
+    booleans, containers and integers beyond float range are errors."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
         try:
             return float(val)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ConfigError(f"field {key!r} must be a number, got {val!r}")
 
 
-def _number(params: dict, key: str, default=None) -> float:
-    val = params.get(key, default)
+def _number(params: dict, key: str) -> float:
+    val = params.get(key)
     if val is None:
         raise ConfigError(f"missing required field {key!r}")
     x = _float(val, key)
@@ -121,15 +126,15 @@ def _number(params: dict, key: str, default=None) -> float:
 
 
 def _integer(val, name: str) -> int:
-    """An integral config value; non-finite, fractional or boolean ones
-    are errors."""
+    """An integral JSON number; non-numbers and non-finite or fractional
+    numbers are errors."""
     try:
-        x = math.nan if isinstance(val, bool) else float(val)
-    except (TypeError, ValueError, OverflowError):
+        x = _float(val, name)
+    except ConfigError:
         x = math.nan
     if not (math.isfinite(x) and x == math.floor(x)):
         raise ConfigError(f"field {name!r} must be an integer, got {val!r}")
-    return int(val) if isinstance(val, int) else int(x)
+    return val if isinstance(val, int) else int(x)
 
 
 def _list(params: dict, key: str) -> list:
@@ -151,10 +156,12 @@ def _power(params: dict, key: str, default=None) -> float:
             raise ConfigError(f"missing power field {key} (or {key}_db)")
         return default
     name, val = (key, lin) if lin is not None else (key + "_db", db)
-    try:
-        x = float(val) if lin is not None else 10.0 ** (float(val) / 10.0)
-    except OverflowError:
-        x = math.inf
+    x = _float(val, name)
+    if lin is None:
+        try:
+            x = 10.0 ** (x / 10.0)
+        except OverflowError:
+            x = math.inf
     if not (math.isfinite(x) and x > 0):
         raise ConfigError(f"power {key} must be positive and finite, got "
                           f"{name} = {val!r} (dB values must be finite too)")
@@ -180,21 +187,23 @@ def _rate(params: dict, key: str, u: UserParams) -> float:
     absolute, rel = params.get(key), params.get(key + "_over_lambda")
     if (absolute is None) == (rel is None):
         raise ConfigError(f"give exactly one of {key} or {key}_over_lambda")
-    return float(absolute) if absolute is not None else float(rel) * u.lam
+    if absolute is not None:
+        return _number(params, key)
+    return _number(params, key + "_over_lambda") * u.lam
 
 
 def _d_values(params: dict) -> list:
     if "ds" in params:
-        ds = [float(d) for d in _list(params, "ds")]
+        ds = [_float(d, "ds") for d in _list(params, "ds")]
     else:
         grid = params.get("d_grid")
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
             raise ConfigError("give ds (list) or d_grid ([start, stop, count])")
-        start, stop = float(grid[0]), float(grid[1])
+        start, stop = _float(grid[0], "d_grid"), _float(grid[1], "d_grid")
         count = _integer(grid[2], "d_grid count")
         if count < 2 or stop <= start:
             raise ConfigError("d_grid needs stop > start and count >= 2")
-        ds = [float(d) for d in np.linspace(start, stop, count)]
+        ds = np.linspace(start, stop, count).tolist()
     bad = [d for d in ds if not (math.isfinite(d) and d > 0)]
     if bad:
         raise ConfigError(
@@ -207,16 +216,14 @@ def _d_values(params: dict) -> list:
 
 def _emit(rows: list, header: tuple, base: Path, fmt: str) -> Path:
     """Write rows (dicts sharing `header` keys) as CSV or JSON."""
-    if fmt == "csv":
-        path = base.with_suffix(".csv")
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([row[k] for k in header])
-    else:
-        path = base.with_suffix(".json")
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    if fmt == "json":
+        return _write_json(rows, base.with_suffix(".json"))
+    path = base.with_suffix(".csv")
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([row[k] for k in header])
     return path
 
 
@@ -278,44 +285,34 @@ def cmd_design(rc: RunConfig) -> list:
         raise InfeasibleDesignError(
             f"active set is empty at R1={R1}, R2={R2}")
     reliable = not please1_holds(u1, u2, R1, R2)
+    if reliable:
+        print("ALWAYS_RELIABLE: an active pair keeps both loads below the "
+              "interference-free threshold; offsets cannot cause its outage")
     files = []
     pairs = {}
     summary = {"scenario": rc.scenario, "R1": R1, "R2": R2,
                "active_set": [list(nn) for nn in act],
                "always_reliable": reliable, "d_max": {}}
-    if reliable:
-        # every offset decodes; emit empty curves so the files exist
-        print("ALWAYS_RELIABLE: both loads are below the interference-free "
-              "threshold, offsets cannot cause outage")
-        for N1, N2 in act:
-            files.append(_emit([], ("N1", "N2", "d", "outage"),
-                               rc.out / f"outage_N{N1}_{N2}", rc.fmt))
-            summary["d_max"][f"{N1},{N2}"] = "inf"
-            pairs[f"{N1},{N2}"] = {"admissible": "all", "inadmissible": [],
-                                   "d_max": "inf"}
-    else:
-        opt_rows = []
-        for N1, N2 in act:
-            curve = outage_curve(u1, u2, N1, N2, R1, R2, ds)
-            rows = [{"N1": N1, "N2": N2, "d": d, "outage": float(o)}
-                    for d, o in curve.samples]
-            files.append(_emit(rows, ("N1", "N2", "d", "outage"),
-                               rc.out / f"outage_N{N1}_{N2}", rc.fmt))
-            dm = d_max(u1, u2, N1, N2, R1, R2)
-            summary["d_max"][f"{N1},{N2}"] = _finite(dm)
-            pairs[f"{N1},{N2}"] = {
-                "admissible": _intervals(admissible_alpha(u1, u2, N1, N2,
-                                                          R1, R2)),
-                "inadmissible": _intervals(inadmissible_alpha(u1, u2, N1, N2,
-                                                              R1, R2)),
-                "d_max": _finite(dm),
-            }
-        for d in ds:
-            (b1, b2), table = optimize_N(u1, u2, R1, R2, d)
-            opt_rows.append({"d": d, "N1": b1, "N2": b2,
-                             "outage": float(table[(b1, b2)])})
-        files.append(_emit(opt_rows, ("d", "N1", "N2", "outage"),
-                           rc.out / "optimal", rc.fmt))
+    for N1, N2 in act:
+        pair = (u1, u2, N1, N2, R1, R2)
+        rows = [{"N1": N1, "N2": N2, "d": d, "outage": float(o)}
+                for d, o in outage_curve(*pair, ds).samples]
+        files.append(_emit(rows, ("N1", "N2", "d", "outage"),
+                           rc.out / f"outage_N{N1}_{N2}", rc.fmt))
+        dm = _finite(d_max(*pair))
+        summary["d_max"][f"{N1},{N2}"] = dm
+        pairs[f"{N1},{N2}"] = {
+            "admissible": _intervals(admissible_alpha(*pair)),
+            "inadmissible": _intervals(inadmissible_alpha(*pair)),
+            "d_max": dm,
+        }
+    opt_rows = []
+    for d in ds:
+        (b1, b2), table = optimize_N(u1, u2, R1, R2, d)
+        opt_rows.append({"d": d, "N1": b1, "N2": b2,
+                         "outage": float(table[(b1, b2)])})
+    files.append(_emit(opt_rows, ("d", "N1", "N2", "outage"),
+                       rc.out / "optimal", rc.fmt))
     files.append(_write_json({"pairs": pairs},
                              rc.out / "admissible_alpha.json"))
     files.append(_write_json(summary, rc.out / "summary.json"))
@@ -335,18 +332,19 @@ def _region_grid(rc: RunConfig) -> list:
     theta1, theta2 = _number(p, "theta1"), _number(p, "theta2")
     alpha = _number(p, "alpha")
     m_grid = _integer(p.get("m_grid", 10), "m_grid")
-    resolution = p.get("resolution")
+    resolution = (_number(p, "resolution")
+                  if p.get("resolution") is not None else None)
     try:
         reg = region(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
-                     float(resolution) if resolution is not None else None)
+                     resolution)
     except ValueError as e:
         raise ConfigError(str(e))
     meta = {
         "scenario": rc.scenario,
         "box": [reg.x0, reg.x1, reg.y0, reg.y1],
         "cell": [reg.cell[0], reg.cell[1]],
-        "rbar_c1": rbar_c(u1, N1),
-        "rbar_c2": rbar_c(u2, N2),
+        "rbar_c1": reg.x1,
+        "rbar_c2": reg.y1,
         "m_grid": m_grid,
         "alpha": alpha,
     }
@@ -388,15 +386,18 @@ def _region_symmetric(rc: RunConfig) -> list:
     p = rc.params
     N = _integer(_need(p, "N"), "N")
     theta = _number(p, "theta")
-    if "lam" in p:
-        lam = _number(p, "lam")
-    else:
-        lam = _integer(_need(p, "k"), "k") * _number(p, "q")
     a = _number(p, "a")
     P = _power(p, "P")
     alpha = _number(p, "alpha")
     n_gamma = _integer(p.get("n_gamma", 2048), "n_gamma")
+    points = _integer(p.get("curve_points", 256), "curve_points")
+    if points < 1:
+        raise ConfigError(f"curve_points must be >= 1, got {points}")
     try:
+        # lam is given, or k and q are read under UserParams' rules
+        lam = _number(p, "lam") if "lam" in p else UserParams(
+            k=_integer(_need(p, "k"), "k"), q=_float(_need(p, "q"), "q"),
+            P=P, a=a).lam
         intervals = sym_region(N, theta, lam, a, P, alpha, n_gamma).intervals
     except ValueError as e:
         raise ConfigError(str(e))
@@ -415,9 +416,6 @@ def _region_symmetric(rc: RunConfig) -> list:
         c = curves
         hi_max = max((hi for _, hi in intervals), default=lam)
         g_max = (1.0 / N + 1.05 * hi_max / lam) * P
-        points = _integer(p.get("curve_points", 256), "curve_points")
-        if points < 1:
-            raise ConfigError(f"curve_points must be >= 1, got {points}")
         rows = []
         for g in np.linspace(g_max / points, g_max, points):
             rows.append({"gamma": float(g), "f": float(c.f(g)),
@@ -493,7 +491,7 @@ def main(argv=None) -> int:
     except (ResonanceError, InfeasibleDesignError) as e:
         print(f"infeasible scenario: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError, KeyError, TypeError, OSError) as e:
+    except (ConfigError, ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     for path in files:

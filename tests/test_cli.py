@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from burstgic.design import d_max
+from burstgic.model import UserParams
 from burstgic.region import sym_region
 
 U1 = {"k": 3, "q": 0.3, "P_db": 30, "a": 0.5}
@@ -36,11 +38,13 @@ SYM_CFG = {"scenario": "symmetric", "N": 2, "theta": 1.0, "lam": 0.6,
 
 
 def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=()):
+    """Run the CLI on cfg; out=None passes no --out flag."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     args = [sys.executable, "-m", "burstgic.cli", command,
-            "--config", str(cfg_path), "--out", str(tmp_path / out),
-            "--seed", str(seed), *extra]
+            "--config", str(cfg_path), "--seed", str(seed), *extra]
+    if out is not None:
+        args += ["--out", str(tmp_path / out)]
     return subprocess.run(args, capture_output=True, text=True)
 
 
@@ -113,8 +117,37 @@ def test_design_always_reliable_notice(tmp_path):
     assert "ALWAYS_RELIABLE" in res.stdout
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["always_reliable"] is True
-    for n1, n2 in summary["active_set"]:
-        assert read_rows(tmp_path / "out" / f"outage_N{n1}_{n2}.csv") == []
+    assert summary["active_set"] == [[1, 1]]
+    curve = read_rows(tmp_path / "out" / "outage_N1_1.csv")
+    assert len(curve) == 60
+    assert all(float(r["outage"]) == 0.0 for r in curve)
+    pairs = json.loads(
+        (tmp_path / "out" / "admissible_alpha.json").read_text())["pairs"]
+    assert pairs["1,1"]["admissible"] == [[-math.inf, math.inf]]
+
+
+def test_design_mixed_reliability_analyses_every_pair(tmp_path):
+    # (2, 1) decodes at every offset but (1, 1) does not: the notice is
+    # printed, yet (1, 1) keeps its own d_max and outage curve
+    u1 = {"k": 2, "q": 0.4, "P": 100.0, "a": 0.5}
+    u2 = {"k": 2, "q": 0.3, "P": 100.0, "a": 0.5}
+    cfg = {"scenario": "design", "user1": u1, "user2": u2,
+           "R1_over_lambda": 0.7, "R2_over_lambda": 0.1,
+           "ds": [0.5, 1.0, 2.0, 3.0]}
+    res = run_cli("design", cfg, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "ALWAYS_RELIABLE" in res.stdout
+    p1, p2 = UserParams(**u1), UserParams(**u2)
+    want = d_max(p1, p2, 1, 1, 0.7 * p1.lam, 0.1 * p2.lam)
+    assert want == approx(0.6519478901194072)
+    pairs = json.loads(
+        (tmp_path / "out" / "admissible_alpha.json").read_text())["pairs"]
+    assert pairs["1,1"]["d_max"] == want
+    assert pairs["1,1"]["inadmissible"]
+    curve = read_rows(tmp_path / "out" / "outage_N1_1.csv")
+    assert [float(r["d"]) for r in curve] == cfg["ds"]
+    assert float(curve[2]["outage"]) > 0.0  # d = 2
+    assert (tmp_path / "out" / "optimal.csv").exists()
 
 
 def test_design_empty_active_set_is_infeasible(tmp_path):
@@ -350,6 +383,7 @@ SYM_P_NAN = {k: v for k, v in SYM_CFG.items() if k != "P_db"}
 SYM_P_NAN["P"] = math.nan
 DETECT_GAMMA_INF = {k: v for k, v in DETECT_CFG.items() if k != "gamma1_db"}
 DETECT_GAMMA_INF["gamma1"] = math.inf
+SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
 
 
 @pytest.mark.parametrize("command, cfg, needle", [
@@ -402,9 +436,15 @@ DETECT_GAMMA_INF["gamma1"] = math.inf
     ("buffers", dict(BUFFERS_CFG, trials=True), "'trials' must be an integer"),
     ("buffers", dict(BUFFERS_CFG, user={"k": 2, "q": True}),
      "'q' must be a number"),
+    # the symmetric k and q obey the user-block rules
+    ("region", dict(SYM_KQ, k=-2, q=-0.3), "k must be a positive integer"),
+    ("region", dict(SYM_KQ, k=2, q=5), "q must be in (0, 1]"),
+    ("buffers", dict(BUFFERS_CFG, out=5), "'out' must be a string"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
-    res = run_cli(command, cfg, tmp_path)
+    # no --out flag, so the config's "out" is read
+    res = run_cli(command, {"out": str(tmp_path / "out"), **cfg}, tmp_path,
+                  out=None)
     assert res.returncode == 2, res.stderr
     assert needle in res.stderr
     assert "Traceback" not in res.stderr
