@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,12 @@ __all__ = [
     "immediacy_violation_freq",
     "trial_rngs",
 ]
+
+
+#: Longest arrival trace, in slots, that one trial may draw. A draw holds a
+#: float64 uniform and an indicator per slot; a buffers run whose horizon
+#: is near the cap peaks at about 195 MB of resident memory.
+MAX_HORIZON = 2 ** 24
 
 
 class HorizonTooShortError(ValueError):
@@ -58,6 +65,11 @@ class ArrivalTrace:
     @property
     def horizon(self) -> int:
         return len(self.indicators)
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """1-based slots of the arrival events, computed once per trace."""
+        return np.flatnonzero(self.indicators) + 1
 
 
 @dataclass(frozen=True)
@@ -96,13 +108,13 @@ def _arrivals_from(rng, q: float, horizon: int) -> np.ndarray:
     return rng.random(horizon) < q
 
 
-def _trigger_slots(indicators: np.ndarray, k: int, chunk: int, N: int) -> np.ndarray:
+def _trigger_slots(slots: np.ndarray, k: int, chunk: int, N: int) -> np.ndarray:
     """Stream-relative slots where cumulative bits first reach j*chunk.
 
-    Codeword j completes with arrival event ceil(j*chunk/k); event 0 (no
-    bits needed) counts as slot 0.
+    slots are the 1-based arrival slots (ArrivalTrace.slots). Codeword j
+    completes with arrival event ceil(j*chunk/k); event 0 (no bits needed)
+    counts as slot 0.
     """
-    slots = np.flatnonzero(indicators) + 1
     events = -(-chunk * np.arange(1, N + 1) // k)
     if events[-1] > len(slots):
         raise HorizonTooShortError(
@@ -129,7 +141,7 @@ def run_async_scheduler(tr: ArrivalTrace, u, n: int, N: int,
         raise ValueError(f"nprime must be nonnegative, got {nprime}")
     n_i = math.floor(n * theta)
     s0 = max(math.floor(n * nu), 1)
-    rel = _trigger_slots(tr.indicators, u.k, chunk, N)
+    rel = _trigger_slots(tr.slots, u.k, chunk, N)
     taus = tuple(int(s0 - 1 + r) for r in rel)
     busy = nprime + n_i
     violations = tuple(int(j) + 2 for j in np.flatnonzero(np.diff(rel) < busy))
@@ -153,7 +165,7 @@ def run_sync_scheduler(tr: ArrivalTrace, u, n: int, N: int, theta: float) -> Syn
     # the first checkpoint at or after codeword j's trigger, pushed on to
     # follow the previous dispatch: m_j = max(r_j, m_{j-1} + 1)
     j = np.arange(1, N + 1)
-    r = np.maximum(1, -(-_trigger_slots(tr.indicators, u.k, chunk, N) // n_i))
+    r = np.maximum(1, -(-_trigger_slots(tr.slots, u.k, chunk, N) // n_i))
     m = np.maximum.accumulate(r - j) + j
     if m[-1] * n_i > tr.horizon:
         end = (tr.horizon // n_i + 1) * n_i
@@ -172,24 +184,47 @@ def _check_resonance(mu: float, theta: float, N: int, tol: float = 1e-9):
             )
 
 
+def _check_horizon(horizon: float):
+    if not horizon <= MAX_HORIZON:
+        raise ValueError(f"an arrival trace of {horizon:.4g} slots exceeds "
+                         f"MAX_HORIZON = {MAX_HORIZON}")
+
+
 def _trial_schedules(u, n: int, N: int, theta: float, trials: int, seed: int,
                      schedule):
     """schedule(trace) on one fresh arrival trace per trial.
 
-    A trace too short for schedule is redrawn from the same stream at twice
-    the horizon, and later trials keep the longer horizon.
+    Each trace is drawn only as far as schedule reads it: first the span
+    slots, then, if schedule runs out, the rest of the horizon from the same
+    generator. rng.random(a) then rng.random(b) equals rng.random(a + b),
+    and both schedulers are causal, so the result is the one the full
+    horizon gives. A trace too short at the full horizon is redrawn from the
+    same stream at twice the horizon, and later trials keep the longer
+    horizon.
     """
-    chunk = math.floor(n * (u.k / N))
-    # generous horizon: mean trigger span plus slack for the sync checkpoints
-    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
+    bits = n * (u.k / N)
+    # the horizon below in float arithmetic, which bounds it from above and
+    # turns an overflow into inf, so the budget holds before any draw
+    _check_horizon(N * bits / (u.k * u.q) * 1.5 + 64 + 8 * (n * theta))
+    chunk = math.floor(bits)
+    # span: the mean trigger span with margin; the generous horizon adds
+    # slack for the sync checkpoints
+    span = int(N * chunk / (u.k * u.q) * 1.5) + 64
+    horizon = span + 8 * math.floor(n * theta)
     for rng in trial_rngs(seed, trials):
+        ind = _arrivals_from(rng, u.q, min(span, horizon))
         while True:
             try:
-                ind = _arrivals_from(rng, u.q, horizon)
                 result = schedule(ArrivalTrace(ind))
                 break
             except HorizonTooShortError:
-                horizon *= 2
+                if len(ind) < horizon:
+                    rest = _arrivals_from(rng, u.q, horizon - len(ind))
+                    ind = np.concatenate((ind, rest))
+                else:
+                    _check_horizon(2 * horizon)
+                    horizon *= 2
+                    ind = _arrivals_from(rng, u.q, min(span, horizon))
         yield result
 
 

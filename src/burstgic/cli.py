@@ -204,10 +204,10 @@ def _d_values(params: dict) -> list:
         if count < 2 or stop <= start:
             raise ConfigError("d_grid needs stop > start and count >= 2")
         ds = np.linspace(start, stop, count).tolist()
-    bad = [d for d in ds if not (math.isfinite(d) and d > 0)]
+    bad = [d for d in ds if not (math.isfinite(4 * d * d) and d > 0)]
     if bad:
-        raise ConfigError(
-            f"spreads d must be positive and finite, got {bad[0]}")
+        raise ConfigError(f"spreads d must be positive and finite, with "
+                          f"4*d*d finite too, got {bad[0]}")
     return ds
 
 

@@ -265,8 +265,9 @@ def _triangular_cdf(x: float, d: float) -> float:
 
 def outage(adm: IntervalUnion, d: float) -> float:
     """Probability that the offset difference misses the admissible set."""
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"d must be positive and finite, got {d}")
+    # _triangular_cdf squares up to 2d, so 4*d*d must not overflow either
+    if not (math.isfinite(4 * d * d) and d > 0):
+        raise ValueError(f"d must be positive with 4*d*d finite, got {d}")
     p = sum(
         _triangular_cdf(hi, d) - _triangular_cdf(lo, d)
         for lo, hi in adm.intervals

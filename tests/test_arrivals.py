@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from burstgic import arrivals
 from burstgic.arrivals import (
     ArrivalTrace,
     BurstSchedule,
@@ -293,3 +295,141 @@ def test_schedulers_match_cumsum_oracles():
             assert got_sync.sigmas == tuple(
                 m * got_sync.n_i for m in range(1, N + 1))
     assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# oracle: trials that draw the whole horizon up front
+
+
+def _full_horizon_trial_schedules(u, n: int, N: int, theta: float, trials: int,
+                                  seed: int, schedule):
+    """schedule(trace) on one fresh arrival trace per trial.
+
+    A trace too short for schedule is redrawn from the same stream at twice
+    the horizon, and later trials keep the longer horizon.
+    """
+    chunk = math.floor(n * (u.k / N))
+    # generous horizon: mean trigger span plus slack for the sync checkpoints
+    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
+    for rng in trial_rngs(seed, trials):
+        while True:
+            try:
+                ind = _arrivals_from(rng, u.q, horizon)
+                result = schedule(ArrivalTrace(ind))
+                break
+            except HorizonTooShortError:
+                horizon *= 2
+        yield result
+
+
+def _trial_pairs(u, n, N, theta, trials, seed):
+    def pair(tr):
+        return (run_async_scheduler(tr, u, n, N, 0, theta, 0.0),
+                run_sync_scheduler(tr, u, n, N, theta))
+    return list(arrivals._trial_schedules(u, n, N, theta, trials, seed, pair))
+
+
+def test_experiments_match_full_horizon_oracle(monkeypatch):
+    # small n and rates down to q = 0.002 make traces that outrun the full
+    # horizon, so the redraw rule is exercised as well as the lazy draw
+    rng = np.random.default_rng(77)
+    redraws = []
+
+    def oracle(u, n, N, theta, trials, seed, schedule):
+        def counted(tr):
+            try:
+                return schedule(tr)
+            except HorizonTooShortError:
+                redraws.append(1)
+                raise
+        return _full_horizon_trial_schedules(u, n, N, theta, trials, seed,
+                                             counted)
+
+    redrawn = 0
+    for _ in range(400):
+        u = UserParams(k=int(rng.integers(1, 5)),
+                       q=float(np.exp(rng.uniform(math.log(0.002), 0.0))),
+                       P=1.0, a=0.0)
+        N = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 20))
+        theta = float(rng.uniform(0.05, 3.0))
+        delta = float(rng.uniform(0.05, 2.0))
+        nprime = None if rng.random() < 0.2 else int(rng.integers(0, 20))
+        trials, seed = int(rng.integers(1, 9)), int(rng.integers(2**31))
+        runs = ((delay_gap_experiment, u, n, N, theta, delta, trials, seed),
+                (immediacy_violation_freq, u, n, N, nprime, theta, trials,
+                 seed),
+                # every trial's schedules, not just the frequencies
+                (_trial_pairs, u, n, N, theta, trials, seed))
+        got = [_outcome(*run) for run in runs]
+        before = len(redraws)
+        with monkeypatch.context() as m:
+            m.setattr(arrivals, "_trial_schedules", oracle)
+            want = [_outcome(*run) for run in runs]
+        redrawn += len(redraws) > before
+        for g, w in zip(got, want):
+            if isinstance(w, np.ndarray):
+                assert np.array_equal(g, w)
+            else:
+                assert g == w
+    assert redrawn >= 10, redrawn
+
+
+def test_generator_draws_split_exactly():
+    for seed in range(20):
+        whole = np.random.default_rng(seed).random(1000)
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(np.random.default_rng(seed + 100).integers(0, 1001, 3))
+        sizes = np.diff(np.concatenate(([0], cuts, [1000])))
+        parts = np.concatenate([rng.random(int(s)) for s in sizes])
+        assert np.array_equal(parts, whole)
+
+
+def test_schedulers_are_causal_on_prefixes():
+    # every prefix of a trace either runs out or gives the full-trace
+    # schedule, which is what lets a trial draw its trace lazily
+    rng = np.random.default_rng(5)
+    agreed = 0
+    for _ in range(150):
+        u = UserParams(k=int(rng.integers(1, 4)),
+                       q=float(rng.uniform(0.05, 1.0)), P=1.0, a=0.0)
+        N = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 30))
+        theta = float(rng.uniform(0.05, 2.0))
+        nprime = int(rng.integers(0, 10))
+        ind = rng.random(int(rng.integers(1, 250))) < u.q
+        for fn, args in ((run_async_scheduler, (u, n, N, nprime, theta, 0.0)),
+                         (run_sync_scheduler, (u, n, N, theta))):
+            full = _outcome(fn, ArrivalTrace(ind), *args)
+            for end in range(len(ind)):
+                got = _outcome(fn, ArrivalTrace(ind[:end]), *args)
+                assert got in (HorizonTooShortError, full)
+                agreed += got == full and not isinstance(full, type)
+    assert agreed >= 1000, agreed
+
+
+def test_trace_budget_is_checked_before_drawing():
+    u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
+    tiny_q = UserParams(k=2, q=1e-12, P=1.0, a=0.0)
+    tracemalloc.start()
+    try:
+        for args in ((tiny_q, 300, 2), (u, 10**13, 2), (u, 10**308, 1)):
+            with pytest.raises(ValueError, match="MAX_HORIZON"):
+                delay_gap_experiment(*args, theta=1.3, delta=0.5, trials=3,
+                                     seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_trace_budget_is_checked_before_doubling(monkeypatch):
+    # span 214 and horizon 222 slots, and a Geometric(0.01) wait; these
+    # 200 trials redraw at 444 slots and then at 888
+    u = UserParams(k=1, q=0.01, P=1.0, a=0.0)
+    args = (u, 1, 1, 1.3, 0.5, 200, 4)
+    monkeypatch.setattr(arrivals, "MAX_HORIZON", 887)
+    with pytest.raises(ValueError, match="888 slots exceeds MAX_HORIZON"):
+        delay_gap_experiment(*args)
+    monkeypatch.setattr(arrivals, "MAX_HORIZON", 888)
+    assert delay_gap_experiment(*args).shape == (1,)

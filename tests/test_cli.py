@@ -440,6 +440,12 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     ("region", dict(SYM_KQ, k=-2, q=-0.3), "k must be a positive integer"),
     ("region", dict(SYM_KQ, k=2, q=5), "q must be in (0, 1]"),
     ("buffers", dict(BUFFERS_CFG, out=5), "'out' must be a string"),
+    # traces beyond arrivals.MAX_HORIZON are refused before any draw
+    ("buffers", dict(BUFFERS_CFG, user={"k": 2, "q": 1e-12}), "MAX_HORIZON"),
+    ("buffers", dict(BUFFERS_CFG, n_values=[10**13]), "MAX_HORIZON"),
+    # the outage CDF squares spreads up to 2d
+    ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    ds=[1e308]), "4*d*d finite"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read

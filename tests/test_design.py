@@ -256,9 +256,10 @@ def test_outage_full_support():
 
 def test_outage_rejects_nonpositive_spread():
     adm = IntervalUnion.from_intervals([(-1.0, 1.0)])
-    for d in (0.0, -1.0, math.nan, math.inf):
+    for d in (0.0, -1.0, math.nan, math.inf, 1e308):
         with pytest.raises(ValueError):
             outage(adm, d)
+    assert outage(adm, 1e153) > 0.0
 
 
 def test_outage_worked_example_zero_below_dmax():
