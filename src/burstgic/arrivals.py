@@ -113,14 +113,17 @@ def _trigger_slots(slots: np.ndarray, k: int, chunk: int, N: int) -> np.ndarray:
 
     slots are the 1-based arrival slots (ArrivalTrace.slots). Codeword j
     completes with arrival event ceil(j*chunk/k); event 0 (no bits needed)
-    counts as slot 0.
+    counts as slot 0. Events are all 0 when chunk is 0 and all >= 1
+    otherwise.
     """
     events = -(-chunk * np.arange(1, N + 1) // k)
     if events[-1] > len(slots):
         raise HorizonTooShortError(
             f"trace supplies {k * len(slots)} bits, need {N * chunk}"
         )
-    return np.append(0, slots)[events]
+    if chunk == 0:
+        return np.zeros(N, dtype=slots.dtype)
+    return slots[events - 1]
 
 
 def run_async_scheduler(tr: ArrivalTrace, u, n: int, N: int,

@@ -203,6 +203,10 @@ def _d_values(params: dict) -> list:
         count = _integer(grid[2], "d_grid count")
         if count < 2 or stop <= start:
             raise ConfigError("d_grid needs stop > start and count >= 2")
+        if not math.isfinite(stop - start):
+            # np.linspace would overflow computing the step
+            raise ConfigError(f"d_grid stop - start must be finite, "
+                              f"got {stop!r} - {start!r}")
         ds = np.linspace(start, stop, count).tolist()
     bad = [d for d in ds if not (math.isfinite(4 * d * d) and d > 0)]
     if bad:

@@ -364,6 +364,22 @@ def test_design_rejects_non_finite_or_nonpositive_spreads(tmp_path):
         assert not (tmp_path / "out" / "optimal.csv").exists()
 
 
+def test_design_d_grid_span_overflow_is_config_error(tmp_path):
+    # the span is checked before np.linspace, whose step would overflow;
+    # with RuntimeWarning an error, a warning would exit 1 instead of 2
+    cfg = dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+               d_grid=[-1e308, 1e308, 5])
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    res = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "burstgic.cli",
+         "design", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "d_grid stop - start must be finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_non_finite_user_params_are_config_errors(tmp_path):
     res = run_cli("region", dict(GRID_CFG, user1=dict(USYM, a=math.inf)),
                   tmp_path)

@@ -1,5 +1,6 @@
 import math
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from burstgic.geometry import (
 )
 from burstgic.model import UserParams, capacity_c, rate_pair
 from burstgic.region import (
+    _BLOCK,
     Region2D,
     _sym_pert_region,
     gamma_grid,
@@ -492,6 +494,48 @@ def test_region_members_full_grid_oracle_all_and_none():
         got = region_members(*args)
         assert np.array_equal(got, _members_full_grid(*args))
         assert got.all() if name == "all" else not got.any(), name
+
+
+def test_region_members_full_grid_oracle_across_blocks():
+    # region_members tests _BLOCK base cells at a time; this grid spans four
+    # blocks, the last one partial. x-major, its rows run: at or below lam
+    # (no base cells), beyond rbar_c (none), across the box (mixed), inside
+    # the far-offset square (all in), so whole blocks are all out or in
+    rb = rbar_c(U, 2)
+    box = lambda lo, hi, n: U.lam + (rb - U.lam) * np.linspace(lo, hi, n)
+    xs = np.concatenate((np.linspace(0.5 * U.lam, U.lam, 40),
+                         box(1.01, 1.5, 120), box(0.02, 0.98, 120),
+                         box(0.4, 0.85, 120)))
+    X, Y = np.meshgrid(xs, box(0.4, 0.85, 307), indexing="ij")
+    args = (U, U, 2, 2, 1.0, 1.0, 20.0, 3, X, Y)
+    got = region_members(*args)
+    assert X.size > 2 * _BLOCK and X.size % _BLOCK
+    assert np.array_equal(got, _members_full_grid(*args))
+    cells = np.flatnonzero((X > U.lam) & (Y > U.lam))
+    shares = [got.ravel()[cells[s:s + _BLOCK]].mean()
+              for s in range(0, cells.size, _BLOCK)]
+    assert len(shares) == 4 and cells.size % _BLOCK
+    assert shares[0] == 0.0 and shares[-1] == 1.0
+    assert 0.0 < min(shares[1:3]) and max(shares[1:3]) < 1.0
+
+
+def test_region_members_memory_does_not_grow_with_cells():
+    # beyond the mask and the base-cell index, region_members holds one
+    # block of cells at a time, so 3n more cells cost a few bytes each;
+    # covered_lengths on every cell at once costs about 150 bytes a cell
+    rng = np.random.default_rng(17)
+    rb = rbar_c(U, 2)
+    peaks = []
+    for n in (2 ** 17, 2 ** 19):
+        R1, R2 = rng.uniform(0.0, 1.1 * rb, (2, n))
+        tracemalloc.start()
+        try:
+            region_members(U, U, 2, 2, 1.0, 1.0, 0.5, 5, R1, R2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_cell = (peaks[1] - peaks[0]) / (2 ** 19 - 2 ** 17)
+    assert per_cell < 32, per_cell
 
 
 def test_region_members_power_grid_nesting():
