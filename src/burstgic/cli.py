@@ -24,11 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from burstgic.arrivals import (
-    ResonanceError,
-    delay_gap_experiment,
-    immediacy_violation_freq,
-)
+from burstgic.arrivals import ResonanceError, buffer_experiment
 from burstgic.design import (
     InfeasibleDesignError,
     active_set,
@@ -261,13 +257,12 @@ def cmd_buffers(rc: RunConfig) -> list:
     gap_rows = []
     imm_rows = []
     for n in n_values:
-        freqs = delay_gap_experiment(u, n, N, theta, delta, trials, rc.seed)
+        freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta, trials,
+                                       rc.seed)
         for j, f in enumerate(freqs, start=1):
             gap_rows.append({"n": n, "j": j, "lag_freq": float(f),
                              "trials": trials})
-        if N >= 2:
-            imm = immediacy_violation_freq(u, n, N, nprime, theta, trials,
-                                           rc.seed)
+        if imm is not None:
             imm_rows.append({"n": n, "violation_freq": float(imm),
                              "trials": trials})
     files = [

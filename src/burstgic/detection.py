@@ -11,6 +11,7 @@ All log-density statistics and differential entropies are in bits.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,20 @@ PDF_IDS = ("p1", "p2", "p3", "p4")
 
 #: codebook sizes past this are not worth simulating on a desk
 M_CAP = 1 << 16
+
+#: Longest receiver trace, in slots, that one trial may build. A trial's
+#: trace spans at most 2*n + 9*nprime slots (two bursts, the lead-in, the
+#: gap and the tail); channel and scan hold about 100 bytes a slot, so a
+#: trial at the cap peaks near 200 MB.
+MAX_TRACE = 1 << 21
+
+#: Largest receive power per sample, 1 + gamma_own + a * gamma_other, at
+#: either receiver. A received sample sums three Gaussian terms, so by
+#: Cauchy-Schwarz |y|^2 <= 3 * z^2 * power, z its largest term in standard
+#: deviations (z > 64 has probability below 1e-800). Decoding multiplies a
+#: symbol power by a segment energy of up to MAX_TRACE samples, so every
+#: statistic stays finite while 3 * 64**2 * MAX_TRACE * power**2 does.
+MAX_POWER = math.sqrt(sys.float_info.max / (3 * 64 ** 2 * MAX_TRACE))
 
 DECODE_NONE = "NONE"
 DECODE_AMBIGUOUS = "AMBIGUOUS"
@@ -524,10 +539,22 @@ class DetectionConfig:
                 raise ValueError("nprime_values must pair up with n_values")
             if any(m < 2 for m in self.nprime_values):
                 raise ValueError("preamble lengths must be >= 2")
+        for idx, n in enumerate(self.n_values):
+            if 2 * n + 9 * self.nprime_for(idx) > MAX_TRACE:
+                raise ValueError(
+                    f"n={n} with nprime={self.nprime_for(idx)} makes a "
+                    f"trace of 2n + 9nprime slots beyond MAX_TRACE = "
+                    f"{MAX_TRACE}")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ValueError("symbol powers must be positive")
         if self.a1 < 0 or self.a2 < 0:
             raise ValueError("cross gains must be nonnegative")
+        for rx, power in ((1, 1 + self.gamma1 + self.a2 * self.gamma2),
+                          (2, 1 + self.gamma2 + self.a1 * self.gamma1)):
+            if not power <= MAX_POWER:
+                raise ValueError(
+                    f"receive power {power:.4g} at Rx {rx} exceeds "
+                    f"MAX_POWER = {MAX_POWER:.4g}")
         if self.M < 2 or self.M > M_CAP:
             raise ValueError(f"M must be in [2, {M_CAP}]")
         guard = min(eps_guard(self.gamma1, self.gamma2, self.a2),

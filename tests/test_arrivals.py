@@ -12,6 +12,7 @@ from burstgic.arrivals import (
     ResonanceError,
     SyncSchedule,
     _arrivals_from,
+    buffer_experiment,
     delay_gap_experiment,
     immediacy_violation_freq,
     run_async_scheduler,
@@ -298,54 +299,133 @@ def test_schedulers_match_cumsum_oracles():
 
 
 # ---------------------------------------------------------------------------
-# oracle: trials that draw the whole horizon up front
+# oracle: each experiment as its own pass over traces drawn in full
 
 
-def _full_horizon_trial_schedules(u, n: int, N: int, theta: float, trials: int,
-                                  seed: int, schedule):
-    """schedule(trace) on one fresh arrival trace per trial.
+def _full_horizon_trial_schedules(u, n: int, N: int, theta: float, rngs,
+                                  schedule, log):
+    """schedule(trace) on one fresh arrival trace per trial generator.
 
     A trace too short for schedule is redrawn from the same stream at twice
-    the horizon, and later trials keep the longer horizon.
+    the horizon, and later trials keep the longer horizon. log["redrawn"]
+    collects the trials that were redrawn, log["schedules"] the results.
     """
     chunk = math.floor(n * (u.k / N))
     # generous horizon: mean trigger span plus slack for the sync checkpoints
     horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
-    for rng in trial_rngs(seed, trials):
+    log.update(redrawn=set(), schedules=[])
+    for t, rng in enumerate(rngs):
         while True:
             try:
                 ind = _arrivals_from(rng, u.q, horizon)
                 result = schedule(ArrivalTrace(ind))
                 break
             except HorizonTooShortError:
+                log["redrawn"].add(t)
                 horizon *= 2
-        yield result
+        log["schedules"].append(result)
+    return log["schedules"]
 
 
-def _trial_pairs(u, n, N, theta, trials, seed):
-    def pair(tr):
-        return (run_async_scheduler(tr, u, n, N, 0, theta, 0.0),
-                run_sync_scheduler(tr, u, n, N, theta))
-    return list(arrivals._trial_schedules(u, n, N, theta, trials, seed, pair))
+def _two_pass_delay_gap(u, n, N, theta, delta, rngs, log):
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    arrivals._check_resonance(1.0 / (N * u.q), theta, N)
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    pairs = _full_horizon_trial_schedules(u, n, N, theta, rngs, (
+        lambda tr: (run_async_scheduler(tr, u, n, N, 0, theta, 0.0),
+                    run_sync_scheduler(tr, u, n, N, theta))), log)
+    hits = sum(np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
+               for sched, sync in pairs)
+    return hits / len(rngs)
+
+
+def _two_pass_immediacy(u, n, N, nprime, theta, rngs, log):
+    if N < 2:
+        raise ValueError("violations need at least two codewords")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    scheds = _full_horizon_trial_schedules(u, n, N, theta, rngs, (
+        lambda tr: run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)), log)
+    return sum(bool(s.violations) for s in scheds) / len(rngs)
+
+
+class _GappyStream:
+    """A stand-in for a trial generator whose uniforms come in blocks of
+    random length, a third of them all 1.0 (no arrival), so traces often
+    outrun their horizons. Draw s depends only on s, so draws split
+    exactly."""
+
+    def __init__(self, seed):
+        self.src = np.random.default_rng(seed)
+        self.values = np.empty(0)
+        self.pos = 0
+
+    def random(self, size):
+        while len(self.values) < self.pos + size:
+            block = self.src.random(int(self.src.integers(1, 400)))
+            if self.src.random() < 1 / 3:
+                block[:] = 1.0
+            self.values = np.concatenate((self.values, block))
+        self.pos += size
+        return self.values[self.pos - size:self.pos]
+
+
+def _same(got, want):
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return got == want and type(got) is type(want)
+
+
+def _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta, trials,
+                    seed, make_rngs):
+    """Compare the experiments, the one pass and every trial's triggers
+    with the two full-horizon passes; make_rngs(seed, trials) gives the
+    trial generators. Returns the trials redrawn by (delay gap, immediacy)
+    pass, or None if the delay gap fails."""
+    monkeypatch.setattr(arrivals, "trial_rngs", make_rngs)
+    gap_log, imm_log = {}, {}
+    want_gap = _outcome(_two_pass_delay_gap, u, n, N, theta, delta,
+                        make_rngs(seed, trials), gap_log)
+    want_imm = _outcome(_two_pass_immediacy, u, n, N, nprime, theta,
+                        make_rngs(seed, trials), imm_log)
+    got_gap = _outcome(delay_gap_experiment, u, n, N, theta, delta, trials,
+                       seed)
+    got_imm = _outcome(immediacy_violation_freq, u, n, N, nprime, theta,
+                       trials, seed)
+    assert _same(got_gap, want_gap)
+    assert _same(got_imm, want_imm)
+    # the one pass gives both, and fails as the delay gap pass does
+    got = _outcome(buffer_experiment, u, n, N, nprime, theta, delta, trials,
+                   seed)
+    if isinstance(want_gap, type):
+        assert got is want_gap
+        return None
+    assert _same(got[0], want_gap)
+    assert got[1] is None if N < 2 else _same(got[1], want_imm)
+    # every trial's triggers and slotted dispatches
+    gap_rel, *imm_rel = arrivals._trigger_rows(
+        u, n, N, theta, trials, seed, (True, False)[:1 + (N >= 2)])
+    n_i = math.floor(n * theta)
+    assert [tuple(r) for r in gap_rel] == [
+        a.taus for a, _ in gap_log["schedules"]]
+    assert [tuple(m * n_i) for m in arrivals._checkpoints(gap_rel, n_i)] \
+        == [s.sigmas for _, s in gap_log["schedules"]]
+    if N < 2:
+        return gap_log["redrawn"], set()
+    assert [tuple(r) for r in imm_rel[0]] == [
+        a.taus for a in imm_log["schedules"]]
+    return gap_log["redrawn"], imm_log["redrawn"]
 
 
 def test_experiments_match_full_horizon_oracle(monkeypatch):
     # small n and rates down to q = 0.002 make traces that outrun the full
     # horizon, so the redraw rule is exercised as well as the lazy draw
     rng = np.random.default_rng(77)
-    redraws = []
-
-    def oracle(u, n, N, theta, trials, seed, schedule):
-        def counted(tr):
-            try:
-                return schedule(tr)
-            except HorizonTooShortError:
-                redraws.append(1)
-                raise
-        return _full_horizon_trial_schedules(u, n, N, theta, trials, seed,
-                                             counted)
-
-    redrawn = 0
+    redrawn = async_redraws = 0
     for _ in range(400):
         u = UserParams(k=int(rng.integers(1, 5)),
                        q=float(np.exp(rng.uniform(math.log(0.002), 0.0))),
@@ -356,23 +436,35 @@ def test_experiments_match_full_horizon_oracle(monkeypatch):
         delta = float(rng.uniform(0.05, 2.0))
         nprime = None if rng.random() < 0.2 else int(rng.integers(0, 20))
         trials, seed = int(rng.integers(1, 9)), int(rng.integers(2**31))
-        runs = ((delay_gap_experiment, u, n, N, theta, delta, trials, seed),
-                (immediacy_violation_freq, u, n, N, nprime, theta, trials,
-                 seed),
-                # every trial's schedules, not just the frequencies
-                (_trial_pairs, u, n, N, theta, trials, seed))
-        got = [_outcome(*run) for run in runs]
-        before = len(redraws)
-        with monkeypatch.context() as m:
-            m.setattr(arrivals, "_trial_schedules", oracle)
-            want = [_outcome(*run) for run in runs]
-        redrawn += len(redraws) > before
-        for g, w in zip(got, want):
-            if isinstance(w, np.ndarray):
-                assert np.array_equal(g, w)
-            else:
-                assert g == w
+        logs = _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta,
+                               trials, seed, trial_rngs)
+        if logs is not None:
+            redrawn += bool(logs[0])
+            async_redraws += len(logs[1])
     assert redrawn >= 10, redrawn
+    assert async_redraws >= 10, async_redraws
+    # A trace whose slotted dispatch alone outruns the horizon is redrawn
+    # for the delay gap only; later trials then give the immediacy pass a
+    # shorter horizon, which it may outrun alone. Bernoulli traces almost
+    # never do both, so streams with long arrival-free stretches stand in.
+    gappy = lambda seed, trials: [_GappyStream([seed, t])
+                                  for t in range(trials)]
+    slotted_only = async_only = 0
+    for _ in range(150):
+        u = UserParams(k=int(rng.integers(1, 4)),
+                       q=float(rng.uniform(0.05, 1.0)), P=1.0, a=0.0)
+        N = int(rng.integers(2, 12))
+        n = int(rng.integers(N, 4 * N))
+        theta = float(rng.uniform(0.5, 4.0))
+        delta = float(rng.uniform(0.05, 2.0))
+        nprime = int(rng.integers(0, 20))
+        trials, seed = int(rng.integers(5, 30)), int(rng.integers(2**31))
+        logs = _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta,
+                               trials, seed, gappy)
+        if logs is not None:
+            slotted_only += len(logs[0] - logs[1])
+            async_only += len(logs[1] - logs[0])
+    assert slotted_only >= 10 and async_only >= 10, (slotted_only, async_only)
 
 
 def test_generator_draws_split_exactly():

@@ -10,11 +10,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from burstgic import cli, detection
 from burstgic.design import d_max
 from burstgic.model import UserParams
 from burstgic.region import sym_region
@@ -74,6 +76,24 @@ def test_buffers_resonant_ratio_is_infeasible(tmp_path):
     assert res.returncode == 3
     # diagnostic names the divisor m of theta that collides with mu
     assert "integer multiple of theta/1" in res.stderr
+
+
+def test_buffers_builds_one_generator_per_trial(tmp_path, monkeypatch):
+    # both statistics come from one pass, so each trial's trace is drawn
+    # from one generator, not one per statistic
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    (tmp_path / "config.json").write_text(json.dumps(BUFFERS_CFG))
+    code = cli.main(["buffers", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(built) == BUFFERS_CFG["trials"] * len(BUFFERS_CFG["n_values"])
 
 
 def test_buffers_seed_reproducible(tmp_path):
@@ -462,6 +482,12 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # the outage CDF squares spreads up to 2d
     ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
                     ds=[1e308]), "4*d*d finite"),
+    # checked for every N, though only N >= 2 has an immediacy row
+    ("buffers", dict(BUFFERS_CFG, N=1, nprime=-5),
+     "nprime must be nonnegative"),
+    # receiver traces beyond detection.MAX_TRACE are refused before any draw
+    ("detect", dict(DETECT_CFG, n_values=[10**13]), "MAX_TRACE"),
+    ("detect", dict(DETECT_CFG, nprime_values=[20, 10**13]), "MAX_TRACE"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read
@@ -470,6 +496,49 @@ def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     assert res.returncode == 2, res.stderr
     assert needle in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_detect_trace_budget_is_checked_before_drawing(tmp_path):
+    # in-process, so tracemalloc sees every allocation of the run
+    cfg_path = tmp_path / "config.json"
+    tracemalloc.start()
+    try:
+        for cfg in (dict(DETECT_CFG, n_values=[10**13]),
+                    dict(DETECT_CFG, nprime_values=[20, 10**13])):
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["detect", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not (tmp_path / "out" / "detect.csv").exists()
+
+
+def _detect_warnings_are_errors(cfg, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "burstgic.cli",
+         "detect", "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+
+
+def test_detect_power_budget_keeps_statistics_finite(tmp_path):
+    # with RuntimeWarning an error, an overflow in the scan exits 1
+    res = _detect_warnings_are_errors(dict(DETECT_CFG, a1=1e308), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_POWER" in res.stderr
+    assert "Traceback" not in res.stderr
+    # just inside the budget every statistic stays finite
+    gamma = detection.MAX_POWER / 2.5
+    cfg = {k: v for k, v in DETECT_CFG.items()
+           if k not in ("gamma1_db", "gamma2_db")}
+    cfg.update(gamma1=gamma, gamma2=gamma, a1=1.0, a2=1.0, n_values=[64],
+               trials=3)
+    res = _detect_warnings_are_errors(cfg, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert len(read_rows(tmp_path / "out" / "detect.csv")) == 1
 
 
 def test_cli_import_loads_no_scipy():

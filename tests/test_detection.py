@@ -7,9 +7,12 @@ from pytest import approx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burstgic import detection
 from burstgic.detection import (
     DECODE_AMBIGUOUS,
     DECODE_NONE,
+    MAX_POWER,
+    MAX_TRACE,
     M_CAP,
     DetectionConfig,
     GaussianCodebook,
@@ -642,3 +645,37 @@ def test_experiment_config_validation():
         DetectionConfig(**{**good, "nprime_values": (1,)})
     with pytest.raises(ValueError):
         detection_experiment(DetectionConfig(**good), trials=0, seed=1)
+
+
+def test_experiment_config_budgets():
+    good = dict(n_values=(400,), gamma1=GAMMA, gamma2=GAMMA,
+                a1=0.1, a2=0.1, eps=0.48, M=8)
+    n = (MAX_TRACE - 9 * 20) // 2
+    DetectionConfig(**{**good, "n_values": (n,), "nprime_values": (20,)})
+    with pytest.raises(ValueError, match="MAX_TRACE"):
+        DetectionConfig(**{**good, "n_values": (n + 1,),
+                           "nprime_values": (20,)})
+    # receive power 1 + gamma1 + a2*gamma2 at Rx 1, at the cap and past it
+    DetectionConfig(**{**good, "gamma1": MAX_POWER - 1 - 0.1 * GAMMA})
+    for edit in ({"gamma1": MAX_POWER * 1.01}, {"a2": 1e308},
+                 {"a1": MAX_POWER / GAMMA * 1.01}):
+        with pytest.raises(ValueError, match="MAX_POWER"):
+            DetectionConfig(**{**good, **edit})
+
+
+def test_trial_traces_fit_the_trace_bound(monkeypatch):
+    # MAX_TRACE is checked against 2n + 9nprime, so no trial may build a
+    # longer trace, whatever its random offsets
+    horizons = []
+    channel_run = detection.channel_run
+
+    def recorded(*args):
+        horizons.append(args[-1])
+        return channel_run(*args)
+
+    monkeypatch.setattr(detection, "channel_run", recorded)
+    cfg = DetectionConfig(n_values=(8,), gamma1=GAMMA, gamma2=GAMMA, a1=0.1,
+                          a2=0.1, eps=0.48, M=4, nprime_values=(5,))
+    detection_experiment(cfg, trials=300, seed=4)
+    assert len(horizons) == 300
+    assert max(horizons) <= 2 * 8 + 9 * 5
