@@ -7,12 +7,13 @@ Experiments here validate the negative-binomial trigger law, the immediacy
 of transmissions, and the delay gap between the two schedulers.
 
 run_async_scheduler and run_sync_scheduler schedule one given trace. The
-experiments make one pass over their trials instead: each trial builds one
-generator, locates its N trigger slots once and stores them as a row of a
-(trials, N) array, and both statistics then come from that array in a few
-numpy calls. buffer_experiment computes the delay gap and the immediacy
-frequency from the same pass; the values are those of delay_gap_experiment
-and immediacy_violation_freq run apart with the same seed.
+experiments need no horizon: both statistics depend only on where the
+trigger slots fall in an unbounded arrival stream. Each trial builds one
+generator and draws its stream only until it holds the arrival that
+completes codeword N, and its N trigger slots become a row of a
+(trials, N) array. buffer_experiment reads the delay gap and the
+immediacy frequency off that one array; delay_gap_experiment and
+immediacy_violation_freq each read one of them.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ __all__ = [
 ]
 
 
-#: Longest arrival trace, in slots, that one trial may draw. A draw holds a
-#: float64 uniform and an indicator per slot; a buffers run whose horizon
-#: is near the cap peaks at about 180 MB of resident memory.
+#: Longest arrival stream, in slots, that one trial may draw. A draw holds
+#: a float64 uniform and an indicator per slot; a buffers run whose first
+#: draw is near the cap peaks at about 181 MB of resident memory (180.8 MB
+#: ru_maxrss of the CLI process, x86-64 Linux, numpy 2.4).
 MAX_HORIZON = 2 ** 24
 
 
@@ -154,15 +156,6 @@ def _checkpoints(triggers: np.ndarray, n_i: int) -> np.ndarray:
     return np.maximum.accumulate(r - j, axis=-1) + j
 
 
-def _dispatch_fits(triggers: np.ndarray, n_i: int, horizon: int) -> bool:
-    """Whether one trace's last slotted dispatch m_N*n_i is within horizon."""
-    # m_N <= N - 1 + r_N settles most traces without the running maximum
-    r_last = max(1, -(-int(triggers[-1]) // n_i))
-    if (len(triggers) - 1 + r_last) * n_i <= horizon:
-        return True
-    return _checkpoints(triggers, n_i)[-1] * n_i <= horizon
-
-
 def _preamble(n: int, nprime: int | None) -> int:
     """The preamble length: nprime, or ceil(sqrt(n)) when it is None."""
     if nprime is None:
@@ -238,96 +231,61 @@ def _check_theta(theta: float):
         raise ValueError(f"theta must be positive and finite, got {theta}")
 
 
-def _check_delay_gap(u, N: int, theta: float, delta: float):
+def _chunk(u, n: int, N: int, theta: float) -> int:
+    """floor(n*k/N), the bits per codeword, after the checks that need no
+    draw. Callers run these before the resonance loop over m = 1..N:
+    chunk >= k bounds N by n, and the budget bounds n."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_theta(theta)
-    _check_resonance(1.0 / (N * u.q), theta, N)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-
-
-class _Stream:
-    """One trial's Bernoulli arrivals, drawn only as far as they are read.
-
-    Slot s of the stream is rng.random() draw s < q. rng.random(a) then
-    rng.random(b) equals rng.random(a + b), so the slots do not depend on
-    how the draws are split. Trigger slots are cached per trace.
-    """
-
-    def __init__(self, rng, q: float, events: np.ndarray):
-        self.rng, self.q, self.events = rng, q, events
-        self.ind = np.zeros(0, dtype=bool)
-        self.found = {}
-
-    def triggers(self, start: int, stop: int):
-        """Trigger slots of the trace held in stream slots [start, stop),
-        relative to its start, or None if the trace is too short."""
-        key = (start, stop)
-        if key not in self.found:
-            if stop > len(self.ind):
-                more = _arrivals_from(self.rng, self.q, stop - len(self.ind))
-                self.ind = np.concatenate((self.ind, more))
-            try:
-                self.found[key] = _trigger_slots(
-                    np.flatnonzero(self.ind[start:stop]) + 1, self.events)
-            except HorizonTooShortError:
-                self.found[key] = None
-        return self.found[key]
-
-
-def _trigger_rows(u, n: int, N: int, theta: float, trials: int, seed: int,
-                  slotted: tuple) -> list:
-    """Every trial's N trigger slots, one (trials, N) array per experiment.
-
-    slotted holds a flag per experiment: True if its trace must also reach
-    the last slotted dispatch (the delay gap), False if it needs the
-    triggers only (immediacy). An experiment's trace is the first H slots
-    of the trial's stream, H being its horizon. A trace too short at H is
-    replaced by the next 2H slots of the same stream, and later trials
-    keep 2H. The experiments keep separate horizons, since a slotted-only
-    shortfall doubles just the delay gap's, but each trial builds one
-    generator and locates the triggers of a trace once for all of them.
-
-    Each stream is drawn only as far as a trace is read: a trace's first
-    span slots, then, if its triggers lie beyond, the rest of it. Both
-    schedulers are causal, so a trace's triggers are those its full draw
-    gives, and the slotted dispatch follows from them in closed form.
-    """
     bits = n * (u.k / N)
-    # the horizon below in float arithmetic, which bounds it from above and
-    # turns an overflow into inf, so the budget holds before any draw
+    # the first draw and 8*n_i in float arithmetic, which bounds both from
+    # above and turns an overflow into inf; n_i under the cap keeps the
+    # checkpoint products in _checkpoints within int64
     _check_horizon(N * bits / (u.k * u.q) * 1.5 + 64 + 8 * (n * theta))
     chunk = math.floor(bits)
     if chunk < u.k:
         raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
-    n_i = math.floor(n * theta)
-    if any(slotted) and n_i < 1:
+    return chunk
+
+
+def _check_delay_gap(u, n: int, N: int, theta: float, delta: float):
+    _chunk(u, n, N, theta)
+    _check_resonance(1.0 / (N * u.q), theta, N)
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if math.floor(n * theta) < 1:
         raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
-    rngs = trial_rngs(seed, trials)
+
+
+def _stream_triggers(rng, q: float, span: int,
+                     events: np.ndarray) -> np.ndarray:
+    """Trigger slots of one trial's Bernoulli stream.
+
+    The stream is drawn span slots first and then doubled until it holds
+    the arrival that completes codeword N; each doubling is checked
+    against MAX_HORIZON before it is drawn. rng.random(a) then
+    rng.random(b) equals rng.random(a + b), so the slots do not depend on
+    how the draws are split.
+    """
+    ind = _arrivals_from(rng, q, span)
+    while np.count_nonzero(ind) < events[-1]:
+        _check_horizon(2 * len(ind))
+        ind = np.concatenate((ind, _arrivals_from(rng, q, len(ind))))
+    return _trigger_slots(np.flatnonzero(ind) + 1, events)
+
+
+def _trigger_rows(u, n: int, N: int, theta: float, trials: int,
+                  seed: int) -> np.ndarray:
+    """Every trial's N trigger slots, as a (trials, N) array: row t holds
+    those of trial t's own stream. The slotted dispatch follows from a
+    row in closed form (_checkpoints)."""
+    chunk = _chunk(u, n, N, theta)
     events = _trigger_events(u.k, chunk, N)
-    # span: the mean trigger span with margin; the generous horizon adds
-    # slack for the sync checkpoints
+    # the mean trigger span with margin
     span = int(N * chunk / (u.k * u.q) * 1.5) + 64
-    horizons = [span + 8 * n_i] * len(slotted)
-    rows = [np.empty((trials, N), dtype=np.intp) for _ in slotted]
-    for t, rng in enumerate(rngs):
-        stream = _Stream(rng, u.q, events)
-        for e, sync in enumerate(slotted):
-            start, horizon = 0, horizons[e]
-            while True:
-                rel = stream.triggers(start, start + span)
-                if rel is None:
-                    rel = stream.triggers(start, start + horizon)
-                if rel is not None and (
-                        not sync or _dispatch_fits(rel, n_i, horizon)):
-                    break
-                _check_horizon(2 * horizon)
-                start += horizon
-                horizon *= 2
-            rows[e][t] = rel
-            horizons[e] = horizon
-    return rows
+    return np.array([_stream_triggers(rng, u.q, span, events)
+                     for rng in trial_rngs(seed, trials)])
 
 
 def _lag_freq(rel: np.ndarray, n_i: int, delta: float) -> np.ndarray:
@@ -351,9 +309,9 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
     Runs both schedulers on common traces and reports, for each codeword j,
     the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
-    _check_delay_gap(u, N, theta, delta)
-    rel, = _trigger_rows(u, n, N, theta, trials, seed, (True,))
-    return _lag_freq(rel, math.floor(n * theta), delta)
+    _check_delay_gap(u, n, N, theta, delta)
+    return _lag_freq(_trigger_rows(u, n, N, theta, trials, seed),
+                     math.floor(n * theta), delta)
 
 
 def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
@@ -362,9 +320,8 @@ def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
     burst has left the transmitter."""
     if N < 2:
         raise ValueError("violations need at least two codewords")
-    _check_theta(theta)
     nprime = _preamble(n, nprime)
-    rel, = _trigger_rows(u, n, N, theta, trials, seed, (False,))
+    rel = _trigger_rows(u, n, N, theta, trials, seed)
     return _violation_freq(rel, nprime + math.floor(n * theta))
 
 
@@ -374,13 +331,13 @@ def buffer_experiment(u, n: int, N: int, nprime: int | None, theta: float,
 
     Returns (lag, violation): lag is delay_gap_experiment's per-j
     frequency and violation is immediacy_violation_freq's, or None when
-    N < 2 and no burst can follow another. The values are those of the
-    two experiments run apart with the same seed, at half the draws.
+    N < 2 and no burst can follow another. Both read the same trigger
+    rows, so the values are those of the two experiments run apart with
+    the same seed.
     """
     nprime = _preamble(n, nprime)
-    _check_delay_gap(u, N, theta, delta)
-    rows = _trigger_rows(u, n, N, theta, trials, seed,
-                         (True, False) if N >= 2 else (True,))
+    _check_delay_gap(u, n, N, theta, delta)
+    rel = _trigger_rows(u, n, N, theta, trials, seed)
     n_i = math.floor(n * theta)
-    lag = _lag_freq(rows[0], n_i, delta)
-    return lag, (_violation_freq(rows[1], nprime + n_i) if N >= 2 else None)
+    lag = _lag_freq(rel, n_i, delta)
+    return lag, (_violation_freq(rel, nprime + n_i) if N >= 2 else None)

@@ -299,79 +299,50 @@ def test_schedulers_match_cumsum_oracles():
 
 
 # ---------------------------------------------------------------------------
-# oracle: each experiment as its own pass over traces drawn in full
+# oracle: the per-trace schedulers on one trace per trial, drawn in full
 
 
-def _full_horizon_trial_schedules(u, n: int, N: int, theta: float, rngs,
-                                  schedule, log):
-    """schedule(trace) on one fresh arrival trace per trial generator.
-
-    A trace too short for schedule is redrawn from the same stream at twice
-    the horizon, and later trials keep the longer horizon. log["redrawn"]
-    collects the trials that were redrawn, log["schedules"] the results.
-    """
-    chunk = math.floor(n * (u.k / N))
-    # generous horizon: mean trigger span plus slack for the sync checkpoints
-    horizon = int(N * chunk / (u.k * u.q) * 1.5) + 8 * math.floor(n * theta) + 64
-    log.update(redrawn=set(), schedules=[])
-    for t, rng in enumerate(rngs):
-        while True:
-            try:
-                ind = _arrivals_from(rng, u.q, horizon)
-                result = schedule(ArrivalTrace(ind))
-                break
-            except HorizonTooShortError:
-                log["redrawn"].add(t)
-                horizon *= 2
-        log["schedules"].append(result)
-    return log["schedules"]
+def _span(u, N, chunk):
+    """The first draw of a trial's stream: the mean trigger span with
+    margin."""
+    return int(N * chunk / (u.k * u.q) * 1.5) + 64
 
 
-def _two_pass_delay_gap(u, n, N, theta, delta, rngs, log):
+def _full_draw_traces(u, n, N, theta, trials, seed):
+    """One arrival trace per trial generator, drawn in full at a length no
+    stream of these tests outruns, after the checks that need no draw."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be positive and finite, got {theta}")
+    chunk = math.floor(n * (u.k / N))
+    if chunk < u.k:
+        raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
+    horizon = 16 * _span(u, N, chunk) + 8 * math.floor(n * theta)
+    return [ArrivalTrace(_arrivals_from(rng, u.q, horizon))
+            for rng in trial_rngs(seed, trials)]
+
+
+def _full_draw_delay_gap(u, n, N, theta, delta, trials, seed):
+    traces = _full_draw_traces(u, n, N, theta, trials, seed)
     arrivals._check_resonance(1.0 / (N * u.q), theta, N)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    pairs = _full_horizon_trial_schedules(u, n, N, theta, rngs, (
-        lambda tr: (run_async_scheduler(tr, u, n, N, 0, theta, 0.0),
-                    run_sync_scheduler(tr, u, n, N, theta))), log)
-    hits = sum(np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
-               for sched, sync in pairs)
-    return hits / len(rngs)
+    hits = 0
+    for tr in traces:
+        sched = run_async_scheduler(tr, u, n, N, 0, theta, 0.0)
+        sync = run_sync_scheduler(tr, u, n, N, theta)
+        hits += np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
+    return hits / trials
 
 
-def _two_pass_immediacy(u, n, N, nprime, theta, rngs, log):
+def _full_draw_immediacy(u, n, N, nprime, theta, trials, seed):
     if N < 2:
         raise ValueError("violations need at least two codewords")
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive and finite, got {theta}")
-    scheds = _full_horizon_trial_schedules(u, n, N, theta, rngs, (
-        lambda tr: run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)), log)
-    return sum(bool(s.violations) for s in scheds) / len(rngs)
-
-
-class _GappyStream:
-    """A stand-in for a trial generator whose uniforms come in blocks of
-    random length, a third of them all 1.0 (no arrival), so traces often
-    outrun their horizons. Draw s depends only on s, so draws split
-    exactly."""
-
-    def __init__(self, seed):
-        self.src = np.random.default_rng(seed)
-        self.values = np.empty(0)
-        self.pos = 0
-
-    def random(self, size):
-        while len(self.values) < self.pos + size:
-            block = self.src.random(int(self.src.integers(1, 400)))
-            if self.src.random() < 1 / 3:
-                block[:] = 1.0
-            self.values = np.concatenate((self.values, block))
-        self.pos += size
-        return self.values[self.pos - size:self.pos]
+    traces = _full_draw_traces(u, n, N, theta, trials, seed)
+    scheds = [run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)
+              for tr in traces]
+    return sum(bool(s.violations) for s in scheds) / trials
 
 
 def _same(got, want):
@@ -380,25 +351,21 @@ def _same(got, want):
     return got == want and type(got) is type(want)
 
 
-def _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta, trials,
-                    seed, make_rngs):
+def _check_against_full_draw(u, n, N, nprime, theta, delta, trials, seed):
     """Compare the experiments, the one pass and every trial's triggers
-    with the two full-horizon passes; make_rngs(seed, trials) gives the
-    trial generators. Returns the trials redrawn by (delay gap, immediacy)
-    pass, or None if the delay gap fails."""
-    monkeypatch.setattr(arrivals, "trial_rngs", make_rngs)
-    gap_log, imm_log = {}, {}
-    want_gap = _outcome(_two_pass_delay_gap, u, n, N, theta, delta,
-                        make_rngs(seed, trials), gap_log)
-    want_imm = _outcome(_two_pass_immediacy, u, n, N, nprime, theta,
-                        make_rngs(seed, trials), imm_log)
-    got_gap = _outcome(delay_gap_experiment, u, n, N, theta, delta, trials,
-                       seed)
-    got_imm = _outcome(immediacy_violation_freq, u, n, N, nprime, theta,
-                       trials, seed)
-    assert _same(got_gap, want_gap)
-    assert _same(got_imm, want_imm)
-    # the one pass gives both, and fails as the delay gap pass does
+    with the full-draw oracle. Returns the trigger rows, or None if the
+    delay gap fails."""
+    want_gap = _outcome(_full_draw_delay_gap, u, n, N, theta, delta,
+                        trials, seed)
+    want_imm = _outcome(_full_draw_immediacy, u, n, N, nprime, theta,
+                        trials, seed)
+    assert want_gap is not HorizonTooShortError
+    assert want_imm is not HorizonTooShortError
+    assert _same(_outcome(delay_gap_experiment, u, n, N, theta, delta,
+                          trials, seed), want_gap)
+    assert _same(_outcome(immediacy_violation_freq, u, n, N, nprime, theta,
+                          trials, seed), want_imm)
+    # the one pass gives both, and fails as the delay gap does
     got = _outcome(buffer_experiment, u, n, N, nprime, theta, delta, trials,
                    seed)
     if isinstance(want_gap, type):
@@ -407,25 +374,21 @@ def _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta, trials,
     assert _same(got[0], want_gap)
     assert got[1] is None if N < 2 else _same(got[1], want_imm)
     # every trial's triggers and slotted dispatches
-    gap_rel, *imm_rel = arrivals._trigger_rows(
-        u, n, N, theta, trials, seed, (True, False)[:1 + (N >= 2)])
+    traces = _full_draw_traces(u, n, N, theta, trials, seed)
+    rel = arrivals._trigger_rows(u, n, N, theta, trials, seed)
+    assert [tuple(r) for r in rel] == [
+        run_async_scheduler(tr, u, n, N, 0, theta, 0.0).taus
+        for tr in traces]
     n_i = math.floor(n * theta)
-    assert [tuple(r) for r in gap_rel] == [
-        a.taus for a, _ in gap_log["schedules"]]
-    assert [tuple(m * n_i) for m in arrivals._checkpoints(gap_rel, n_i)] \
-        == [s.sigmas for _, s in gap_log["schedules"]]
-    if N < 2:
-        return gap_log["redrawn"], set()
-    assert [tuple(r) for r in imm_rel[0]] == [
-        a.taus for a in imm_log["schedules"]]
-    return gap_log["redrawn"], imm_log["redrawn"]
+    assert [tuple(m * n_i) for m in arrivals._checkpoints(rel, n_i)] \
+        == [run_sync_scheduler(tr, u, n, N, theta).sigmas for tr in traces]
+    return rel
 
 
-def test_experiments_match_full_horizon_oracle(monkeypatch):
-    # small n and rates down to q = 0.002 make traces that outrun the full
-    # horizon, so the redraw rule is exercised as well as the lazy draw
-    rng = np.random.default_rng(77)
-    redrawn = async_redraws = 0
+def _oracle_configs(rng):
+    """(u, n, N, nprime, theta, delta, trials, seed) for the oracle test."""
+    # small n and rates down to q = 0.002 give streams that run past their
+    # first draw, so the doubling is exercised as well as the lazy draw
     for _ in range(400):
         u = UserParams(k=int(rng.integers(1, 5)),
                        q=float(np.exp(rng.uniform(math.log(0.002), 0.0))),
@@ -436,35 +399,32 @@ def test_experiments_match_full_horizon_oracle(monkeypatch):
         delta = float(rng.uniform(0.05, 2.0))
         nprime = None if rng.random() < 0.2 else int(rng.integers(0, 20))
         trials, seed = int(rng.integers(1, 9)), int(rng.integers(2**31))
-        logs = _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta,
-                               trials, seed, trial_rngs)
-        if logs is not None:
-            redrawn += bool(logs[0])
-            async_redraws += len(logs[1])
-    assert redrawn >= 10, redrawn
-    assert async_redraws >= 10, async_redraws
-    # A trace whose slotted dispatch alone outruns the horizon is redrawn
-    # for the delay gap only; later trials then give the immediacy pass a
-    # shorter horizon, which it may outrun alone. Bernoulli traces almost
-    # never do both, so streams with long arrival-free stretches stand in.
-    gappy = lambda seed, trials: [_GappyStream([seed, t])
-                                  for t in range(trials)]
-    slotted_only = async_only = 0
-    for _ in range(150):
-        u = UserParams(k=int(rng.integers(1, 4)),
-                       q=float(rng.uniform(0.05, 1.0)), P=1.0, a=0.0)
-        N = int(rng.integers(2, 12))
-        n = int(rng.integers(N, 4 * N))
-        theta = float(rng.uniform(0.5, 4.0))
+        yield u, n, N, nprime, theta, delta, trials, seed
+    # n = N = 1 needs a single arrival, whose Geometric(q) wait has the
+    # heaviest tail against span = 1.5/q + 64; at these rates about one
+    # trial in twenty runs past 2*span
+    for _ in range(30):
+        u = UserParams(k=int(rng.integers(1, 5)),
+                       q=float(np.exp(rng.uniform(math.log(1e-4),
+                                                  math.log(0.002)))),
+                       P=1.0, a=0.0)
+        theta = float(rng.uniform(1.0, 3.0))
         delta = float(rng.uniform(0.05, 2.0))
-        nprime = int(rng.integers(0, 20))
-        trials, seed = int(rng.integers(5, 30)), int(rng.integers(2**31))
-        logs = _check_one_pass(monkeypatch, u, n, N, nprime, theta, delta,
-                               trials, seed, gappy)
-        if logs is not None:
-            slotted_only += len(logs[0] - logs[1])
-            async_only += len(logs[1] - logs[0])
-    assert slotted_only >= 10 and async_only >= 10, (slotted_only, async_only)
+        trials, seed = int(rng.integers(20, 41)), int(rng.integers(2**31))
+        yield u, 1, 1, None, theta, delta, trials, seed
+
+
+def test_experiments_match_full_horizon_oracle():
+    extended = twice = 0
+    for cfg in _oracle_configs(np.random.default_rng(77)):
+        rel = _check_against_full_draw(*cfg)
+        if rel is not None:
+            # trials whose stream doubled its first draw once, and twice
+            u, n, N = cfg[:3]
+            span = _span(u, N, math.floor(n * (u.k / N)))
+            extended += int(np.count_nonzero(rel[:, -1] > span))
+            twice += int(np.count_nonzero(rel[:, -1] > 2 * span))
+    assert extended >= 10 and twice >= 10, (extended, twice)
 
 
 def test_generator_draws_split_exactly():
@@ -516,12 +476,14 @@ def test_trace_budget_is_checked_before_drawing():
 
 
 def test_trace_budget_is_checked_before_doubling(monkeypatch):
-    # span 214 and horizon 222 slots, and a Geometric(0.01) wait; these
-    # 200 trials redraw at 444 slots and then at 888
+    # span 214 slots and a Geometric(0.01) wait; of these 200 trials 19
+    # extend the stream to 428 slots and 2 of them on to 856
     u = UserParams(k=1, q=0.01, P=1.0, a=0.0)
     args = (u, 1, 1, 1.3, 0.5, 200, 4)
-    monkeypatch.setattr(arrivals, "MAX_HORIZON", 887)
-    with pytest.raises(ValueError, match="888 slots exceeds MAX_HORIZON"):
-        delay_gap_experiment(*args)
-    monkeypatch.setattr(arrivals, "MAX_HORIZON", 888)
+    for cap, needle in ((427, "428"), (855, "856")):
+        monkeypatch.setattr(arrivals, "MAX_HORIZON", cap)
+        with pytest.raises(ValueError,
+                           match=f"{needle} slots exceeds MAX_HORIZON"):
+            delay_gap_experiment(*args)
+    monkeypatch.setattr(arrivals, "MAX_HORIZON", 856)
     assert delay_gap_experiment(*args).shape == (1,)

@@ -5,6 +5,7 @@ subprocess, and inspects exit code, stdout/stderr, and the emitted files.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -103,6 +104,30 @@ def test_buffers_seed_reproducible(tmp_path):
     for name in ("delay_gap.csv", "immediacy.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 of the buffers datasets for BUFFERS_CFG. A change that
+# deliberately alters the arrival streams or the statistics must update
+# these digests and say so in CHANGES.md.
+BUFFERS_SHA256 = {
+    1: {"delay_gap.csv": "e9caeaf44455dc2bb3e59369872e52ad"
+                         "35489f44e978dcf29a3a8587e7311797",
+        "immediacy.csv": "55d06fd644a0491dbf47aa4de09ddd66"
+                         "296adc609433493dfccb03a3ce10a7f6"},
+    2: {"delay_gap.csv": "5937f27960b59629581571c16ea00d9c"
+                         "2d286e2b1f0198641006908c25a879f9",
+        "immediacy.csv": "55d06fd644a0491dbf47aa4de09ddd66"
+                         "296adc609433493dfccb03a3ce10a7f6"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BUFFERS_SHA256))
+def test_buffers_datasets_are_byte_identical(tmp_path, seed):
+    res = run_cli("buffers", BUFFERS_CFG, tmp_path, seed=seed)
+    assert res.returncode == 0, res.stderr
+    for name, digest in BUFFERS_SHA256[seed].items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +513,9 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # receiver traces beyond detection.MAX_TRACE are refused before any draw
     ("detect", dict(DETECT_CFG, n_values=[10**13]), "MAX_TRACE"),
     ("detect", dict(DETECT_CFG, nprime_values=[20, 10**13]), "MAX_TRACE"),
+    # N > n leaves under k bits a codeword; refused before the resonance
+    # check loops over m = 1..N
+    ("buffers", dict(BUFFERS_CFG, n_values=[300], N=10**9), "too small"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read
