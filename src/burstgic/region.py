@@ -94,6 +94,72 @@ def gamma_grid(u: UserParams, N: int, m: int) -> np.ndarray:
 #: set in cache; smaller blocks pay interpreter overhead per block.
 _BLOCK = 2 ** 15
 
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = 2.0 ** -1074  # absolute error of a product that underflows
+
+
+def _g2_runs(slope1, top2, slope2, wlo, whi):
+    """Split each power row's g2 indices into runs where both decoding
+    tests are monotone in g2 for every cell of a block.
+
+    slope1, top2 and slope2 are the (rows, m-1) tables of region_members;
+    wlo and whi bound the block's worst2. Step j -> j+1 of row i is
+    certified when
+
+    - slope1[i, j] <= slope1[i, j+1], so user 1's test
+      load1 < top1 - slope1*worst1 (worst1 >= 0) can only turn false;
+    - user 2's right-hand side f(j) = fl(T_j - fl(S_j*w)) rises for every
+      w in [wlo, whi], so its test can only turn true. With u = 2**-53,
+      f(j) is within u*(|T_j| + (2+u)*|S_j|*|w|) + 2**-1074 of T_j - S_j*w
+      (one rounding per operation, plus the product's underflow), and the
+      step (T_{j+1} - T_j) - (S_{j+1} - S_j)*w, linear in w and so
+      smallest at wlo or whi, is computed within 3u*(|T_j| + |T_{j+1}| +
+      (|S_j| + |S_{j+1}|)*|w|) + 2**-1074. A computed step above
+      8u*(|T_j| + |T_{j+1}| + 2*(|S_j| + |S_{j+1}|)*W) + 2**-1072, with
+      W = max(|wlo|, |whi|), covers both errors, so f(j+1) > f(j).
+
+    Returns, per row, the half-open runs (a, b) between uncertified steps.
+    A NaN bound certifies nothing, so every index is then its own run.
+    """
+    W = max(abs(wlo), abs(whi))
+    dT = np.diff(top2, axis=1)
+    dS = np.diff(slope2, axis=1)
+    need = (8.0 * _U * (np.abs(top2[:, :-1]) + np.abs(top2[:, 1:])
+                        + 2.0 * W * (np.abs(slope2[:, :-1]) + np.abs(slope2[:, 1:])))
+            + 4.0 * _TINY)
+    ok = np.diff(slope1, axis=1) >= 0.0
+    ok &= dT - dS * wlo > need
+    ok &= dT - dS * whi > need
+    n = slope1.shape[1]
+    runs = []
+    for row in ok:
+        cuts = [0, *(np.flatnonzero(~row) + 1).tolist(), n]
+        runs.append(list(zip(cuts, cuts[1:])))
+    return runs
+
+
+def _user1_ends(load1, worst1, t1, s1, a, b, x):
+    """Per cell, the first j in [a, b) where load1 < t1 - s1[j]*worst1
+    fails, or b if it never does.
+
+    s1[a:b] is non-decreasing and worst1 >= 0, so the test holds on a
+    prefix of the run. searchsorted over x = (t1 - load1)/worst1 guesses
+    its end; the test itself then moves each guess until it holds at k-1
+    and fails at k, so k is exact whatever the rounding of x.
+    """
+    k = a + np.searchsorted(s1[a:b], x)
+    while True:
+        down = (k > a) & ~(load1 < t1 - s1[np.maximum(k - 1, a)] * worst1)
+        if not down.any():
+            break
+        k -= down
+    while True:
+        up = (k < b) & (load1 < t1 - s1[np.minimum(k, b - 1)] * worst1)
+        if not up.any():
+            break
+        k += up
+    return k
+
 
 def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
                    theta1, theta2, alpha, m_grid: int, R1, R2) -> np.ndarray:
@@ -106,8 +172,17 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
 
     Only undecided cells are tested: a cell leaves once it is a member, or
     once g1 exceeds its power cap (the grid rises, so no later row admits
-    it). Every test is the same elementwise expression on the same values,
-    so the mask is exactly that of testing all cells at every power pair.
+    it). Within a g1 row each test has a fixed direction in g2: user 1's
+    right-hand side theta1*phi1 - (phi1 - psi1)*worst1 falls (phi1 is fixed
+    and psi1 falls), user 2's cap g2 <= cap2 holds on a prefix, and user
+    2's right-hand side (theta2 - worst2)*phi2 + worst2*psi2 rises
+    (worst2 <= theta2). On a run of g2 indices where _g2_runs certifies
+    that this holds in floats, user 1 decodes exactly for j < k1 and the
+    cap holds for j < kc, so a cell is hit iff K = min(k1, kc) is past the
+    run's start and user 2 decodes at K-1. k1 comes from searchsorted and
+    is then corrected with the test itself; kc from searchsorted over g2.
+    Every test is the same elementwise expression on the same values, so
+    the mask is exactly that of testing all cells at every power pair.
     Cells are independent, so they are tested _BLOCK at a time, which
     bounds the working memory by the block size instead of the grid.
     """
@@ -122,45 +197,51 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     g2s = gamma_grid(u2, N2, m_grid)
     # the right-hand sides theta*phi - (phi - psi)*worst at each power
     # pair take these scalars; they do not depend on the cells
-    table = []
-    for g1 in g1s:
-        row = []
-        for g2 in g2s:
-            rp1 = rate_pair(g1, g2, u2.a)
-            rp2 = rate_pair(g2, g1, u1.a)
-            row.append((g2, theta1 * rp1.phi, rp1.phi - rp1.psi,
-                        theta2 * rp2.phi, rp2.phi - rp2.psi))
-        table.append(row)
+    phi1, psi1, phi2, psi2 = np.array(
+        [[(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
+          for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
+                           for g2 in g2s)]
+         for g1 in g1s]).transpose(2, 0, 1)
+    top1 = theta1 * phi1[:, 0]  # phi1 = C(g1) is one float along a row
+    slope1 = phi1 - psi1
+    top2 = theta2 * phi2
+    slope2 = phi2 - psi2
     members = np.zeros(R1.size, dtype=bool)
     for start in range(0, cells.size, _BLOCK):
         idx = cells[start:start + _BLOCK]
         r1, r2 = R1f[idx], R2f[idx]
-        cov1, cov2 = covered_lengths(theta1 * r1 / u1.lam, theta1, 0.0, N1,
-                                     theta2 * r2 / u2.lam, theta2, alpha, N2)
-        # operands of the undecided cells, one contiguous row each
-        cols = np.stack((theta1 * r1, cov1.max(axis=-1),
-                         (1.0 / N1 + r1 / u1.lam) * u1.P,
-                         theta2 * r2, cov2.max(axis=-1),
-                         (1.0 / N2 + r2 / u2.lam) * u2.P))
+        # operands of the undecided cells, one contiguous row each; the
+        # covered lengths of each codeword are freed once reduced
+        cols = np.stack((*(cov.max(axis=-1) for cov in covered_lengths(
+                             theta1 * r1 / u1.lam, theta1, 0.0, N1,
+                             theta2 * r2 / u2.lam, theta2, alpha, N2)),
+                         theta1 * r1, (1.0 / N1 + r1 / u1.lam) * u1.P,
+                         theta2 * r2))
+        # user 2's cap g2 <= cap2 holds for the g2 indices j < kc
+        kc = np.searchsorted(g2s, (1.0 / N2 + r2 / u2.lam) * u2.P, side="right")
+        runs = _g2_runs(slope1, top2, slope2, cols[1].min(), cols[1].max())
         hit = np.zeros(idx.size, dtype=bool)
-        for g1, row in zip(g1s, table):
-            keep = ~hit & (g1 <= cols[2])
+        for i, g1 in enumerate(g1s):
+            keep = ~hit & (g1 <= cols[3])
             if not keep.all():
-                idx, cols = idx[keep], cols.compress(keep, axis=1)
+                idx, cols, kc = idx[keep], cols.compress(keep, axis=1), kc[keep]
             if idx.size == 0:
                 break
-            load1, worst1, cap1, load2, worst2, cap2 = cols
+            worst1, worst2, load1, _, load2 = cols
+            t1, s1, t2, s2 = top1[i], slope1[i], top2[i], slope2[i]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = (t1 - load1) / worst1
             hit = np.zeros(idx.size, dtype=bool)
-            for g2, top1, slope1, top2, slope2 in row:
-                ok = g2 <= cap2
-                ok &= load1 < top1 - slope1 * worst1
-                ok &= load2 < top2 - slope2 * worst2
-                hit |= ok
+            for a, b in runs[i]:
+                k = _user1_ends(load1, worst1, t1, s1, a, b, x)
+                K = np.minimum(k, kc)
+                j = np.maximum(K - 1, a)
+                hit |= (K > a) & (load2 < t2[j] - s2[j] * worst2)
             members[idx[hit]] = True
     return members.reshape(R1.shape)
 
 
-#: Largest grid region() builds. A CSV run at the cap peaks at about 98 MB
+#: Largest grid region() builds. A CSV run at the cap peaks at about 96 MB
 #: of resident memory. region_members tests one block of cells at a time,
 #: so the cost per cell is the grid arrays and the output, not the test.
 MAX_CELLS = 2 ** 21

@@ -437,6 +437,85 @@ def test_generator_draws_split_exactly():
         assert np.array_equal(parts, whole)
 
 
+@pytest.mark.parametrize("block", [None, 5, 64])
+def test_arrivals_from_matches_one_whole_draw(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(arrivals, "_DRAW_BLOCK", block)
+    rng = np.random.default_rng(31)
+    for horizon in (0, 1, 4, 5, 6, 64, 65, 333, 70_000):
+        seed = int(rng.integers(2 ** 32))
+        q = float(rng.uniform(0.05, 0.95))
+        want = np.random.default_rng(seed).random(horizon) < q
+        got_rng = np.random.default_rng(seed)
+        got = _arrivals_from(got_rng, q, horizon)
+        assert got.dtype == np.bool_ and np.array_equal(got, want), horizon
+        # the generator is left where one whole draw leaves it
+        ref = np.random.default_rng(seed)
+        ref.random(horizon)
+        assert got_rng.random() == ref.random()
+
+
+def test_arrivals_from_holds_one_byte_a_slot():
+    # beyond the indicators, a draw holds one block of uniforms
+    rng = np.random.default_rng(2)
+    n = 2 ** 21
+    tracemalloc.start()
+    try:
+        _arrivals_from(rng, 0.3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n + 8 * arrivals._DRAW_BLOCK + 2 ** 16, peak
+
+
+def _first_resonance(mu, theta, N, tol=1e-9):
+    """The scalar check, one m at a time: the first resonant m, or None."""
+    for m in range(1, N + 1):
+        ratio = mu * m / theta
+        if abs(ratio - round(ratio)) <= tol:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_resonance_check_matches_scalar_loop(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(arrivals, "_RESONANCE_BLOCK", block)
+    rng = np.random.default_rng(77)
+    cases = [(1e-7, 1.2345678e-6, 200_000), (0.5, 1.0, 1)]
+    for _ in range(150):
+        N = int(rng.integers(1, 400))
+        mu = 1.0 / (N * rng.uniform(0.05, 1.0))
+        m0, j = int(rng.integers(1, N + 1)), int(rng.integers(1, 60))
+        cases.append((mu, float(rng.uniform(0.01, 5.0)), N))
+        cases.append((mu, mu * m0 / j, N))  # resonant at m0 or before
+        # ratios a hair inside and outside the tolerance at m0
+        for d in (0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9):
+            cases.append((mu, mu * m0 / (j + d), N))
+    outcomes = {"hit": 0, "miss": 0}
+    for mu, theta, N in cases:
+        want = _first_resonance(mu, theta, N)
+        if want is None:
+            arrivals._check_resonance(mu, theta, N)
+            outcomes["miss"] += 1
+            continue
+        with pytest.raises(ResonanceError) as err:
+            arrivals._check_resonance(mu, theta, N)
+        assert str(err.value) == (f"mu={mu} is an integer multiple of "
+                                  f"theta/{want}={theta / want}")
+        outcomes["hit"] += 1
+    assert min(outcomes.values()) > 100
+
+
+def test_resonance_check_treats_overflow_as_not_resonant():
+    # mu*m/theta overflows to inf; the scalar loop's round(inf) raised
+    # OverflowError here
+    arrivals._check_resonance(1.0, 5e-324, 3)
+    with pytest.raises(ValueError, match="under one slot"):
+        delay_gap_experiment(UserParams(k=2, q=0.3, P=1.0, a=0.0), 300, N=2,
+                             theta=1e-320, delta=0.5, trials=2, seed=0)
+
+
 def test_schedulers_are_causal_on_prefixes():
     # every prefix of a trace either runs out or gives the full-trace
     # schedule, which is what lets a trial draw its trace lazily

@@ -242,6 +242,28 @@ def test_region_diagonal_matches_symmetric_solver(tmp_path):
             assert member == 0, f"spurious diagonal point {x}"
 
 
+# SHA-256 of the grid scenario's datasets for one asymmetric config on the
+# benchmark's power grid (m_grid 40). A change that deliberately alters
+# region membership or its emission must update these digests and say so
+# in CHANGES.md.
+REGION_CFG = dict(GRID_CFG, user1=U1, user2=U2, N2=3, theta2=1.2, alpha=0.7,
+                  m_grid=40, resolution=0.1)
+REGION_SHA256 = {
+    "region_points.csv": "f11a5467942ee4c8b3932e620f18e8c7"
+                         "1f31e088c9864ce737e92a62954672f0",
+    "region_meta.json": "b5244eff695ed1eea056daa03075ca28"
+                        "18259105bc99ec127c1ba711f9dd45c8",
+}
+
+
+def test_region_datasets_are_byte_identical(tmp_path):
+    res = run_cli("region", REGION_CFG, tmp_path)
+    assert res.returncode == 0, res.stderr
+    for name, digest in REGION_SHA256.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_region_m_grid_refinement_grows_mask(tmp_path):
     coarse = run_cli("region", dict(GRID_CFG, m_grid=3, resolution=0.25),
                      tmp_path, out="coarse")
@@ -516,6 +538,8 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # N > n leaves under k bits a codeword; refused before the resonance
     # check loops over m = 1..N
     ("buffers", dict(BUFFERS_CFG, n_values=[300], N=10**9), "too small"),
+    # mu*m/theta overflows for every m; no resonance, and no slot either
+    ("buffers", dict(BUFFERS_CFG, theta=1e-320), "under one slot"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read

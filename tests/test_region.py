@@ -1,5 +1,6 @@
-import math
 import itertools
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -517,6 +518,184 @@ def test_region_members_full_grid_oracle_across_blocks():
     assert len(shares) == 4 and cells.size % _BLOCK
     assert shares[0] == 0.0 and shares[-1] == 1.0
     assert 0.0 < min(shares[1:3]) and max(shares[1:3]) < 1.0
+
+
+def test_region_members_matches_full_grid_oracle_at_benchmark_m_grid():
+    # m_grid = 40 is the benchmark's power grid: 39 g2 indices a row, so
+    # the per-row windows have room to be off by more than one index
+    rng = np.random.default_rng(4040)
+    seen = {"in": 0, "out": 0}
+    for trial in range(10):
+        u1, u2 = _random_user(rng), _random_user(rng)
+        N1, N2 = (int(n) for n in rng.integers(1, 4, 2))
+        th1, th2 = (float(t) for t in rng.uniform(0.3, 1.5, 2))
+        alpha = float(rng.choice([0.0, 0.25, 0.9, 1.7, 4.0]))
+        args = (u1, u2, N1, N2, th1, th2, alpha, 40)
+        R1, R2 = _rates(rng, u1, N1, (400,)), _rates(rng, u2, N2, (400,))
+        got = region_members(*args, R1, R2)
+        want = _members_full_grid(*args, R1, R2)
+        assert np.array_equal(got, want), args
+        seen["in"] += int(want.sum())
+        seen["out"] += int(want.size - want.sum())
+    assert min(seen.values()) > 200
+
+
+def _spy_g2_runs(monkeypatch):
+    """Record how many uncertified g2 steps each call of _g2_runs finds."""
+    mod = sys.modules["burstgic.region"]
+    cuts = []
+
+    def spy(*args):
+        runs = real(*args)
+        cuts.append(sum(len(row) - 1 for row in runs))
+        return runs
+
+    real = mod._g2_runs
+    monkeypatch.setattr(mod, "_g2_runs", spy)
+    return cuts
+
+
+@pytest.mark.parametrize("a1", [1e12, 1e15, 1e300])
+def test_region_members_uncertified_steps_match_full_grid_oracle(monkeypatch,
+                                                                 a1):
+    # a huge cross gain at user 2's receiver flattens psi2 to a few ulps,
+    # and theta1 > theta2 lets a user-1 burst cover a whole user-2
+    # codeword, so user 2's right-hand side rises by less than the
+    # rounding bound: those steps get no certificate and every index
+    # beside them is tested on its own
+    u1 = UserParams(k=2, q=0.3, P=100.0, a=a1)
+    rng = np.random.default_rng(12)
+    R1, R2 = _rates(rng, u1, 2, (3000,)), _rates(rng, U, 2, (3000,))
+    args = (u1, U, 2, 2, 1.5, 0.8, 0.5, 40, R1, R2)
+    cuts = _spy_g2_runs(monkeypatch)
+    got = region_members(*args)
+    assert cuts and min(cuts) > 0
+    want = _members_full_grid(*args)
+    assert 100 < want.sum() < want.size - 100
+    assert np.array_equal(got, want)
+
+
+def _missed_at_window_end(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
+                          R1, R2):
+    """Cells that some g1 row admits, though in every row user 2 fails at
+    the largest g2 where user 1 decodes within both caps: testing user 2
+    only at the end of that window would leave them out."""
+    cov1, cov2 = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
+                                 theta2 * R2 / u2.lam, theta2, alpha, N2)
+    worst1, worst2 = cov1.max(axis=-1), cov2.max(axis=-1)
+    cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P
+    cap2 = (1.0 / N2 + R2 / u2.lam) * u2.P
+    hit = np.zeros(R1.shape, dtype=bool)
+    end_hit = np.zeros(R1.shape, dtype=bool)
+    for g1 in gamma_grid(u1, N1, m_grid):
+        end_ok = np.zeros(R1.shape, dtype=bool)
+        for g2 in gamma_grid(u2, N2, m_grid):
+            rp1 = rate_pair(g1, g2, u2.a)
+            rp2 = rate_pair(g2, g1, u1.a)
+            ok1 = (g1 <= cap1) & (g2 <= cap2)
+            ok1 &= theta1 * R1 < theta1 * rp1.phi - (rp1.phi - rp1.psi) * worst1
+            ok2 = theta2 * R2 < theta2 * rp2.phi - (rp2.phi - rp2.psi) * worst2
+            hit |= ok1 & ok2
+            end_ok = np.where(ok1, ok2, end_ok)
+        end_hit |= end_ok
+    return hit & ~end_hit
+
+
+def test_region_members_fallback_decides_tiny_rate_cells(monkeypatch):
+    # at these rates user 2's right-hand side is a few ulps, so rounding
+    # makes it fall along g2 in places; some members decode only below
+    # the end of their row's window, and only the uncertified-step path
+    # tests them there
+    u1 = UserParams(k=2, q=0.3, P=100.0, a=1e15)
+    u2 = UserParams(k=1, q=0.5, P=10.0, a=0.5)
+    X, Y = np.meshgrid(np.linspace(1e-6, u1.lam, 60),
+                       np.linspace(1e-18, 1e-15, 60), indexing="ij")
+    args = (u1, u2, 1, 1, 1.5, 0.8, 0.5, 40, X, Y)
+    cuts = _spy_g2_runs(monkeypatch)
+    got = region_members(*args)
+    assert cuts and min(cuts) > 0
+    want = _members_full_grid(*args)
+    assert np.array_equal(got, want)
+    missed = _missed_at_window_end(*args)
+    assert missed.sum() >= 20 and not missed[~want].any()
+
+
+@pytest.mark.parametrize("m_grid", [2, 5, 40])
+def test_region_members_matches_full_grid_oracle_at_user1_ties(m_grid):
+    # far apart, no codeword is interfered (worst1 = 0), so user 1's test
+    # is load1 < theta1*phi1 on the whole row and the searchsorted guess
+    # (theta1*phi1 - load1)/worst1 is +inf, -inf or, at a tie, NaN; the
+    # rates sit on each row's phi1 and one float either side of it
+    g1s = gamma_grid(U, 2, m_grid)
+    phi = np.array([capacity_c(g) for g in g1s])
+    R1 = np.concatenate((phi, np.nextafter(phi, 0.0), np.nextafter(phi, 9.0)))
+    R1 = R1[R1 > U.lam]
+    X, Y = np.meshgrid(R1, np.linspace(U.lam, rbar_c(U, 2), 25)[1:-1],
+                       indexing="ij")
+    args = (U, U, 2, 2, 1.0, 1.0, 20.0, m_grid, X, Y)
+    got = region_members(*args)
+    want = _members_full_grid(*args)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
+def test_region_members_benchmark_table_is_certified(monkeypatch):
+    # the benchmark's grid scenario needs no fallback anywhere
+    cuts = _spy_g2_runs(monkeypatch)
+    rng = np.random.default_rng(9)
+    R1, R2 = rng.uniform(0.0, 1.1 * rbar_c(U, 2), (2, 2000))
+    region_members(U, U, 2, 2, 1.0, 1.0, 0.5, 40, R1, R2)
+    assert cuts == [0]
+
+
+def test_user1_ends_are_exact_from_any_guess():
+    # the searchsorted guess only saves steps: from any starting index the
+    # test itself moves each cell to the first failing g2 index of the run
+    mod = sys.modules["burstgic.region"]
+    rng = np.random.default_rng(21)
+    s1 = np.sort(np.round(rng.uniform(0.0, 2.0, 12), 1))  # with repeats
+    t1 = 1.3
+    worst1 = rng.choice([0.0, 0.5, 1.0, 2.5], 500)
+    load1 = np.round(rng.uniform(-1.0, 2.0, 500), 2)
+    holds = load1[:, None] < t1 - s1[None, :] * worst1[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = (t1 - load1) / worst1
+    guesses = {"exact": exact, "zero": np.zeros(500), "inf": np.full(500, np.inf),
+               "-inf": np.full(500, -np.inf), "nan": np.full(500, np.nan),
+               "random": rng.uniform(-5.0, 5.0, 500)}
+    for a, b in ((0, 12), (3, 9), (5, 6)):
+        want = a + np.argmin(np.column_stack((holds[:, a:b], np.zeros(500, bool))),
+                             axis=1)
+        for name, x in guesses.items():
+            got = mod._user1_ends(load1, worst1, t1, s1, a, b, x)
+            assert np.array_equal(got, want), (a, b, name)
+
+
+def test_g2_runs_cut_at_every_uncertified_step():
+    mod = sys.modules["burstgic.region"]
+    flat = np.zeros((2, 5))
+    rising = np.tile(np.arange(5.0), (2, 1))
+    # certified rows are one run
+    assert mod._g2_runs(flat, rising, flat, 0.0, 1.0) == [[(0, 5)], [(0, 5)]]
+    # a falling slope1 cuts its row after the fall
+    s1 = flat.copy()
+    s1[1, 3] = -1.0
+    assert mod._g2_runs(s1, rising, flat, 0.0, 1.0) == \
+        [[(0, 5)], [(0, 3), (3, 5)]]
+    # user 2's right-hand side T - S*w must rise at both ends of [wlo, whi]
+    s2 = flat.copy()
+    s2[0, 2] = 2.0  # T - S*w falls from j = 1 to 2 once w > 0.5
+    assert mod._g2_runs(flat, rising, s2, 0.0, 0.4) == [[(0, 5)], [(0, 5)]]
+    assert mod._g2_runs(flat, rising, s2, 0.0, 1.0) == \
+        [[(0, 2), (2, 5)], [(0, 5)]]
+    assert mod._g2_runs(flat, rising, -s2, -1.0, 0.0) == \
+        [[(0, 2), (2, 5)], [(0, 5)]]
+    # a step within the rounding bound is not certified
+    t2 = np.tile(np.array([1.0, 1.0 + 2e-16, 2.0, 3.0, 4.0]), (2, 1))
+    assert mod._g2_runs(flat, t2, flat, 0.0, 1.0) == [[(0, 1), (1, 5)]] * 2
+    # a NaN bound certifies nothing
+    assert mod._g2_runs(flat, rising, flat, 0.0, math.nan) == \
+        [[(j, j + 1) for j in range(5)]] * 2
 
 
 def test_region_members_memory_does_not_grow_with_cells():
