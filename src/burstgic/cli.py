@@ -12,7 +12,13 @@ config number must be a JSON number: a string or a boolean is an error.
 
 Exit codes: 0 success, 2 config error, 3 infeasible scenario; any other
 fault exits 1 with a traceback.
+
+Each command imports the library modules it runs when it runs, so
+`import burstgic.cli` loads no other burstgic module, and `design` and
+`region` never load numpy's random number code.
 """
+
+from __future__ import annotations
 
 import argparse
 import csv
@@ -21,23 +27,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from burstgic.arrivals import ResonanceError, buffer_experiment
-from burstgic.design import (
-    InfeasibleDesignError,
-    active_set,
-    admissible_alpha,
-    d_max,
-    inadmissible_alpha,
-    optimize_N,
-    outage_curve,
-    please1_holds,
-)
-from burstgic.detection import DetectionConfig, detection_experiment
-from burstgic.model import UserParams
-from burstgic.region import region, sym_curves, sym_region
+if TYPE_CHECKING:
+    from burstgic.model import UserParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +48,11 @@ SCENARIOS = {
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration (exit code 2)."""
+
+
+class InfeasibleError(Exception):
+    """The scenario has no solution (exit code 3). Each command raises it
+    from its own library's infeasibility error."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,7 @@ def _power(params: dict, key: str, default=None) -> float:
 
 
 def _user(params: dict, key: str) -> UserParams:
+    from burstgic.model import UserParams
     spec = params.get(key)
     if not isinstance(spec, dict):
         raise ConfigError(f"missing user block {key!r}")
@@ -245,6 +246,7 @@ def _finite(x: float):
 # commands
 
 def cmd_buffers(rc: RunConfig) -> list:
+    from burstgic.arrivals import ResonanceError, buffer_experiment
     p = rc.params
     u = _user(p, "user")
     n_values = [_integer(n, "n_values") for n in _list(p, "n_values")]
@@ -257,8 +259,11 @@ def cmd_buffers(rc: RunConfig) -> list:
     gap_rows = []
     imm_rows = []
     for n in n_values:
-        freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta, trials,
-                                       rc.seed)
+        try:
+            freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta,
+                                           trials, rc.seed)
+        except ResonanceError as e:
+            raise InfeasibleError(e) from e
         for j, f in enumerate(freqs, start=1):
             gap_rows.append({"n": n, "j": j, "lag_freq": float(f),
                              "trials": trials})
@@ -275,14 +280,24 @@ def cmd_buffers(rc: RunConfig) -> list:
 
 
 def cmd_design(rc: RunConfig) -> list:
+    from burstgic.design import InfeasibleDesignError
+    try:
+        return _design(rc)
+    except InfeasibleDesignError as e:
+        raise InfeasibleError(e) from e
+
+
+def _design(rc: RunConfig) -> list:
+    from burstgic.design import (active_set, admissible_alpha, d_max,
+                                 inadmissible_alpha, optimize_N,
+                                 outage_curve, please1_holds)
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
     R1, R2 = _rate(p, "R1", u1), _rate(p, "R2", u2)
     ds = _d_values(p)
     act = sorted(active_set(u1, u2, R1, R2))
     if not act:
-        raise InfeasibleDesignError(
-            f"active set is empty at R1={R1}, R2={R2}")
+        raise InfeasibleError(f"active set is empty at R1={R1}, R2={R2}")
     reliable = not please1_holds(u1, u2, R1, R2)
     if reliable:
         print("ALWAYS_RELIABLE: an active pair keeps both loads below the "
@@ -325,6 +340,7 @@ def cmd_region(rc: RunConfig) -> list:
 
 
 def _region_grid(rc: RunConfig) -> list:
+    from burstgic.region import region
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
     N1, N2 = _integer(_need(p, "N1"), "N1"), _integer(_need(p, "N2"), "N2")
@@ -382,6 +398,8 @@ def _emit_grid(reg, base: Path, fmt: str) -> Path:
 
 
 def _region_symmetric(rc: RunConfig) -> list:
+    from burstgic.model import UserParams
+    from burstgic.region import sym_curves, sym_region
     p = rc.params
     N = _integer(_need(p, "N"), "N")
     theta = _number(p, "theta")
@@ -426,6 +444,7 @@ def _region_symmetric(rc: RunConfig) -> list:
 
 
 def cmd_detect(rc: RunConfig) -> list:
+    from burstgic.detection import DetectionConfig, detection_experiment
     p = rc.params
     nprime_values = (_list(p, "nprime_values")
                      if p.get("nprime_values") is not None else None)
@@ -487,7 +506,7 @@ def main(argv=None) -> int:
         rc = _load_config(args.command, args)
         rc.out.mkdir(parents=True, exist_ok=True)
         files = COMMANDS[args.command](rc)
-    except (ResonanceError, InfeasibleDesignError) as e:
+    except InfeasibleError as e:
         print(f"infeasible scenario: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, ValueError, OSError) as e:

@@ -10,8 +10,9 @@ schedule carried on the trace.
 All log-density statistics and differential entropies are in bits.
 """
 
+from __future__ import annotations
+
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,22 @@ M_CAP = 1 << 16
 #: trial at the cap peaks near 200 MB.
 MAX_TRACE = 1 << 21
 
-#: Largest receive power per sample, 1 + gamma_own + a * gamma_other, at
-#: either receiver. A received sample sums three Gaussian terms, so by
-#: Cauchy-Schwarz |y|^2 <= 3 * z^2 * power, z its largest term in standard
-#: deviations (z > 64 has probability below 1e-800). Decoding multiplies a
-#: symbol power by a segment energy of up to MAX_TRACE samples, so every
-#: statistic stays finite while 3 * 64**2 * MAX_TRACE * power**2 does.
-MAX_POWER = math.sqrt(sys.float_info.max / (3 * 64 ** 2 * MAX_TRACE))
+#: Largest receive power P per sample, 1 + gamma_own + a * gamma_other, at
+#: either receiver; past it rounding, not noise, decides the tests.
+#: deviations_from_sums expands the residual energy ||y - coef*x||^2 as
+#: sum_y - 2*coef*cross + coef**2*sum_x: each term is about m*P over a
+#: window of m slots, while the sent word's residual is about m noise
+#: units. With unit roundoff u = 2**-53, each of sum_y, coef*cross and
+#: coef**2*sum_x is off by at most about m*u*T*P on a trace of T slots:
+#: the scan's window energies are differences of one cumulative sum whose
+#: partial sums reach T*P, and a dot product's partial sums stay below
+#: m*P <= T*P. So the residual is off by at most 4*m*u*T*P. The joint
+#: deviation divides it by 2*m*var_res >= 2*m and scales it by log2(e), so
+#: rounding moves it by at most 2*log2(e)*u*T*P bits. Its sampling
+#: standard deviation is at least log2(e)/sqrt(2*m) >= log2(e)/sqrt(2*T).
+#: Keeping rounding below that at T = MAX_TRACE gives
+#: P <= 1/(2*u*T*sqrt(2*T)) = 2**20 (60.2 dB).
+MAX_POWER = 2.0 ** 20
 
 DECODE_NONE = "NONE"
 DECODE_AMBIGUOUS = "AMBIGUOUS"

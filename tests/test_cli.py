@@ -386,6 +386,23 @@ def test_detect_rejects_oversized_codebook(tmp_path):
     assert "M" in res.stderr
 
 
+# SHA-256 of detect.csv for DETECT_CFG. A change that deliberately alters
+# the random streams or the detection chain must update these digests and
+# say so in CHANGES.md.
+DETECT_SHA256 = {
+    1: "9a64ab6849222231628490c6d508929f0026fbeffe319dc9baf66ece78c99e4e",
+    2: "ea338027076df4ad3b3763725f5bd19ac2b1cbecc24fb335ac6450d9d1bc478a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DETECT_SHA256))
+def test_detect_datasets_are_byte_identical(tmp_path, seed):
+    res = run_cli("detect", DETECT_CFG, tmp_path, seed=seed)
+    assert res.returncode == 0, res.stderr
+    data = (tmp_path / "out" / "detect.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DETECT_SHA256[seed]
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -540,6 +557,9 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     ("buffers", dict(BUFFERS_CFG, n_values=[300], N=10**9), "too small"),
     # mu*m/theta overflows for every m; no resonance, and no slot either
     ("buffers", dict(BUFFERS_CFG, theta=1e-320), "under one slot"),
+    # at 180 dB rounding, not noise, decides every typicality test
+    ("detect", dict(DETECT_CFG, n_values=[1000], M=64, trials=20,
+                    gamma1_db=180, gamma2_db=180), "MAX_POWER"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read
@@ -600,6 +620,38 @@ def test_cli_import_loads_no_scipy():
                          text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _loaded_after(code):
+    """The burstgic modules and numpy.random that a fresh interpreter has
+    loaded after running code."""
+    code += ("\nimport json, sys\nprint(json.dumps([m for m in sys.modules "
+             "if m.split('.')[0] == 'burstgic' or m == 'numpy.random']))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_library_module():
+    assert _loaded_after("import burstgic.cli") == {"burstgic", "burstgic.cli"}
+
+
+def test_design_and_region_load_no_rng(tmp_path):
+    runs = []
+    for command, cfg in (
+            ("design", dict(DESIGN_CFG, R1_over_lambda=0.7,
+                            R2_over_lambda=0.7)),
+            ("region", dict(GRID_CFG, m_grid=3, resolution=0.25))):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append([command, "--config", str(path),
+                     "--out", str(tmp_path / command)])
+    loaded = _loaded_after(f"from burstgic.cli import main\n"
+                           f"assert [main(a) for a in {runs!r}] == [0, 0]")
+    assert "burstgic.region" in loaded
+    assert not loaded & {"numpy.random", "burstgic.detection",
+                         "burstgic.arrivals"}
 
 
 def test_json_format_emits_json(tmp_path):

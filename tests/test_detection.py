@@ -663,6 +663,25 @@ def test_experiment_config_budgets():
             DetectionConfig(**{**good, **edit})
 
 
+def test_recovery_at_power_cap_matches_20_db():
+    # at the largest admitted power rounding must not decide the tests:
+    # recovery may trail 20 dB's by no more than three standard deviations
+    # of the difference of two Binomial(traces, p) counts, at most
+    # 3*sqrt(2*traces/4). The runs share a seed, so they are positively
+    # correlated and the margin is conservative. At 180 dB, which the cap
+    # rejects, this config recovers 0 of 40 traces.
+    def recovered(gamma):
+        cfg = DetectionConfig(n_values=(1000,), gamma1=gamma, gamma2=gamma,
+                              a1=0.1, a2=0.1, eps=0.48, M=64)
+        return detection_experiment(cfg, trials=20, seed=1)[0]
+
+    cap = (MAX_POWER - 1.0) / 1.1  # receive power 1 + 1.1*gamma
+    base, top = recovered(GAMMA), recovered(cap)
+    margin = 3.0 * math.sqrt(2 * base.traces / 4)
+    assert top.recovered_traces >= base.recovered_traces - margin
+    assert base.recovered_traces >= 0.8 * base.traces
+
+
 def test_trial_traces_fit_the_trace_bound(monkeypatch):
     # MAX_TRACE is checked against 2n + 9nprime, so no trial may build a
     # longer trace, whatever its random offsets

@@ -8,6 +8,8 @@ beside the one test module that uses it.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import burstgic
@@ -24,6 +26,29 @@ def test_all_names_resolve():
         missing += [f"{sub}.{name}" for name in getattr(mod, "__all__", ())
                     if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_public_names_load_on_first_use():
+    # a submodule import binds the submodule on the package; it must not
+    # hide the public function of the same name
+    code = ("import burstgic.region\n"
+            "from burstgic import region\n"
+            "import burstgic, inspect\n"
+            "assert inspect.isfunction(region), region\n"
+            "assert burstgic.region is region\n"
+            "assert set(burstgic.__all__) <= set(dir(burstgic))\n"
+            "assert all(hasattr(burstgic, name) for name in burstgic.__all__)\n"
+            + _quick_start())
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def _quick_start() -> str:
+    """The Python block of the README's library quick start."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def _reads(node) -> set:
