@@ -288,8 +288,9 @@ def cmd_design(rc: RunConfig) -> list:
 
 
 def _design(rc: RunConfig) -> list:
-    from burstgic.design import (active_set, admissible_alpha, d_max,
-                                 inadmissible_alpha, optimize_N,
+    from burstgic.design import (MAX_ACTIVE_PAIRS, MAX_ACTIVE_WORK,
+                                 active_set, active_work, admissible_alpha,
+                                 d_max, inadmissible_alpha, optimize_N,
                                  outage_curve, please1_holds)
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
@@ -298,6 +299,14 @@ def _design(rc: RunConfig) -> list:
     act = sorted(active_set(u1, u2, R1, R2))
     if not act:
         raise InfeasibleError(f"active set is empty at R1={R1}, R2={R2}")
+    if len(act) > MAX_ACTIVE_PAIRS:
+        raise ConfigError(f"active set of {len(act)} pairs exceeds "
+                          f"MAX_ACTIVE_PAIRS = {MAX_ACTIVE_PAIRS}")
+    work = active_work(act)
+    if work > MAX_ACTIVE_WORK:
+        raise ConfigError(f"active set needs {work} units of "
+                          f"alpha analysis, beyond MAX_ACTIVE_WORK = "
+                          f"{MAX_ACTIVE_WORK}")
     reliable = not please1_holds(u1, u2, R1, R2)
     if reliable:
         print("ALWAYS_RELIABLE: an active pair keeps both loads below the "

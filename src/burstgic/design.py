@@ -137,6 +137,25 @@ def active_set(u1: UserParams, u2: UserParams, R1: float, R2: float) -> set:
     return {(a, b) for a in w1 for b in w2}
 
 
+#: Work budget of one design run over an active set. The alpha analysis of
+#: a pair prices N1 + N2 codewords on each of its ~2*N1*N2 breakpoint
+#: pieces, and costs about 1 us per unit of N1*N2*(N1 + N2) (measured on a
+#: 2-CPU x86 box: 0.015 s at (141, 1), 0.42 s at (500, 2), 2.0 s at
+#: (998, 2)). Its cache holds MAX_ACTIVE_PAIRS pairs, so each pair is
+#: analysed once however many spreads optimize_N visits; a larger active
+#: set would redo every analysis at every spread. MAX_ACTIVE_WORK units
+#: summed over the active set are about 10 s of analysis. The README
+#: design users at R1 = 0.999*lam, R2 = 0.7*lam have 1716 pairs and about
+#: 1e9 units, some 15 minutes a pass.
+MAX_ACTIVE_PAIRS = 256
+MAX_ACTIVE_WORK = 10 ** 7
+
+
+def active_work(act) -> int:
+    """Alpha-analysis work units N1*N2*(N1 + N2) summed over pairs."""
+    return sum(N1 * N2 * (N1 + N2) for N1, N2 in act)
+
+
 def _schemes_and_rates(u1, u2, N1, N2, R1, R2):
     s1 = derive_scheme_v(u1, N1, R1)
     s2 = derive_scheme_v(u2, N2, R2)
@@ -181,7 +200,7 @@ def _probes(lo, hi):
     return lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MAX_ACTIVE_PAIRS)
 def _alpha_analysis(u1, u2, N1, N2, R1, R2):
     """Admissible and inadmissible alpha intervals for one (N1, N2).
 

@@ -183,16 +183,25 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     is then corrected with the test itself; kc from searchsorted over g2.
     Every test is the same elementwise expression on the same values, so
     the mask is exactly that of testing all cells at every power pair.
-    Cells are independent, so they are tested _BLOCK at a time, which
-    bounds the working memory by the block size instead of the grid.
+
+    R1 and R2 broadcast against each other: point arrays of one shape, or
+    a grid's axes such as xs[:, None] and ys[None, :]. Cells are
+    independent, so they are tested _BLOCK raw cells at a time, each block
+    keeping its base cells (above lam, or above 0 for a user with N = 1).
+    The mask is the only array the size of the grid; the working memory is
+    bounded by the block.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
-    if R1.shape != R2.shape:
-        raise ValueError("R1 and R2 must have matching shapes")
-    base = (R1 > (u1.lam if N1 > 1 else 0.0)) & (R2 > (u2.lam if N2 > 1 else 0.0))
-    cells = np.flatnonzero(base)
-    R1f, R2f = R1.ravel(), R2.ravel()
+    try:
+        shape = np.broadcast_shapes(R1.shape, R2.shape)
+    except ValueError:
+        raise ValueError(f"R1 and R2 must broadcast together, got shapes "
+                         f"{R1.shape} and {R2.shape}") from None
+    grid = shape or (1,)  # a 0-d pair is one cell of a 1-d grid
+    R1, R2 = np.broadcast_to(R1, grid), np.broadcast_to(R2, grid)
+    lo1 = u1.lam if N1 > 1 else 0.0
+    lo2 = u2.lam if N2 > 1 else 0.0
     g1s = gamma_grid(u1, N1, m_grid)
     g2s = gamma_grid(u2, N2, m_grid)
     # the right-hand sides theta*phi - (phi - psi)*worst at each power
@@ -206,17 +215,27 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     slope1 = phi1 - psi1
     top2 = theta2 * phi2
     slope2 = phi2 - psi2
-    members = np.zeros(R1.size, dtype=bool)
-    for start in range(0, cells.size, _BLOCK):
-        idx = cells[start:start + _BLOCK]
-        r1, r2 = R1f[idx], R2f[idx]
+    members = np.zeros(math.prod(grid), dtype=bool)
+    for start in range(0, members.size, _BLOCK):
+        pos = np.unravel_index(
+            np.arange(start, min(start + _BLOCK, members.size)), grid)
+        r1, r2 = R1[pos], R2[pos]
+        idx = np.flatnonzero((r1 > lo1) & (r2 > lo2))
+        if idx.size == 0:
+            continue
+        r1, r2 = r1[idx], r2[idx]
+        idx += start
         # operands of the undecided cells, one contiguous row each; the
         # covered lengths of each codeword are freed once reduced
-        cols = np.stack((*(cov.max(axis=-1) for cov in covered_lengths(
-                             theta1 * r1 / u1.lam, theta1, 0.0, N1,
-                             theta2 * r2 / u2.lam, theta2, alpha, N2)),
-                         theta1 * r1, (1.0 / N1 + r1 / u1.lam) * u1.P,
-                         theta2 * r2))
+        cov1, cov2 = covered_lengths(theta1 * r1 / u1.lam, theta1, 0.0, N1,
+                                     theta2 * r2 / u2.lam, theta2, alpha, N2)
+        cols = np.empty((5, idx.size))
+        cov1.max(axis=-1, out=cols[0])
+        cov2.max(axis=-1, out=cols[1])
+        del cov1, cov2
+        cols[2] = theta1 * r1
+        cols[3] = (1.0 / N1 + r1 / u1.lam) * u1.P
+        cols[4] = theta2 * r2
         # user 2's cap g2 <= cap2 holds for the g2 indices j < kc
         kc = np.searchsorted(g2s, (1.0 / N2 + r2 / u2.lam) * u2.P, side="right")
         runs = _g2_runs(slope1, top2, slope2, cols[1].min(), cols[1].max())
@@ -238,12 +257,13 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
                 j = np.maximum(K - 1, a)
                 hit |= (K > a) & (load2 < t2[j] - s2[j] * worst2)
             members[idx[hit]] = True
-    return members.reshape(R1.shape)
+    return members.reshape(shape)
 
 
-#: Largest grid region() builds. A CSV run at the cap peaks at about 96 MB
-#: of resident memory. region_members tests one block of cells at a time,
-#: so the cost per cell is the grid arrays and the output, not the test.
+#: Largest grid region() builds. A CSV or JSON run at the cap peaks at
+#: about 40 MB of resident memory, some 12 MB above the CLI's imports.
+#: region_members reads the grid's axes and tests one block of cells at a
+#: time, so the one grid-sized array is the 1-byte mask.
 MAX_CELLS = 2 ** 21
 
 
@@ -273,8 +293,8 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
                          f"{MAX_CELLS} grid cells")
     xs = lo1 + (hi1 - lo1) / nx * (np.arange(nx) + 0.5)
     ys = lo2 + (hi2 - lo2) / ny * (np.arange(ny) + 0.5)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    mask = region_members(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, X, Y)
+    mask = region_members(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
+                          xs[:, None], ys[None, :])
     return Region2D(lo1, hi1, lo2, hi2, mask)
 
 

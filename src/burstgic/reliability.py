@@ -56,22 +56,34 @@ def covered_lengths(mu1, theta1, nu1, N1: int, mu2, theta2, nu2, N2: int):
     """Interfered length of every codeword of both users.
 
     Broadcasts over arrays of (mu, nu) and returns (cov1, cov2) whose
-    trailing axes run over codewords 1..N1 and 1..N2. Overlaps accumulate
-    interferer by interferer, as in rate_decomp, so each entry matches
-    rate_decomp's len_interf on the same layout bit for bit.
+    trailing axes run over codewords 1..N1 and 1..N2 (views of arrays laid
+    out codeword by codeword). Overlaps accumulate interferer by
+    interferer, as in rate_decomp, so each entry matches rate_decomp's
+    len_interf on the same layout bit for bit.
     """
-    mu1, nu1, mu2, nu2 = (np.asarray(x, dtype=float)[..., None]
+    mu1, nu1, mu2, nu2 = (np.asarray(x, dtype=float)
                           for x in (mu1, nu1, mu2, nu2))
-    lo1 = np.arange(1, N1 + 1) * mu1 + nu1
-    lo2 = np.arange(1, N2 + 1) * mu2 + nu2
+    lead = np.broadcast_shapes(mu1.shape, nu1.shape, mu2.shape, nu2.shape)
+    # codewords run along the first axis while computing, so every
+    # operation below streams over contiguous rows of cells
+    pad = (1,) * len(lead)
+    lo1 = np.arange(1, N1 + 1).reshape(-1, *pad) * mu1 + nu1
+    lo2 = np.arange(1, N2 + 1).reshape(-1, *pad) * mu2 + nu2
     hi1, hi2 = lo1 + theta1, lo2 + theta2
 
     def covered(a, a2, b, b2):
-        cov = 0.0
-        for m in range(b.shape[-1]):
-            over = np.minimum(a2, b2[..., m:m + 1]) - np.maximum(a, b[..., m:m + 1])
-            cov = cov + np.maximum(over, 0.0)
-        return cov
+        # cov = 0.0 + max(over, 0.0) per interferer, each step written into
+        # one of two scratch arrays; the sum starts from +0.0, so a -0.0
+        # overlap leaves +0.0 as in rate_decomp
+        cov = np.zeros(a.shape[:1] + lead)
+        over, left = np.empty_like(cov), np.empty_like(cov)
+        for m in range(b.shape[0]):
+            np.minimum(a2, b2[m], out=over)
+            np.maximum(a, b[m], out=left)
+            np.subtract(over, left, out=over)
+            np.maximum(over, 0.0, out=over)
+            np.add(cov, over, out=cov)
+        return np.moveaxis(cov, 0, -1)
 
     return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)
 

@@ -1,9 +1,10 @@
 """Oracles and helpers that only the tests use.
 
 Closed forms of the symmetric layout, the overlap triples rebuilt from a
-channel state, the degeneracy filter for burst offsets, and membership
-and intersection of interval unions (the Monte Carlo side of the outage
-checks). Names that a single test module needs live in that module.
+channel state, the degeneracy filter for burst offsets, membership and
+intersection of interval unions (the Monte Carlo side of the outage
+checks), and the former body of reliability.covered_lengths. Names that
+a single test module needs live in that module.
 
 Importable from any test module because pytest puts this directory on
 sys.path.
@@ -117,3 +118,24 @@ def intersect(iu: IntervalUnion, other: IntervalUnion) -> IntervalUnion:
             if lo < hi:
                 out.append((lo, hi))
     return IntervalUnion.from_intervals(out)
+
+
+def covered_lengths_loop(mu1, theta1, nu1, N1, mu2, theta2, nu2, N2):
+    """reliability.covered_lengths as it was first written: codewords on
+    the trailing axis, and one fresh array per operation. The kernel that
+    replaced it writes each step into scratch arrays and must agree with
+    this bit for bit, sign of zero included."""
+    mu1, nu1, mu2, nu2 = (np.asarray(x, dtype=float)[..., None]
+                          for x in (mu1, nu1, mu2, nu2))
+    lo1 = np.arange(1, N1 + 1) * mu1 + nu1
+    lo2 = np.arange(1, N2 + 1) * mu2 + nu2
+    hi1, hi2 = lo1 + theta1, lo2 + theta2
+
+    def covered(a, a2, b, b2):
+        cov = 0.0
+        for m in range(b.shape[-1]):
+            over = np.minimum(a2, b2[..., m:m + 1]) - np.maximum(a, b[..., m:m + 1])
+            cov = cov + np.maximum(over, 0.0)
+        return cov
+
+    return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)

@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,8 @@ SYM_CFG = {"scenario": "symmetric", "N": 2, "theta": 1.0, "lam": 0.6,
            "a": 0.5, "P_db": 20, "alpha": 0.5}
 
 
-def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=()):
+def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=(),
+            timeout=None):
     """Run the CLI on cfg; out=None passes no --out flag."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -48,7 +50,8 @@ def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=()):
             "--config", str(cfg_path), "--seed", str(seed), *extra]
     if out is not None:
         args += ["--out", str(tmp_path / out)]
-    return subprocess.run(args, capture_output=True, text=True)
+    return subprocess.run(args, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def read_rows(path):
@@ -661,3 +664,24 @@ def test_json_format_emits_json(tmp_path):
     rows = json.loads((tmp_path / "out" / "delay_gap.json").read_text())
     assert isinstance(rows, list) and rows
     assert set(rows[0]) == {"n", "j", "lag_freq", "trials"}
+
+
+@pytest.mark.parametrize("cfg, budget", [
+    # the README design users with user 1 at 0.999*lam: 1716 active pairs,
+    # N1 up to 998; this ran for over 57 CPU-minutes before the budget
+    (dict(DESIGN_CFG, R1_over_lambda=0.999, R2_over_lambda=0.7,
+          d_grid=[0.05, 3.0, 6]), "MAX_ACTIVE_PAIRS"),
+    # weak users at 0.98*lam: 225 pairs, but N up to 48 on both sides,
+    # about 3e7 units of alpha analysis
+    (dict(DESIGN_CFG, user1={"k": 2, "q": 0.3, "P_db": 2, "a": 0.5},
+          user2={"k": 2, "q": 0.3, "P_db": 2, "a": 0.5},
+          R1_over_lambda=0.98, R2_over_lambda=0.98, d_grid=[0.05, 3.0, 6]),
+     "MAX_ACTIVE_WORK"),
+])
+def test_design_work_budget_is_config_error(tmp_path, cfg, budget):
+    # without the budget the first config runs for hours: time it out
+    start = time.monotonic()
+    res = run_cli("design", cfg, tmp_path, timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert budget in res.stderr
+    assert time.monotonic() - start < 20.0

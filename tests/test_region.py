@@ -699,9 +699,9 @@ def test_g2_runs_cut_at_every_uncertified_step():
 
 
 def test_region_members_memory_does_not_grow_with_cells():
-    # beyond the mask and the base-cell index, region_members holds one
-    # block of cells at a time, so 3n more cells cost a few bytes each;
-    # covered_lengths on every cell at once costs about 150 bytes a cell
+    # beyond the mask, region_members holds one block of cells at a time,
+    # so 3n more cells cost a few bytes each; covered_lengths on every
+    # cell at once costs about 150 bytes a cell
     rng = np.random.default_rng(17)
     rb = rbar_c(U, 2)
     peaks = []
@@ -769,6 +769,112 @@ def test_region_rates_must_match_shape():
     with pytest.raises(ValueError):
         region_members(U, U, 2, 2, 1.0, 1.0, 0.5, 5,
                        np.ones(3), np.ones(4))
+
+
+# ------------------------------------------- axis inputs and point shapes
+#
+# region() passes region_members the grid's axes, xs[:, None] and
+# ys[None, :], in place of their mesh; the masks must agree bit for bit.
+
+def _axes_match_mesh(args, xs, ys):
+    """region_members on the axes of xs, ys and on their mesh, checked
+    equal; returns the mask and the mesh."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    got = region_members(*args, xs[:, None], ys[None, :])
+    want = region_members(*args, X, Y)
+    assert got.shape == want.shape == X.shape and got.dtype == np.bool_
+    assert np.array_equal(got, want)
+    return got, X, Y
+
+
+def test_region_members_axes_match_mesh_across_blocks():
+    # 260 x 500 cells are four blocks of raw cells, the last one partial.
+    # The first 70 rows sit at or below lam, so the first block holds no
+    # base cell and the second starts among them; columns at or below lam
+    # leave no base cell in any row either
+    rb = rbar_c(U, 2)
+    xs = np.concatenate((np.linspace(0.3 * U.lam, U.lam, 70),
+                         np.linspace(U.lam, 1.05 * rb, 191)[1:]))
+    ys = np.linspace(0.5 * U.lam, 1.05 * rb, 500)
+    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 12)
+    got, X, Y = _axes_match_mesh(args, xs, ys)
+    assert 3 * _BLOCK < X.size < 4 * _BLOCK and 70 * ys.size > _BLOCK
+    assert np.array_equal(got, _members_full_grid(*args, X, Y))
+    assert not got[:70].any() and not got[:, ys <= U.lam].any()
+    assert got.any() and not got[70:].all()
+
+
+def test_region_members_axes_match_mesh_at_one_burst():
+    # with N = 1 a user's base test is R > 0, not R > lam: rates at 0 and
+    # below drop out, rates in (0, lam] may be members
+    u1 = UserParams(k=1, q=0.5, P=100.0, a=0.3)
+    for N2 in (1, 2):
+        rb1, rb2 = rbar_c(u1, 1), rbar_c(U, N2)
+        xs = np.concatenate(([0.0], np.linspace(-0.2 * rb1, 1.1 * rb1, 90)))
+        ys = np.concatenate(([0.0], np.linspace(-0.1 * rb2, 1.1 * rb2, 70)))
+        args = (u1, U, 1, N2, 1.0, 0.8, 0.5, 8)
+        got, X, Y = _axes_match_mesh(args, xs, ys)
+        assert np.array_equal(got, _members_full_grid(*args, X, Y))
+        assert not got[xs <= 0.0].any()
+        assert got[(xs > 0.0) & (xs <= u1.lam)].any()
+        assert not got[:, ys <= (U.lam if N2 > 1 else 0.0)].any()
+
+
+def test_region_members_point_inputs_broadcast():
+    # 1-d points, 0-d pairs (Python floats and 0-d arrays), and a 0-d rate
+    # against a 1-d one, which broadcasts to the 1-d shape
+    rng = np.random.default_rng(44)
+    R1, R2 = _rates(rng, U, 2, (40,)), _rates(rng, U, 2, (40,))
+    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 12)
+    want = _members_full_grid(*args, R1, R2)
+    assert want.any() and not want.all()
+    assert np.array_equal(region_members(*args, R1, R2), want)
+    for i in range(R1.size):
+        for r1, r2 in ((float(R1[i]), float(R2[i])),
+                       (np.array(R1[i]), np.array(R2[i]))):
+            got = region_members(*args, r1, r2)
+            assert got.shape == () and got.dtype == np.bool_
+            assert bool(got) == want[i]
+    for i in (0, 7):
+        col = np.full(R1.shape, R1[i])
+        assert np.array_equal(region_members(*args, R1[i], R2),
+                              _members_full_grid(*args, col, R2))
+        assert np.array_equal(region_members(*args, R2, R1[i]),
+                              _members_full_grid(*args, R2, col))
+
+
+def test_region_members_rejects_rates_that_do_not_broadcast():
+    for R1, R2 in ((np.ones((3, 1)), np.ones((2, 4))),
+                   (np.ones((1, 3)), np.ones(4)),
+                   (np.ones((2, 3)), np.ones((3, 2)))):
+        with pytest.raises(ValueError):
+            region_members(U, U, 2, 2, 1.0, 1.0, 0.5, 5, R1, R2)
+
+
+def test_region_peak_grows_by_the_mask_alone():
+    # region() hands region_members the grid's axes, and the blocks walk
+    # raw cells, so the one array the size of the grid is the mask, 1 byte
+    # a cell. The axes add 8 bytes a row and a column, about 0.03 bytes per
+    # added cell between these grids. A block's buffers are bounded by
+    # _BLOCK cells on both grids, but its cells differ and so compact
+    # differently; that moved the peak by about 0.3 bytes per added cell
+    # when this was written. So the peak may grow by 1 + 1 bytes per added
+    # cell. A mesh of the axes costs 16 bytes a cell, a full-grid index of
+    # the base cells 8 more, and the two together read 26 here.
+    rb = rbar_c(U, 2)
+    peaks, cells = [], []
+    for n in (2 ** 9, 2 ** 10):
+        tracemalloc.start()
+        try:
+            reg = region(U, U, 2, 2, 1.0, 1.0, 0.5, m_grid=5,
+                         resolution=(rb - U.lam) / n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        cells.append(reg.mask.size)
+    per_cell = (peaks[1] - peaks[0]) / (cells[1] - cells[0])
+    assert cells[0] > 4 * _BLOCK
+    assert per_cell < 2.0, per_cell
 
 
 # --------------------------------------------------------- symmetric model

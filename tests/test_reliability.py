@@ -15,6 +15,8 @@ from burstgic.reliability import (
     rate_decomp,
 )
 
+from oracles import covered_lengths_loop
+
 
 class _Sch:
     def __init__(self, mu, theta, N):
@@ -184,3 +186,55 @@ def test_covered_lengths_broadcast_scalars():
     assert cov1[0, 0].tolist() == [0.5, 0.5]
     assert cov2[0, 0].tolist() == [0.5, 0.5, 0.0]
 
+
+
+def _same_bits(got, want):
+    """Equal shapes and values, NaN where NaN, and the same sign of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_covered_lengths_match_loop_oracle_bit_for_bit():
+    # random layouts hold overlaps of every kind; in touching ones a burst
+    # of one user ends exactly where one of the other starts (an overlap
+    # of exactly 0.0), and in disjoint ones every overlap is negative
+    # before clipping. Shapes broadcast as region does (one mu per cell,
+    # scalar nu) and as design does (scalar mu, one nu per offset)
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(30):
+        N1, N2 = (int(n) for n in rng.integers(1, 6, 2))
+        th1, th2 = (float(t) for t in rng.uniform(0.2, 1.5, 2))
+        mu1 = rng.uniform(th1, 4.0 * th1, (5, 3))
+        mu2 = rng.uniform(th2, 4.0 * th2, (5, 3))
+        cases.append((mu1, th1, 0.0, N1, mu2, th2, rng.uniform(-3.0, 3.0), N2))
+        cases.append((float(mu1[0, 0]), th1, rng.uniform(-3.0, 3.0, 7), N1,
+                      float(mu2[0, 0]), th2, rng.uniform(-3.0, 3.0, 7), N2))
+    mu = np.array([1.5, 2.0, 3.25, 7.0])
+    for N1, N2 in ((1, 1), (2, 3), (4, 2)):
+        for nu2 in (1.0, -0.75, 100.0, -100.0):  # touching, then disjoint
+            cases.append((mu, 1.0, 0.0, N1, mu, 0.75, nu2, N2))
+    zeros = 0
+    for case in cases:
+        got = covered_lengths(*case)
+        want = covered_lengths_loop(*case)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), case
+        zeros += int((want[0] == 0.0).sum())
+    assert zeros > 100
+
+
+def test_covered_lengths_negative_zero_overlap_sums_to_positive_zero():
+    # user 1's burst [-0.0, -0.0] meets user 2's [0.0, 1.0], so the raw
+    # overlap min(-0.0, 1.0) - max(-0.0, 0.0) is -0.0; clipped by numpy's
+    # maximum (which returns its second argument on a tie) and added to
+    # the starting 0.0, it must come out +0.0 on both routes
+    a = np.array([-0.0])
+    over = np.minimum(a, 1.0) - np.maximum(a, 0.0)
+    assert over[0] == 0.0 and np.signbit(over[0])
+    case = (a, -0.0, -0.0, 2, np.array([0.0]), 1.0, 0.0, 2)
+    got, want = covered_lengths(*case), covered_lengths_loop(*case)
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+        assert g.tolist() == [[0.0, 0.0]] and not np.signbit(g).any()
