@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -26,8 +27,8 @@ M_CAP = 1 << 16
 
 #: Longest receiver trace, in slots, that one trial may build. A trial's
 #: trace spans at most 2*n + 9*nprime slots (two bursts, the lead-in, the
-#: gap and the tail); channel and scan hold about 100 bytes a slot, so a
-#: trial at the cap peaks near 200 MB.
+#: gap and the tail); channel and scan hold about 50 bytes a slot, so a
+#: trial at the cap peaks near 135 MB (peak RSS of a fresh CLI process).
 MAX_TRACE = 1 << 21
 
 #: Largest receive power P per sample, 1 + gamma_own + a * gamma_other, at
@@ -46,6 +47,24 @@ MAX_TRACE = 1 << 21
 #: Keeping rounding below that at T = MAX_TRACE gives
 #: P <= 1/(2*u*T*sqrt(2*T)) = 2**20 (60.2 dB).
 MAX_POWER = 2.0 ** 20
+
+#: Relative widening of the window-energy band of the y condition (see
+#: _energy_band). The y deviation depends on the window energy s alone: in
+#: exact arithmetic dy = log2(e)/2 * |1 - r| with r = s/(m*var_y), so
+#: dy < eps iff |1 - r| < c = 2*eps/log2(e). The scan computes
+#: dy = |(A - q) + H| with A = -log2(2*pi*var_y)/2, H = h_y and
+#: q = LOG2E*s/(2*m*var_y). With unit roundoff u = 2**-53, A and H are off
+#: by at most u*(4 + 2*|A|) and u*(4 + 2*|H|) (rounded pi and e, the
+#: products, log2), q by 6*u*q (LOG2E, the product and the quotient), and
+#: the difference and the sum round by at most u*(|A| + q + |H|); so the
+#: computed dy is off by at most 8*u*(1 + |A| + |H| + q). var_y >= 1 is a
+#: finite double, so |A| and |H| stay below 540, and q <= r. A computed
+#: dy < eps therefore needs |1 - r| < c + 2*8*u*(1081 + r)/log2(e), and as
+#: such an r is below 2 + c, the excess is below
+#: 2*8*u*1083*(1 + c)/log2(e) < 2**-39 * (1 + c). Widening the band by
+#: BAND_SLACK*(1 + c) covers that with a factor 100 to spare for the
+#: rounding of the band edges themselves (about 13*u*(1 + c)).
+BAND_SLACK = 2.0 ** -32
 
 DECODE_NONE = "NONE"
 DECODE_AMBIGUOUS = "AMBIGUOUS"
@@ -68,6 +87,7 @@ class TypicalityParams:
     The Bernstein-type guarantees behind the scan ask for
     eps < min{gamma1/3, (gamma1 + a*gamma2)/2} * log2(e); that is an
     analysis working condition, not enforced here (see eps_guard).
+    The derived scalars below are computed once per instance.
     """
 
     eps: float
@@ -86,16 +106,16 @@ class TypicalityParams:
         if self.a < 0:
             raise ValueError("cross gain must be nonnegative")
 
-    @property
+    @cached_property
     def var_x(self) -> float:
         return self.gamma1 if self.pdf in ("p1", "p2") else self.gamma2
 
-    @property
+    @cached_property
     def coef(self) -> float:
         """Channel gain applied to the hypothesized sender's symbol."""
         return 1.0 if self.pdf in ("p1", "p2") else math.sqrt(self.a)
 
-    @property
+    @cached_property
     def var_res(self) -> float:
         """Variance of y - coef*x: unit noise plus any interferer."""
         if self.pdf == "p2":
@@ -104,19 +124,19 @@ class TypicalityParams:
             return 1.0 + self.gamma1
         return 1.0
 
-    @property
+    @cached_property
     def var_y(self) -> float:
         return self.coef ** 2 * self.var_x + self.var_res
 
-    @property
+    @cached_property
     def h_x(self) -> float:
         return 0.5 * math.log2(2.0 * math.pi * math.e * self.var_x)
 
-    @property
+    @cached_property
     def h_y(self) -> float:
         return 0.5 * math.log2(2.0 * math.pi * math.e * self.var_y)
 
-    @property
+    @cached_property
     def h_joint(self) -> float:
         # log2(2 pi e sqrt(det Sigma)) with det Sigma = var_x * var_res
         return math.log2(2.0 * math.pi * math.e
@@ -191,33 +211,56 @@ def _typical_from_sums(sum_x, sum_y, cross, m: int, tp: TypicalityParams):
     return (dx < tp.eps) & (dy < tp.eps) & (dxy < tp.eps), dxy
 
 
-def scan_densities(y, preambles, tps) -> dict:
-    """typicality_test of both preambles at every window of y, under all
-    four densities.
+def _energy_band(tp: TypicalityParams, m: int) -> tuple:
+    """(lo, hi): a window of m slots whose energy lies outside [lo, hi]
+    fails tp's y condition, as computed by deviations_from_sums.
 
-    preambles[0] is tested against p1/p2 and preambles[1] against p3/p4,
-    as in estimate_arrivals. The window energies are summed once per
-    trace and each preamble is cross-correlated once. The result is
-    {pdf: (ok, joint_dev)} over the len(y)-m+1 window starts t: ok[t] is
-    typicality_test on y[t:t+m], and joint_dev[t] is that window's
-    joint-condition deviation (used to break ties between senders).
+    The interval is dy < eps solved for the energy, widened by
+    BAND_SLACK (derived beside it) for rounding.
     """
-    y = np.asarray(y, dtype=float)
-    preambles = [np.asarray(p, dtype=float) for p in preambles]
-    m = preambles[0].size
-    if m == 0 or preambles[1].size != m:
-        raise ValueError("preambles must be nonempty and of equal length")
-    if y.size < m:
-        empty = (np.zeros(0, dtype=bool), np.zeros(0))
-        return {pdf: empty for pdf in PDF_IDS}
-    sum_y = _window_sums(y, m)
-    out = {}
-    for xs, pdfs in zip(preambles, (("p1", "p2"), ("p3", "p4"))):
-        cross = np.correlate(y, xs, mode="valid")
-        sum_x = float(xs @ xs)
-        for pdf in pdfs:
-            out[pdf] = _typical_from_sums(sum_x, sum_y, cross, m, tps[pdf])
-    return out
+    c = 2.0 * tp.eps / LOG2E
+    w = (1.0 + c) * BAND_SLACK
+    return m * tp.var_y * (1.0 - c - w), m * tp.var_y * (1.0 + c + w)
+
+
+def _first_typical(y, sum_y, lo: int, hi: int, tests):
+    """First window start t in [lo, hi) at which one of tests passes.
+
+    tests holds (preamble, ||preamble||^2, params, energy band) per
+    density, and sum_y holds the energy of every window of y. Windows
+    whose energy lies in some test's band are the candidates. Starting
+    at the first candidate, chunks of windows that double in length, from
+    m on, go through _typical_from_sums with the correlation of that
+    stretch of y alone; a test with no candidate in the chunk fails there
+    and is skipped. The next chunk starts at the next candidate. Returns
+    t and each test's (pass, joint deviation) at t, (False, None) for a
+    skipped test, or None when no window in [lo, hi) passes.
+    """
+    m = tests[0][0].size
+    sums = sum_y[lo:hi]
+    bands = [(sums >= b_lo) & (sums <= b_hi) for *_, (b_lo, b_hi) in tests]
+    inside = reduce(np.logical_or, bands)
+    size = m
+    i = 0
+    while i < inside.size:
+        i += int(inside[i:].argmax())  # the next candidate, if any
+        if not inside[i]:
+            return None
+        j = min(i + size, inside.size)
+        a = lo + i
+        scored = [_typical_from_sums(
+            sum_x, sum_y[a:lo + j],
+            np.correlate(y[a:lo + j + m - 1], xs, mode="valid"), m, tp)
+            if band[i:j].any() else None
+            for (xs, sum_x, tp, _), band in zip(tests, bands)]
+        ok = reduce(np.logical_or, [s[0] for s in scored if s])
+        first = int(ok.argmax())
+        if ok[first]:
+            return a + first, [(s[0][first], s[1][first]) if s
+                               else (False, None) for s in scored]
+        i = j
+        size *= 2
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +451,19 @@ def estimate_arrivals(trace: RxTrace, preambles, tps, nprime: int,
     density (p4 for the cross sender, p2 for the own sender) until the
     live burst ends, then falls back to the clean scan. Burst spans are
     known: n' + n_codewords[sender-1] slots from the detected start.
+
+    Each step of the scan asks for the first passing window in a range,
+    under one density or two, and only the windows it reads are tested.
+    All window energies come from one cumulative sum. A window whose
+    energy lies outside a density's band (_energy_band) fails that
+    density's y condition, so only windows from the first in-band one
+    onward are tested, in chunks that double in length, each with the
+    correlation of its own stretch of y. A window's energy, correlation
+    and deviations are the same floating-point values a test of every
+    window of the trace computes (np.correlate takes one dot product per
+    window, over the same samples, and the deviations apply the same
+    elementwise expressions), so the estimates equal those of that full
+    scan.
     """
     for pdf in PDF_IDS:
         if pdf not in tps:
@@ -415,10 +471,16 @@ def estimate_arrivals(trace: RxTrace, preambles, tps, nprime: int,
     s1, s2 = (np.asarray(p, dtype=float) for p in preambles)
     if s1.size != nprime or s2.size != nprime:
         raise ValueError("preamble lengths must equal nprime")
-    scans = scan_densities(trace.y, (s1, s2), tps)
-    (ok1, dev1), (ok2, _), (ok3, dev3), (ok4, _) = (
-        scans[pdf] for pdf in PDF_IDS)
-    T = ok1.size
+    if nprime < 1:
+        raise ValueError("preambles must be nonempty")
+    y = np.asarray(trace.y, dtype=float)
+    T = y.size - nprime + 1
+    if T < 1:
+        return []
+    sum_y = _window_sums(y, nprime)
+    tests = {pdf: (xs, float(xs @ xs), tps[pdf],
+                   _energy_band(tps[pdf], nprime))
+             for pdf, xs in zip(PDF_IDS, (s1, s1, s2, s2))}
     found = []
     ends = {1: -1, 2: -1}
     t = 0
@@ -430,24 +492,24 @@ def estimate_arrivals(trace: RxTrace, preambles, tps, nprime: int,
         if len(live) == 1:
             i = live[0]
             o = 3 - i
-            ok_in = ok4 if o == 2 else ok2
-            hits = np.flatnonzero(ok_in[t:min(ends[i], T - 1) + 1])
-            if hits.size:
-                ts = t + int(hits[0])
+            hit = _first_typical(y, sum_y, t, min(ends[i], T - 1) + 1,
+                                 (tests["p4" if o == 2 else "p2"],))
+            if hit:
+                ts = hit[0]
                 found.append((ts, o))
                 ends[o] = ts + nprime + n_codewords[o - 1] - 1
                 t = ts + 1
             else:
                 t = ends[i] + 1
             continue
-        hits = np.flatnonzero(ok1[t:] | ok3[t:])
-        if not hits.size:
+        hit = _first_typical(y, sum_y, t, T, (tests["p1"], tests["p3"]))
+        if not hit:
             break
-        ts = t + int(hits[0])
-        if ok1[ts] and ok3[ts]:
-            sender = 1 if dev1[ts] <= dev3[ts] else 2
+        ts, ((ok1, dev1), (ok3, dev3)) = hit
+        if ok1 and ok3:
+            sender = 1 if dev1 <= dev3 else 2
         else:
-            sender = 1 if ok1[ts] else 2
+            sender = 1 if ok1 else 2
         found.append((ts, sender))
         ends[sender] = ts + nprime + n_codewords[sender - 1] - 1
         t = ts + 1
@@ -663,10 +725,11 @@ def _score_trace(trace, own_cb, other_cb, tps, nprime, own_user, starts,
     return located == len(starts), located, mis, fa, outcome
 
 
-def _run_trial(n: int, nprime: int, cfg: DetectionConfig,
+def _run_trial(n: int, nprime: int, cfg: DetectionConfig, tps_pair,
                rng: np.random.Generator):
     """One trial; only the preambles and the two sent codewords are
-    drawn as symbols, the unsent words enter through SentWordCodebook."""
+    drawn as symbols, the unsent words enter through SentWordCodebook.
+    tps_pair holds the rx_params of Rx 1 and Rx 2."""
     sent1 = GaussianCodebook.draw(1, n, nprime, cfg.gamma1, rng)
     sent2 = GaussianCodebook.draw(1, n, nprime, cfg.gamma2, rng)
     span = nprime + n
@@ -679,8 +742,7 @@ def _run_trial(n: int, nprime: int, cfg: DetectionConfig,
                            cfg.a1, cfg.a2, rng, horizon)
     cb1 = SentWordCodebook(sent1, cfg.M, msg1, rng)
     cb2 = SentWordCodebook(sent2, cfg.M, msg2, rng)
-    tps1 = rx_params(cfg.eps, cfg.gamma1, cfg.gamma2, cfg.a2)
-    tps2 = rx_params(cfg.eps, cfg.gamma2, cfg.gamma1, cfg.a1)
+    tps1, tps2 = tps_pair
     starts = {t1: 1, t2: 2}
     out = []
     for trace, tps, own_cb, other_cb, own_msg, own, o_start in (
@@ -715,6 +777,8 @@ def detection_experiment(cfg: DetectionConfig, trials: int, seed) -> tuple:
     if trials < 1:
         raise ValueError("need at least one trial")
     rows = []
+    tps_pair = (rx_params(cfg.eps, cfg.gamma1, cfg.gamma2, cfg.a2),
+                rx_params(cfg.eps, cfg.gamma2, cfg.gamma1, cfg.a1))
     per_n = np.random.SeedSequence(seed).spawn(len(cfg.n_values))
     for idx, (n, seq) in enumerate(zip(cfg.n_values, per_n)):
         nprime = cfg.nprime_for(idx)
@@ -722,7 +786,7 @@ def detection_experiment(cfg: DetectionConfig, trials: int, seed) -> tuple:
         decoded = dict.fromkeys(("ok", DECODE_NONE, DECODE_AMBIGUOUS,
                                  "wrong"), 0)
         for rng in map(np.random.default_rng, seq.spawn(trials)):
-            scores = _run_trial(n, nprime, cfg, rng)
+            scores = _run_trial(n, nprime, cfg, tps_pair, rng)
             trial_ok = True
             for rec, loc, m, f, outcome in scores:
                 recovered += rec

@@ -3,8 +3,9 @@
 Closed forms of the symmetric layout, the overlap triples rebuilt from a
 channel state, the degeneracy filter for burst offsets, membership and
 intersection of interval unions (the Monte Carlo side of the outage
-checks), and the former body of reliability.covered_lengths. Names that
-a single test module needs live in that module.
+checks), the former body of reliability.covered_lengths, and the
+full-trace preamble scan that detection.estimate_arrivals replaced.
+Names that a single test module needs live in that module.
 
 Importable from any test module because pytest puts this directory on
 sys.path.
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from burstgic.design import IntervalUnion
+from burstgic.detection import PDF_IDS, _typical_from_sums, _window_sums
 from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
 
 
@@ -139,3 +141,83 @@ def covered_lengths_loop(mu1, theta1, nu1, N1, mu2, theta2, nu2, N2):
         return cov
 
     return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)
+
+
+def scan_densities(y, preambles, tps) -> dict:
+    """typicality_test of both preambles at every window of y, under all
+    four densities.
+
+    preambles[0] is tested against p1/p2 and preambles[1] against p3/p4,
+    as in estimate_arrivals. The window energies are summed once per
+    trace and each preamble is cross-correlated once. The result is
+    {pdf: (ok, joint_dev)} over the len(y)-m+1 window starts t: ok[t] is
+    typicality_test on y[t:t+m], and joint_dev[t] is that window's
+    joint-condition deviation (used to break ties between senders).
+    """
+    y = np.asarray(y, dtype=float)
+    preambles = [np.asarray(p, dtype=float) for p in preambles]
+    m = preambles[0].size
+    if m == 0 or preambles[1].size != m:
+        raise ValueError("preambles must be nonempty and of equal length")
+    if y.size < m:
+        empty = (np.zeros(0, dtype=bool), np.zeros(0))
+        return {pdf: empty for pdf in PDF_IDS}
+    sum_y = _window_sums(y, m)
+    out = {}
+    for xs, pdfs in zip(preambles, (("p1", "p2"), ("p3", "p4"))):
+        cross = np.correlate(y, xs, mode="valid")
+        sum_x = float(xs @ xs)
+        for pdf in pdfs:
+            out[pdf] = _typical_from_sums(sum_x, sum_y, cross, m, tps[pdf])
+    return out
+
+
+def estimate_arrivals_full(trace, preambles, tps, nprime: int,
+                           n_codewords) -> list:
+    """detection.estimate_arrivals as it was first written: every density
+    scanned at every window of the trace (scan_densities) before the
+    sequential loop reads them. The scan that replaced it tests only the
+    windows the loop reads and must return the same estimates."""
+    for pdf in PDF_IDS:
+        if pdf not in tps:
+            raise ValueError(f"missing typicality params for {pdf}")
+    s1, s2 = (np.asarray(p, dtype=float) for p in preambles)
+    if s1.size != nprime or s2.size != nprime:
+        raise ValueError("preamble lengths must equal nprime")
+    scans = scan_densities(trace.y, (s1, s2), tps)
+    (ok1, dev1), (ok2, _), (ok3, dev3), (ok4, _) = (
+        scans[pdf] for pdf in PDF_IDS)
+    T = ok1.size
+    found = []
+    ends = {1: -1, 2: -1}
+    t = 0
+    while t < T:
+        live = [i for i in (1, 2) if ends[i] >= t]
+        if len(live) == 2:
+            t = min(ends.values()) + 1
+            continue
+        if len(live) == 1:
+            i = live[0]
+            o = 3 - i
+            ok_in = ok4 if o == 2 else ok2
+            hits = np.flatnonzero(ok_in[t:min(ends[i], T - 1) + 1])
+            if hits.size:
+                ts = t + int(hits[0])
+                found.append((ts, o))
+                ends[o] = ts + nprime + n_codewords[o - 1] - 1
+                t = ts + 1
+            else:
+                t = ends[i] + 1
+            continue
+        hits = np.flatnonzero(ok1[t:] | ok3[t:])
+        if not hits.size:
+            break
+        ts = t + int(hits[0])
+        if ok1[ts] and ok3[ts]:
+            sender = 1 if dev1[ts] <= dev3[ts] else 2
+        else:
+            sender = 1 if ok1[ts] else 2
+        found.append((ts, sender))
+        ends[sender] = ts + nprime + n_codewords[sender - 1] - 1
+        t = ts + 1
+    return found

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from burstgic import detection
 from burstgic.detection import (
+    BAND_SLACK,
     DECODE_AMBIGUOUS,
     DECODE_NONE,
     MAX_POWER,
@@ -28,12 +29,13 @@ from burstgic.detection import (
     eps_guard,
     estimate_arrivals,
     rx_params,
-    scan_densities,
     typicality_deviations,
     typicality_test,
+    _energy_band,
     _typical_from_sums,
     _window_sums,
 )
+from oracles import estimate_arrivals_full, scan_densities
 
 LOG2E = math.log2(math.e)
 GAMMA = 100.0  # 20 dB
@@ -197,6 +199,52 @@ def test_scan_densities_match_scan_typicality():
         scan_densities(np.zeros(10), (np.ones(4), np.ones(5)), tps)
 
 
+def _doubles_around(edges, k):
+    """Each of edges and the k doubles on either side of it."""
+    out = [edges]
+    up = down = edges
+    for _ in range(k):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_energy_band_holds_every_passing_window():
+    # window energies planted at the edges of dy < eps solved in exact
+    # arithmetic, across the widest rounding excess the band allows for,
+    # and at the band's own edges: every energy whose computed dy passes
+    # lies in the band, and the band is no wider than its slack
+    rng = np.random.default_rng(24)
+    passing = 0
+    for _ in range(300):
+        pdf = str(rng.choice(PDF_IDS))
+        g1, g2 = np.exp(rng.uniform(math.log(1e-3),
+                                    math.log(MAX_POWER / 3), size=2))
+        a = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        eps = float(np.exp(rng.uniform(math.log(1e-7), math.log(4.0))))
+        tp = TypicalityParams(eps, pdf, float(g1), float(g2), a)
+        assert tp.var_y <= MAX_POWER
+        m = int(np.exp(rng.uniform(math.log(2), math.log(512))))
+        lo, hi = _energy_band(tp, m)
+        c = 2.0 * eps / LOG2E
+        exact = np.array([m * tp.var_y * (1.0 - c), m * tp.var_y * (1.0 + c)])
+        rel = np.arange(-64, 65) * 2.0 ** -45  # up to 2**-39 either way
+        sums = np.concatenate([
+            _doubles_around(exact, 64),
+            _doubles_around(np.array([lo, hi]), 64),
+            (exact[:, None] * (1.0 + rel)).ravel()])
+        sums = sums[sums >= 0.0]
+        _, dy, _ = deviations_from_sums(1.0, sums, 0.0, m, tp)
+        ok = dy < eps
+        passing += int(ok.sum())
+        assert np.all((sums[ok] >= lo) & (sums[ok] <= hi))
+        slack = 2.0 * BAND_SLACK * (1.0 + c) * m * tp.var_y
+        assert exact[1] < hi <= exact[1] + slack
+        assert exact[0] - slack <= lo < exact[0]
+    assert passing > 0
+
+
 # ---------------------------------------------------------------------------
 # codebooks and the channel
 
@@ -326,6 +374,132 @@ def test_estimate_arrivals_validation():
     with pytest.raises(ValueError):
         estimate_arrivals(tr, (cb.preamble[:-1], cb.preamble), tps, 10,
                           (100, 100))
+
+
+def _traces(rng, n, nprime, starts, horizon, a=0.1, preambles=(None, None)):
+    """Both receivers' (trace, own preamble, cross preamble) for one
+    burst per user at starts (None: no burst), both users at GAMMA."""
+    cbs = []
+    for pre in preambles:
+        cb = GaussianCodebook.draw(1, n, nprime, GAMMA, rng)
+        if pre is not None:
+            cb = GaussianCodebook(words=cb.words, preamble=pre, gamma=GAMMA)
+        cbs.append(cb)
+    scheds = tuple(((t, 0),) if t is not None else () for t in starts)
+    tr1, tr2 = channel_run(scheds, cbs, a, a, rng, horizon)
+    return ((tr1, cbs[0].preamble, cbs[1].preamble),
+            (tr2, cbs[1].preamble, cbs[0].preamble))
+
+
+def test_estimate_arrivals_matches_full_scan():
+    # the scan tests only the windows its sequential loop reads; every
+    # estimate must equal that of the full-trace scan it replaced
+    rng = np.random.default_rng(25)
+    cases = []  # (trace, own preamble, cross preamble, tps, nprime, n)
+
+    def add(pairs, tps, nprime, n):
+        cases.extend((tr, own, cross, tps, nprime, n)
+                     for tr, own, cross in pairs)
+
+    tps = rx_params(0.48, GAMMA, GAMMA, 0.1)
+    # separated bursts
+    for n in (64, 256, 1000):
+        nprime = math.isqrt(n - 1) + 1
+        span = nprime + n
+        for _ in range(20):
+            t1 = int(rng.integers(0, 2 * nprime))
+            t2 = t1 + span + int(rng.integers(nprime, 3 * nprime))
+            add(_traces(rng, n, nprime, (t1, t2), t2 + span + 2 * nprime),
+                tps, nprime, n)
+    # overlapping bursts: Rx 2 finds its own sender while the cross burst
+    # is live, under p2
+    n, nprime = 256, 16
+    interfered = []
+    for _ in range(40):
+        t1 = int(rng.integers(0, 2 * nprime))
+        t2 = t1 + int(rng.integers(nprime, n))
+        (tr1, *r1), (tr2, *r2) = _traces(rng, n, nprime, (t1, t2),
+                                         t2 + nprime + n + nprime)
+        add([(tr1, *r1), (tr2, *r2)], tps, nprime, n)
+        interfered.append((t2, 1) in estimate_arrivals_full(
+            tr2, r2, tps, nprime, (n, n)))
+    assert sum(interfered) >= len(interfered) // 2
+    # noise alone, at unit power and at the own sender's receive power
+    for scale in (1.0, math.sqrt(GAMMA + 1.0)):
+        for _ in range(10):
+            y = scale * rng.standard_normal(int(rng.integers(2, 3000)))
+            pre = math.sqrt(GAMMA) * rng.standard_normal((2, 32))
+            cases.append((RxTrace(y=y, truth=()), pre[0], pre[1], tps, 32,
+                          256))
+    # traces shorter than the preamble, and exactly as long
+    for length in (0, 1, 31, 32):
+        pre = math.sqrt(GAMMA) * rng.standard_normal((2, 32))
+        cases.append((RxTrace(y=rng.standard_normal(length), truth=()),
+                      pre[0], pre[1], tps, 32, 256))
+    # near-twin preambles at equal gains: both clean densities pass at once
+    # and the joint deviations break the tie
+    tps_twin = rx_params(0.48, GAMMA, GAMMA, 1.0)
+    twin_start = len(cases)
+    for _ in range(20):
+        s1 = math.sqrt(GAMMA) * rng.standard_normal(64)
+        s2 = s1 + 0.5 * rng.standard_normal(64)
+        t1 = int(rng.integers(0, 64))
+        t2 = t1 + 64 + 256 + int(rng.integers(64, 192))
+        add(_traces(rng, 256, 64, (t1, t2), t2 + 64 + 256 + 128, a=1.0,
+                    preambles=(s1, s2)), tps_twin, 64, 256)
+    # a preamble scaled so that its x condition fails: that sender is
+    # never found clean
+    pre2 = 3.0 * math.sqrt(GAMMA) * rng.standard_normal(32)
+    dx, _, _ = deviations_from_sums(float(pre2 @ pre2), 0.0, 0.0, 32,
+                                    tps["p3"])
+    assert dx >= tps["p3"].eps
+    for _ in range(10):
+        t1 = int(rng.integers(0, 64))
+        t2 = t1 + 32 + 256 + int(rng.integers(32, 96))
+        add(_traces(rng, 256, 32, (t1, t2), t2 + 32 + 256 + 64,
+                    preambles=(None, pre2)), tps, 32, 256)
+    # a burst ending exactly at the trace end
+    for t1, t2 in ((None, 10), (10, None), (5, 5 + 8 + 64 + 20)):
+        horizon = max(t for t in (t1, t2) if t is not None) + 8 + 64
+        add(_traces(rng, 64, 8, (t1, t2), horizon), tps, 8, 64)
+    # planted windows where the scan's own boundaries fall: an own
+    # preamble after a lead-in whose every window is in p1's band, at the
+    # starts of the second, third and fourth chunk; a trace exactly one
+    # preamble long; an own preamble under interference at the last slot
+    # of a live cross burst
+    m, n = 32, 256
+    s1, s2 = math.sqrt(GAMMA) * rng.standard_normal((2, m))
+    planted = []
+    for t in (m, 3 * m, 7 * m):
+        y = np.concatenate([np.full(t, math.sqrt(tps["p1"].var_y)),
+                            s1 + rng.standard_normal(m),
+                            math.sqrt(GAMMA + 1.0) * rng.standard_normal(n)])
+        planted.append((RxTrace(y=y, truth=()), (t, 1)))
+    planted.append((RxTrace(y=s1 + rng.standard_normal(m), truth=()), (0, 1)))
+    t2 = 10
+    last = t2 + m + n - 1
+    (tr, _, _), _ = _traces(rng, n, m, (None, t2), last + 2 * m,
+                            preambles=(s1, s2))
+    y = tr.y.copy()
+    y[last:last + m] = (s1 + math.sqrt(tps["p2"].var_res)
+                        * rng.standard_normal(m))
+    planted.append((RxTrace(y=y, truth=()), (last, 1)))
+    for tr, expect in planted:
+        assert expect in estimate_arrivals_full(tr, (s1, s2), tps, m, (n, n))
+        cases.append((tr, s1, s2, tps, m, n))
+
+    ties = []
+    for k, (tr, own, cross, tp, nprime, n) in enumerate(cases):
+        args = (tr, (own, cross), tp, nprime, (n, n))
+        est = estimate_arrivals(*args)
+        assert est == estimate_arrivals_full(*args)
+        if k >= twin_start and est:
+            scans = scan_densities(tr.y, (own, cross), tp)
+            ties += [s for t, s in est
+                     if scans["p1"][0][t] and scans["p3"][0][t]]
+    assert {1, 2} <= set(ties)
+    assert sum(bool(estimate_arrivals(tr, (own, cross), tp, nprime, (n, n)))
+               for tr, own, cross, tp, nprime, n in cases) > len(cases) / 2
 
 
 # ---------------------------------------------------------------------------
