@@ -57,7 +57,6 @@ _SOURCE = {
     "decode_codeword": "detection",
     "detection_experiment": "detection",
     "estimate_arrivals": "detection",
-    "typicality_test": "detection",
 }
 
 __all__ = list(_SOURCE)

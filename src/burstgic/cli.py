@@ -24,12 +24,28 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
+# The CLI runs BLAS on one thread unless the user chose a count through a
+# variable OpenBLAS reads; this must happen before numpy loads OpenBLAS.
+# OpenBLAS starts nproc - 1 worker threads at load, and no command makes a
+# BLAS call large enough to use them, yet they burn CPU beside the main
+# thread. On a 2-CPU box (Python 3.11, numpy 2.4, OpenBLAS 0.3.31) a fresh
+# `python -c "import numpy"` took 0.23 s of CPU with the pool and 0.16 s
+# without (median of 15), and bench/run.py's cpu_s fell by 23-38% on every
+# workload at the same wall_s. One thread also keeps results independent of
+# the core count: threaded ddot adds per-thread partial sums, so `x @ y` of
+# length past 10,000 changes in its last bits with the thread count (equal
+# bits up to 8,000), and detect applies `@` to segments up to n long.
+if not any(var in os.environ for var in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread count is set)
 
 if TYPE_CHECKING:
     from burstgic.model import UserParams

@@ -160,27 +160,6 @@ def _mean_log_gauss(sumsq: float, m: int, var: float) -> float:
     return -0.5 * math.log2(2.0 * math.pi * var) - LOG2E * sumsq / (2.0 * m * var)
 
 
-def typicality_deviations(xs, ys, tp: TypicalityParams):
-    """|empirical log-density + entropy| for the x, y and joint conditions."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
-        raise ValueError("xs and ys must be equal-length nonempty vectors")
-    m = xs.size
-    dx = abs(_mean_log_gauss(float(xs @ xs), m, tp.var_x) + tp.h_x)
-    dy = abs(_mean_log_gauss(float(ys @ ys), m, tp.var_y) + tp.h_y)
-    res = ys - tp.coef * xs
-    joint = (_mean_log_gauss(float(xs @ xs), m, tp.var_x)
-             + _mean_log_gauss(float(res @ res), m, tp.var_res))
-    dxy = abs(joint + tp.h_joint)
-    return dx, dy, dxy
-
-
-def typicality_test(xs, ys, tp: TypicalityParams) -> bool:
-    """True iff (xs, ys) is an eps-jointly typical pair for tp's density."""
-    return max(typicality_deviations(xs, ys, tp)) < tp.eps
-
-
 def deviations_from_sums(sum_x, sum_y, cross, m: int, tp: TypicalityParams):
     """dx, dy, dxy of the typicality test from the sums over m samples.
 

@@ -3,7 +3,8 @@
 Closed forms of the symmetric layout, the overlap triples rebuilt from a
 channel state, the degeneracy filter for burst offsets, membership and
 intersection of interval unions (the Monte Carlo side of the outage
-checks), the former body of reliability.covered_lengths, and the
+checks), the former body of reliability.covered_lengths, the
+per-window typicality test behind detection._typical_from_sums, and the
 full-trace preamble scan that detection.estimate_arrivals replaced.
 Names that a single test module needs live in that module.
 
@@ -16,7 +17,13 @@ import math
 import numpy as np
 
 from burstgic.design import IntervalUnion
-from burstgic.detection import PDF_IDS, _typical_from_sums, _window_sums
+from burstgic.detection import (
+    PDF_IDS,
+    TypicalityParams,
+    _mean_log_gauss,
+    _typical_from_sums,
+    _window_sums,
+)
 from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
 
 
@@ -141,6 +148,27 @@ def covered_lengths_loop(mu1, theta1, nu1, N1, mu2, theta2, nu2, N2):
         return cov
 
     return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)
+
+
+def typicality_deviations(xs, ys, tp: TypicalityParams):
+    """|empirical log-density + entropy| for the x, y and joint conditions."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
+        raise ValueError("xs and ys must be equal-length nonempty vectors")
+    m = xs.size
+    dx = abs(_mean_log_gauss(float(xs @ xs), m, tp.var_x) + tp.h_x)
+    dy = abs(_mean_log_gauss(float(ys @ ys), m, tp.var_y) + tp.h_y)
+    res = ys - tp.coef * xs
+    joint = (_mean_log_gauss(float(xs @ xs), m, tp.var_x)
+             + _mean_log_gauss(float(res @ res), m, tp.var_res))
+    dxy = abs(joint + tp.h_joint)
+    return dx, dy, dxy
+
+
+def typicality_test(xs, ys, tp: TypicalityParams) -> bool:
+    """True iff (xs, ys) is an eps-jointly typical pair for tp's density."""
+    return max(typicality_deviations(xs, ys, tp)) < tp.eps
 
 
 def scan_densities(y, preambles, tps) -> dict:

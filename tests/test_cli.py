@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -625,15 +626,59 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code, **preset):
+    """Run code in a fresh interpreter whose environment holds none of
+    BLAS_VARS except those in preset; its last stdout line."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**env, **preset})
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_cli_runs_one_native_thread(tmp_path):
+    # OpenBLAS would start nproc - 1 idle workers when numpy loads
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps(dict(DESIGN_CFG, R1_over_lambda=0.7,
+                                   R2_over_lambda=0.7, d_grid=[0.05, 3.0, 6])))
+    argv = ["design", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import os\n"
+            "threads = lambda: len(os.listdir('/proc/self/task'))\n"
+            "from burstgic.cli import main\n"
+            "after_import = threads()\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(after_import, threads())")
+    assert _fresh(code) == "1 1"
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_a_preset_blas_thread_count(var):
+    code = ("import os\n"
+            "before = dict(os.environ)\n"
+            "import burstgic.cli\n"
+            "print(dict(os.environ) == before)")
+    assert _fresh(code, **{var: "2"}) == "True"
+
+
+def test_package_import_sets_no_blas_threads_and_loads_no_numpy():
+    code = ("import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import burstgic\n"
+            "print(dict(os.environ) == before, 'numpy' in sys.modules)")
+    assert _fresh(code) == "True False"
+
+
 def _loaded_after(code):
     """The burstgic modules and numpy.random that a fresh interpreter has
     loaded after running code."""
     code += ("\nimport json, sys\nprint(json.dumps([m for m in sys.modules "
              "if m.split('.')[0] == 'burstgic' or m == 'numpy.random']))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert res.returncode == 0, res.stderr
-    return set(json.loads(res.stdout.splitlines()[-1]))
+    return set(json.loads(_fresh(code)))
 
 
 def test_cli_import_loads_no_library_module():

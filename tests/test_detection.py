@@ -29,13 +29,16 @@ from burstgic.detection import (
     eps_guard,
     estimate_arrivals,
     rx_params,
-    typicality_deviations,
-    typicality_test,
     _energy_band,
     _typical_from_sums,
     _window_sums,
 )
-from oracles import estimate_arrivals_full, scan_densities
+from oracles import (
+    estimate_arrivals_full,
+    scan_densities,
+    typicality_deviations,
+    typicality_test,
+)
 
 LOG2E = math.log2(math.e)
 GAMMA = 100.0  # 20 dB
