@@ -7,13 +7,17 @@ Experiments here validate the negative-binomial trigger law, the immediacy
 of transmissions, and the delay gap between the two schedulers.
 
 run_async_scheduler and run_sync_scheduler schedule one given trace. The
-experiments need no horizon: both statistics depend only on where the
-trigger slots fall in an unbounded arrival stream. Each trial builds one
-generator and draws its stream only until it holds the arrival that
-completes codeword N, and its N trigger slots become a row of a
-(trials, N) array. buffer_experiment reads the delay gap and the
-immediacy frequency off that one array; delay_gap_experiment and
-immediacy_violation_freq each read one of them.
+experiments need no trace: both statistics depend only on where the
+trigger slots fall in an unbounded Bernoulli(q) arrival stream. Codeword
+j completes with arrival event e_j, and the slot of arrival e is e plus a
+NegativeBinomial(e, q) count of empty slots, with independent counts for
+the gaps d_j = e_j - e_{j-1} between trigger events. So one draw from one
+generator gives every trial's N trigger slots as a (trials, N) array, the
+cumulative sums of d_j + NegativeBinomial(d_j, q) along each row.
+buffer_experiment reads the delay gap and the immediacy frequency off that
+one array; delay_gap_experiment and immediacy_violation_freq each read one
+of them. Before the draw, trials*N is checked against MAX_TRIGGERS, and a
+bound on every integer the draw forms against an int64 guard.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ __all__ = [
 ]
 
 
-#: Longest arrival stream, in slots, that one trial may draw. A draw holds
-#: an indicator byte per slot plus one block of float64 uniforms; a buffers
-#: run whose first draw is near the cap peaks at about 54 MB of resident
-#: memory (54.4 MB ru_maxrss of the CLI process, x86-64 Linux, numpy 2.4).
-MAX_HORIZON = 2 ** 24
+#: Most trigger slots, trials*N, that one n of a buffers run may draw. The
+#: slots are one int64 (trials, N) array, and reading the statistics off
+#: it holds a few temporaries of that size, about 32 bytes a slot in all;
+#: a run at the cap peaks at about 68 MB of resident memory, some 32 MB
+#: above the CLI's imports (67.5 MB ru_maxrss of the CLI process at N = 1,
+#: 2 and 3, x86-64 Linux, numpy 2.4).
+MAX_TRIGGERS = 2 ** 20
 
 
 class HorizonTooShortError(ValueError):
@@ -113,25 +119,6 @@ class SyncSchedule:
     def __post_init__(self):
         if any(s % self.n_i for s in self.sigmas):
             raise ValueError("dispatch slots must be multiples of n_i")
-
-
-#: Uniforms per draw in _arrivals_from: one block of float64 scratch
-#: instead of one uniform per slot of the stream.
-_DRAW_BLOCK = 2 ** 16
-
-
-def _arrivals_from(rng, q: float, horizon: int) -> np.ndarray:
-    """Arrival indicators of the next horizon slots: uniform below q.
-
-    The uniforms are drawn _DRAW_BLOCK at a time, so a stream costs one
-    byte a slot. rng.random(a) then rng.random(b) equals rng.random(a + b),
-    so the indicators do not depend on the block size.
-    """
-    ind = np.empty(horizon, dtype=bool)
-    for start in range(0, horizon, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, horizon)
-        np.less(rng.random(stop - start), q, out=ind[start:stop])
-    return ind
 
 
 def _trigger_events(k: int, chunk: int, N: int) -> np.ndarray:
@@ -251,10 +238,24 @@ def _check_resonance(mu: float, theta: float, N: int, tol: float = 1e-9):
             )
 
 
-def _check_horizon(horizon: float):
-    if not horizon <= MAX_HORIZON:
-        raise ValueError(f"an arrival trace of {horizon:.4g} slots exceeds "
-                         f"MAX_HORIZON = {MAX_HORIZON}")
+def _check_slots(u, n: int, N: int, theta: float, bits: float):
+    """Refuse, before any draw, a run whose integers could leave int64.
+
+    bits is n*k/N. _trigger_events forms chunk*j <= N*bits = n*k. Each gap
+    d_j is at most e_N <= e = N*bits/k + 1, and numpy documents that
+    negative_binomial(d, q) needs d*(1-q)/q*(1 + 10*sqrt(d)), the mean plus
+    ten sigma of its gamma draw, below 2**63 - 1 - 10*sqrt(2**63 - 1).
+    Summed over a row's gaps, that bound plus e_N bounds the last trigger
+    slot by e*(1 + 10*sqrt(e))/q, and the dispatch m_N*n_i of _checkpoints
+    passes that slot by at most N*n_i. The bounds are taken in float
+    arithmetic, which turns an overflow into inf, and held below 2**62,
+    a factor 2 short of int64 for tails past ten sigma.
+    """
+    e = N * bits / u.k + 1
+    bound = max(N * bits, e * (1 + 10 * math.sqrt(e)) / u.q + N * (n * theta))
+    if not bound <= 2.0 ** 62:
+        raise ValueError(f"the trigger draw reaches {bound:.4g}, beyond its "
+                         f"int64 guard of 2**62")
 
 
 def _check_theta(theta: float):
@@ -262,61 +263,52 @@ def _check_theta(theta: float):
         raise ValueError(f"theta must be positive and finite, got {theta}")
 
 
-def _chunk(u, n: int, N: int, theta: float) -> int:
+def _chunk(u, n: int, N: int, theta: float, trials: int) -> int:
     """floor(n*k/N), the bits per codeword, after the checks that need no
     draw. Callers run these before the resonance check over m = 1..N:
-    chunk >= k bounds N by n, and the budget bounds n."""
+    MAX_TRIGGERS bounds N, and the int64 guard bounds n and k."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_theta(theta)
     bits = n * (u.k / N)
-    # the first draw and 8*n_i in float arithmetic, which bounds both from
-    # above and turns an overflow into inf; n_i under the cap keeps the
-    # checkpoint products in _checkpoints within int64
-    _check_horizon(N * bits / (u.k * u.q) * 1.5 + 64 + 8 * (n * theta))
+    _check_slots(u, n, N, theta, bits)
     chunk = math.floor(bits)
     if chunk < u.k:
         raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials * N > MAX_TRIGGERS:
+        raise ValueError(f"trials*N = {trials * N} trigger slots exceed "
+                         f"MAX_TRIGGERS = {MAX_TRIGGERS}")
     return chunk
 
 
-def _check_delay_gap(u, n: int, N: int, theta: float, delta: float):
-    _chunk(u, n, N, theta)
+def _check_delay_gap(u, n: int, N: int, theta: float, delta: float,
+                     trials: int):
+    _chunk(u, n, N, theta, trials)
     _check_resonance(1.0 / (N * u.q), theta, N)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    # _lag_freq scales int64 slots by 1 + delta in float arithmetic
+    if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
+        raise ValueError(f"delta must be positive, with (1 + delta) * 2**63 "
+                         f"finite, got {delta}")
     if math.floor(n * theta) < 1:
         raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
 
 
-def _stream_triggers(rng, q: float, span: int,
-                     events: np.ndarray) -> np.ndarray:
-    """Trigger slots of one trial's Bernoulli stream.
-
-    The stream is drawn span slots first and then doubled until it holds
-    the arrival that completes codeword N; each doubling is checked
-    against MAX_HORIZON before it is drawn. rng.random(a) then
-    rng.random(b) equals rng.random(a + b), so the slots do not depend on
-    how the draws are split.
-    """
-    ind = _arrivals_from(rng, q, span)
-    while np.count_nonzero(ind) < events[-1]:
-        _check_horizon(2 * len(ind))
-        ind = np.concatenate((ind, _arrivals_from(rng, q, len(ind))))
-    return _trigger_slots(np.flatnonzero(ind) + 1, events)
-
-
 def _trigger_rows(u, n: int, N: int, theta: float, trials: int,
                   seed: int) -> np.ndarray:
-    """Every trial's N trigger slots, as a (trials, N) array: row t holds
-    those of trial t's own stream. The slotted dispatch follows from a
-    row in closed form (_checkpoints)."""
-    chunk = _chunk(u, n, N, theta)
-    events = _trigger_events(u.k, chunk, N)
-    # the mean trigger span with margin
-    span = int(N * chunk / (u.k * u.q) * 1.5) + 64
-    return np.array([_stream_triggers(rng, u.q, span, events)
-                     for rng in trial_rngs(seed, trials)])
+    """Every trial's N trigger slots, as a (trials, N) array from one draw.
+
+    Row t is the cumulative sum of d_j + NegativeBinomial(d_j, q) over the
+    gaps d_j between trigger events; chunk >= k makes every d_j >= 1. The
+    slotted dispatch follows from a row in closed form (_checkpoints).
+    """
+    events = _trigger_events(u.k, _chunk(u, n, N, theta, trials), N)
+    d = np.diff(events, prepend=0)
+    rng = np.random.default_rng(seed)
+    rows = rng.negative_binomial(d, u.q, size=(trials, N))
+    rows += d
+    return np.cumsum(rows, axis=1, out=rows)
 
 
 def _lag_freq(rel: np.ndarray, n_i: int, delta: float) -> np.ndarray:
@@ -337,10 +329,10 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
                          trials: int, seed: int) -> np.ndarray:
     """Per-j frequency of the slotted scheme lagging by a (1+delta) factor.
 
-    Runs both schedulers on common traces and reports, for each codeword j,
-    the fraction of trials with sigma_j > (1+delta)*tau_j.
+    Reads both schedulers off common trigger rows and reports, for each
+    codeword j, the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
-    _check_delay_gap(u, n, N, theta, delta)
+    _check_delay_gap(u, n, N, theta, delta, trials)
     return _lag_freq(_trigger_rows(u, n, N, theta, trials, seed),
                      math.floor(n * theta), delta)
 
@@ -367,7 +359,7 @@ def buffer_experiment(u, n: int, N: int, nprime: int | None, theta: float,
     the same seed.
     """
     nprime = _preamble(n, nprime)
-    _check_delay_gap(u, n, N, theta, delta)
+    _check_delay_gap(u, n, N, theta, delta, trials)
     rel = _trigger_rows(u, n, N, theta, trials, seed)
     n_i = math.floor(n * theta)
     lag = _lag_freq(rel, n_i, delta)

@@ -11,7 +11,6 @@ from burstgic.arrivals import (
     HorizonTooShortError,
     ResonanceError,
     SyncSchedule,
-    _arrivals_from,
     buffer_experiment,
     delay_gap_experiment,
     immediacy_violation_freq,
@@ -27,7 +26,7 @@ def simulate_arrivals(u, horizon: int, seed: int) -> ArrivalTrace:
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng(seed)
-    return ArrivalTrace(_arrivals_from(rng, u.q, horizon))
+    return ArrivalTrace(rng.random(horizon) < u.q)
 
 
 def test_simulate_deterministic_arrivals():
@@ -299,12 +298,11 @@ def test_schedulers_match_cumsum_oracles():
 
 
 # ---------------------------------------------------------------------------
-# oracle: the per-trace schedulers on one trace per trial, drawn in full
+# oracle: the per-trace schedulers on one Bernoulli trace per trial
 
 
 def _span(u, N, chunk):
-    """The first draw of a trial's stream: the mean trigger span with
-    margin."""
+    """The mean trigger span with margin."""
     return int(N * chunk / (u.k * u.q) * 1.5) + 64
 
 
@@ -319,8 +317,23 @@ def _full_draw_traces(u, n, N, theta, trials, seed):
     if chunk < u.k:
         raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
     horizon = 16 * _span(u, N, chunk) + 8 * math.floor(n * theta)
-    return [ArrivalTrace(_arrivals_from(rng, u.q, horizon))
+    return [ArrivalTrace(rng.random(horizon) < u.q)
             for rng in trial_rngs(seed, trials)]
+
+
+def _lag_freq(traces, u, n, N, theta, delta):
+    hits = 0
+    for tr in traces:
+        sched = run_async_scheduler(tr, u, n, N, 0, theta, 0.0)
+        sync = run_sync_scheduler(tr, u, n, N, theta)
+        hits += np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
+    return hits / len(traces)
+
+
+def _violation_freq(traces, u, n, N, nprime, theta):
+    scheds = [run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)
+              for tr in traces]
+    return sum(bool(s.violations) for s in scheds) / len(traces)
 
 
 def _full_draw_delay_gap(u, n, N, theta, delta, trials, seed):
@@ -328,21 +341,14 @@ def _full_draw_delay_gap(u, n, N, theta, delta, trials, seed):
     arrivals._check_resonance(1.0 / (N * u.q), theta, N)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    hits = 0
-    for tr in traces:
-        sched = run_async_scheduler(tr, u, n, N, 0, theta, 0.0)
-        sync = run_sync_scheduler(tr, u, n, N, theta)
-        hits += np.greater(sync.sigmas, (1.0 + delta) * np.array(sched.taus))
-    return hits / trials
+    return _lag_freq(traces, u, n, N, theta, delta)
 
 
 def _full_draw_immediacy(u, n, N, nprime, theta, trials, seed):
     if N < 2:
         raise ValueError("violations need at least two codewords")
     traces = _full_draw_traces(u, n, N, theta, trials, seed)
-    scheds = [run_async_scheduler(tr, u, n, N, nprime, theta, 0.0)
-              for tr in traces]
-    return sum(bool(s.violations) for s in scheds) / trials
+    return _violation_freq(traces, u, n, N, nprime, theta)
 
 
 def _same(got, want):
@@ -351,44 +357,74 @@ def _same(got, want):
     return got == want and type(got) is type(want)
 
 
+def _failure(outcome):
+    """The exception type an _outcome holds, or None for a value."""
+    return outcome if isinstance(outcome, type) else None
+
+
+def _trace_of_row(row, d, horizon, q, rng):
+    """A Bernoulli trace whose arrival e_j falls at slot row[j-1].
+
+    The d_j - 1 other arrivals of gap j sit at random slots strictly
+    between row[j-2] and row[j-1] (there are row[j-1] - row[j-2] - 1 >=
+    d_j - 1 of them); the slots past row[-1] are Bernoulli(q).
+    """
+    ind = rng.random(horizon) < q
+    ind[:row[-1]] = False
+    prev = 0
+    for t, dj in zip(row, d):
+        others = rng.choice(np.arange(prev + 1, t), dj - 1, replace=False)
+        ind[others - 1] = True
+        ind[t - 1] = True
+        prev = t
+    return ArrivalTrace(ind)
+
+
 def _check_against_full_draw(u, n, N, nprime, theta, delta, trials, seed):
-    """Compare the experiments, the one pass and every trial's triggers
-    with the full-draw oracle. Returns the trigger rows, or None if the
-    delay gap fails."""
+    """A config fails as the full-draw oracle fails; the one pass gives
+    the experiments' values; and a Bernoulli trace built on each drawn row
+    gives that row and its slotted dispatches back. Returns the trigger
+    rows, or None if the delay gap fails."""
     want_gap = _outcome(_full_draw_delay_gap, u, n, N, theta, delta,
                         trials, seed)
     want_imm = _outcome(_full_draw_immediacy, u, n, N, nprime, theta,
                         trials, seed)
     assert want_gap is not HorizonTooShortError
     assert want_imm is not HorizonTooShortError
-    assert _same(_outcome(delay_gap_experiment, u, n, N, theta, delta,
-                          trials, seed), want_gap)
-    assert _same(_outcome(immediacy_violation_freq, u, n, N, nprime, theta,
-                          trials, seed), want_imm)
+    gap = _outcome(delay_gap_experiment, u, n, N, theta, delta, trials, seed)
+    imm = _outcome(immediacy_violation_freq, u, n, N, nprime, theta, trials,
+                   seed)
+    assert _failure(gap) is _failure(want_gap)
+    assert _failure(imm) is _failure(want_imm)
     # the one pass gives both, and fails as the delay gap does
     got = _outcome(buffer_experiment, u, n, N, nprime, theta, delta, trials,
                    seed)
-    if isinstance(want_gap, type):
-        assert got is want_gap
+    if _failure(gap):
+        assert got is gap
         return None
-    assert _same(got[0], want_gap)
-    assert got[1] is None if N < 2 else _same(got[1], want_imm)
-    # every trial's triggers and slotted dispatches
-    traces = _full_draw_traces(u, n, N, theta, trials, seed)
+    assert _same(got[0], gap)
+    assert got[1] is None if N < 2 else _same(got[1], imm)
+    # every trial's triggers and slotted dispatches, on a trace built on
+    # its row
     rel = arrivals._trigger_rows(u, n, N, theta, trials, seed)
-    assert [tuple(r) for r in rel] == [
-        run_async_scheduler(tr, u, n, N, 0, theta, 0.0).taus
-        for tr in traces]
+    assert rel.shape == (trials, N)
+    chunk = math.floor(n * (u.k / N))
+    d = np.diff(arrivals._trigger_events(u.k, chunk, N), prepend=0)
     n_i = math.floor(n * theta)
-    assert [tuple(m * n_i) for m in arrivals._checkpoints(rel, n_i)] \
-        == [run_sync_scheduler(tr, u, n, N, theta).sigmas for tr in traces]
+    sigmas = arrivals._checkpoints(rel, n_i) * n_i
+    rng = np.random.default_rng(seed)
+    for row, sigma in zip(rel, sigmas):
+        tr = _trace_of_row(row, d, int(sigma[-1]), u.q, rng)
+        assert run_async_scheduler(tr, u, n, N, 0, theta, 0.0).taus \
+            == tuple(row)
+        assert run_sync_scheduler(tr, u, n, N, theta).sigmas == tuple(sigma)
     return rel
 
 
 def _oracle_configs(rng):
     """(u, n, N, nprime, theta, delta, trials, seed) for the oracle test."""
-    # small n and rates down to q = 0.002 give streams that run past their
-    # first draw, so the doubling is exercised as well as the lazy draw
+    # small n and rates down to q = 0.002 give long gaps between triggers
+    # as well as short ones
     for _ in range(400):
         u = UserParams(k=int(rng.integers(1, 5)),
                        q=float(np.exp(rng.uniform(math.log(0.002), 0.0))),
@@ -401,8 +437,7 @@ def _oracle_configs(rng):
         trials, seed = int(rng.integers(1, 9)), int(rng.integers(2**31))
         yield u, n, N, nprime, theta, delta, trials, seed
     # n = N = 1 needs a single arrival, whose Geometric(q) wait has the
-    # heaviest tail against span = 1.5/q + 64; at these rates about one
-    # trial in twenty runs past 2*span
+    # heaviest tail
     for _ in range(30):
         u = UserParams(k=int(rng.integers(1, 5)),
                        q=float(np.exp(rng.uniform(math.log(1e-4),
@@ -414,17 +449,69 @@ def _oracle_configs(rng):
         yield u, 1, 1, None, theta, delta, trials, seed
 
 
+#: (u, n, N, nprime, theta, delta) for the two-sample comparison; small n
+#: keeps every frequency well inside (0, 1)
+COMPARED = (
+    (UserParams(k=2, q=0.3, P=1.0, a=0.0), 20, 2, 3, 1.3, 0.5),
+    (UserParams(k=2, q=0.3, P=1.0, a=0.0), 40, 3, 2, 0.9, 0.3),
+    (UserParams(k=1, q=0.5, P=1.0, a=0.0), 12, 2, 1, 0.7, 0.4),
+    (UserParams(k=3, q=0.1, P=1.0, a=0.0), 30, 3, 5, 2.1, 0.25),
+)
+
+
+def _two_sided_z(alpha):
+    """z with P(|Z| > z) = alpha for a standard normal Z, by bisection."""
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2)) > alpha \
+            else (lo, mid)
+    return hi
+
+
 def test_experiments_match_full_horizon_oracle():
-    extended = twice = 0
+    passed = failed = 0
     for cfg in _oracle_configs(np.random.default_rng(77)):
         rel = _check_against_full_draw(*cfg)
-        if rel is not None:
-            # trials whose stream doubled its first draw once, and twice
-            u, n, N = cfg[:3]
-            span = _span(u, N, math.floor(n * (u.k / N)))
-            extended += int(np.count_nonzero(rel[:, -1] > span))
-            twice += int(np.count_nonzero(rel[:, -1] > 2 * span))
-    assert extended >= 10 and twice >= 10, (extended, twice)
+        passed += rel is not None
+        failed += rel is None
+    assert passed >= 200 and failed >= 20, (passed, failed)
+    # The one draw and the full-draw route sample the same law with
+    # different streams, so their frequencies are compared as two
+    # binomial samples of T trials each. Under a common p, the difference
+    # of the two frequencies has variance 2p(1-p)/T; p is estimated by
+    # the pooled frequency, and 1/T more allows for the counts' lattice.
+    # With a Bonferroni split of alpha = 1e-3 over every frequency
+    # compared, a sound draw fails this with probability under 1e-3.
+    T, seed = 3000, 8
+    compared = sum(N + 1 for _, _, N, _, _, _ in COMPARED)
+    z = _two_sided_z(1e-3 / compared)
+    for u, n, N, nprime, theta, delta in COMPARED:
+        lag, viol = buffer_experiment(u, n, N, nprime, theta, delta, T,
+                                      seed)
+        traces = _full_draw_traces(u, n, N, theta, T, seed)
+        want_lag = _lag_freq(traces, u, n, N, theta, delta)
+        want_viol = _violation_freq(traces, u, n, N, nprime, theta)
+        for got, want in (*zip(lag, want_lag), (viol, want_viol)):
+            p = (got + want) / 2
+            margin = z * math.sqrt(2 * p * (1 - p) / T) + 1 / T
+            assert abs(got - want) <= margin, (u, n, N, got, want, margin)
+
+
+def test_trigger_rows_match_negative_binomial_moments():
+    # column j is e_j + NegativeBinomial(e_j, q): mean e_j/q and variance
+    # e_j(1-q)/q**2, each within four standard errors
+    T = 200_000
+    for k, q, n, N in ((3, 0.3, 600, 2), (2, 0.05, 90, 3), (1, 0.9, 7, 5)):
+        u = UserParams(k=k, q=q, P=1.0, a=0.0)
+        rel = arrivals._trigger_rows(u, n, N, 1.0, T, 17)
+        events = arrivals._trigger_events(k, math.floor(n * k / N), N)
+        for e, col in zip(events, rel.T):
+            mean, var = _nb_moments(e, q)
+            assert abs(col.mean() - mean) < 4 * math.sqrt(var / T)
+            kurt = (6 + q**2 / (1 - q)) / e
+            se_var = var * math.sqrt((2 + kurt) / (T - 1))
+            assert abs(col.var(ddof=1) - var) < 4 * se_var
 
 
 def test_generator_draws_split_exactly():
@@ -435,37 +522,6 @@ def test_generator_draws_split_exactly():
         sizes = np.diff(np.concatenate(([0], cuts, [1000])))
         parts = np.concatenate([rng.random(int(s)) for s in sizes])
         assert np.array_equal(parts, whole)
-
-
-@pytest.mark.parametrize("block", [None, 5, 64])
-def test_arrivals_from_matches_one_whole_draw(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(arrivals, "_DRAW_BLOCK", block)
-    rng = np.random.default_rng(31)
-    for horizon in (0, 1, 4, 5, 6, 64, 65, 333, 70_000):
-        seed = int(rng.integers(2 ** 32))
-        q = float(rng.uniform(0.05, 0.95))
-        want = np.random.default_rng(seed).random(horizon) < q
-        got_rng = np.random.default_rng(seed)
-        got = _arrivals_from(got_rng, q, horizon)
-        assert got.dtype == np.bool_ and np.array_equal(got, want), horizon
-        # the generator is left where one whole draw leaves it
-        ref = np.random.default_rng(seed)
-        ref.random(horizon)
-        assert got_rng.random() == ref.random()
-
-
-def test_arrivals_from_holds_one_byte_a_slot():
-    # beyond the indicators, a draw holds one block of uniforms
-    rng = np.random.default_rng(2)
-    n = 2 ** 21
-    tracemalloc.start()
-    try:
-        _arrivals_from(rng, 0.3, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n + 8 * arrivals._DRAW_BLOCK + 2 ** 16, peak
 
 
 def _first_resonance(mu, theta, N, tol=1e-9):
@@ -518,7 +574,7 @@ def test_resonance_check_treats_overflow_as_not_resonant():
 
 def test_schedulers_are_causal_on_prefixes():
     # every prefix of a trace either runs out or gives the full-trace
-    # schedule, which is what lets a trial draw its trace lazily
+    # schedule, so the slots past the last trigger do not matter
     rng = np.random.default_rng(5)
     agreed = 0
     for _ in range(150):
@@ -541,28 +597,31 @@ def test_schedulers_are_causal_on_prefixes():
 
 def test_trace_budget_is_checked_before_drawing():
     u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
-    tiny_q = UserParams(k=2, q=1e-12, P=1.0, a=0.0)
+    tiny_q = UserParams(k=2, q=1e-18, P=1.0, a=0.0)
+    huge_k = UserParams(k=2**63, q=0.3, P=1.0, a=0.0)
     tracemalloc.start()
     try:
-        for args in ((tiny_q, 300, 2), (u, 10**13, 2), (u, 10**308, 1)):
-            with pytest.raises(ValueError, match="MAX_HORIZON"):
-                delay_gap_experiment(*args, theta=1.3, delta=0.5, trials=3,
-                                     seed=1)
+        for args, needle in (((tiny_q, 300, 2, 3), "int64 guard"),
+                             ((huge_k, 300, 2, 3), "int64 guard"),
+                             ((u, 10**13, 2, 3), "int64 guard"),
+                             ((u, 10**308, 1, 3), "int64 guard"),
+                             ((u, 300, 2, 2**19 + 1), "MAX_TRIGGERS"),
+                             ((u, 300, 1, 10**300), "MAX_TRIGGERS"),
+                             ((u, 10**6, 10**6, 2), "MAX_TRIGGERS")):
+            *cfg, trials = args
+            with pytest.raises(ValueError, match=needle):
+                delay_gap_experiment(*cfg, theta=1.3, delta=0.5,
+                                     trials=trials, seed=1)
+            with pytest.raises(ValueError, match=needle):
+                immediacy_violation_freq(*cfg[:2], max(cfg[2], 2), 20, 1.3,
+                                         trials, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_trace_budget_is_checked_before_doubling(monkeypatch):
-    # span 214 slots and a Geometric(0.01) wait; of these 200 trials 19
-    # extend the stream to 428 slots and 2 of them on to 856
-    u = UserParams(k=1, q=0.01, P=1.0, a=0.0)
-    args = (u, 1, 1, 1.3, 0.5, 200, 4)
-    for cap, needle in ((427, "428"), (855, "856")):
-        monkeypatch.setattr(arrivals, "MAX_HORIZON", cap)
-        with pytest.raises(ValueError,
-                           match=f"{needle} slots exceeds MAX_HORIZON"):
-            delay_gap_experiment(*args)
-    monkeypatch.setattr(arrivals, "MAX_HORIZON", 856)
-    assert delay_gap_experiment(*args).shape == (1,)
+    # the largest draw the budget allows, and a rate whose 3e14-slot
+    # wait no Bernoulli stream could hold
+    assert arrivals._trigger_rows(u, 300, 2, 1.3, 2**19, 1).shape \
+        == (2**19, 2)
+    assert delay_gap_experiment(UserParams(k=2, q=1e-12, P=1.0, a=0.0),
+                                300, 2, 1.3, 0.5, 3, 1).shape == (2,)

@@ -84,8 +84,8 @@ def test_buffers_resonant_ratio_is_infeasible(tmp_path):
 
 
 def test_buffers_builds_one_generator_per_trial(tmp_path, monkeypatch):
-    # both statistics come from one pass, so each trial's trace is drawn
-    # from one generator, not one per statistic
+    # both statistics come from one pass, and every trial's trigger slots
+    # from one draw, so each n builds one generator for all its trials
     built = []
     default_rng = np.random.default_rng
 
@@ -98,7 +98,15 @@ def test_buffers_builds_one_generator_per_trial(tmp_path, monkeypatch):
     code = cli.main(["buffers", "--config", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "out")])
     assert code == 0
-    assert len(built) == BUFFERS_CFG["trials"] * len(BUFFERS_CFG["n_values"])
+    assert len(built) == len(BUFFERS_CFG["n_values"])
+
+
+def test_buffers_slow_arrivals_run(tmp_path):
+    # about 3e14 slots to the last trigger: one draw, no stream
+    cfg = dict(BUFFERS_CFG, user={"k": 2, "q": 1e-12})
+    res = run_cli("buffers", cfg, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert len(read_rows(tmp_path / "out" / "delay_gap.csv")) == 4
 
 
 def test_buffers_seed_reproducible(tmp_path):
@@ -114,12 +122,12 @@ def test_buffers_seed_reproducible(tmp_path):
 # deliberately alters the arrival streams or the statistics must update
 # these digests and say so in CHANGES.md.
 BUFFERS_SHA256 = {
-    1: {"delay_gap.csv": "e9caeaf44455dc2bb3e59369872e52ad"
-                         "35489f44e978dcf29a3a8587e7311797",
+    1: {"delay_gap.csv": "d5e75b8810d79b7e1deeafd9c68fbaf3"
+                         "7fb96527f75384ae9469888e16a799ee",
         "immediacy.csv": "55d06fd644a0491dbf47aa4de09ddd66"
                          "296adc609433493dfccb03a3ce10a7f6"},
-    2: {"delay_gap.csv": "5937f27960b59629581571c16ea00d9c"
-                         "2d286e2b1f0198641006908c25a879f9",
+    2: {"delay_gap.csv": "75f458eac9f9863f97cef14d27ed6718"
+                         "be6f21a3cbc706d8bd72b635335bcfda",
         "immediacy.csv": "55d06fd644a0491dbf47aa4de09ddd66"
                          "296adc609433493dfccb03a3ce10a7f6"},
 }
@@ -544,9 +552,10 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     ("region", dict(SYM_KQ, k=-2, q=-0.3), "k must be a positive integer"),
     ("region", dict(SYM_KQ, k=2, q=5), "q must be in (0, 1]"),
     ("buffers", dict(BUFFERS_CFG, out=5), "'out' must be a string"),
-    # traces beyond arrivals.MAX_HORIZON are refused before any draw
-    ("buffers", dict(BUFFERS_CFG, user={"k": 2, "q": 1e-12}), "MAX_HORIZON"),
-    ("buffers", dict(BUFFERS_CFG, n_values=[10**13]), "MAX_HORIZON"),
+    # draws past the int64 guard or arrivals.MAX_TRIGGERS are refused
+    # before they are drawn
+    ("buffers", dict(BUFFERS_CFG, user={"k": 2, "q": 1e-18}), "int64 guard"),
+    ("buffers", dict(BUFFERS_CFG, trials=2**19 + 1), "MAX_TRIGGERS"),
     # the outage CDF squares spreads up to 2d
     ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
                     ds=[1e308]), "4*d*d finite"),
@@ -564,6 +573,17 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # at 180 dB rounding, not noise, decides every typicality test
     ("detect", dict(DETECT_CFG, n_values=[1000], M=64, trials=20,
                     gamma1_db=180, gamma2_db=180), "MAX_POWER"),
+    # magnitudes that overflowed or ran for minutes in the trigger draw
+    ("buffers", dict(BUFFERS_CFG, user={"k": 2**63, "q": 0.3}),
+     "int64 guard"),
+    ("buffers", dict(BUFFERS_CFG, user={"k": 1e300, "q": 0.3}),
+     "int64 guard"),
+    ("buffers", dict(BUFFERS_CFG, n_values=[10**13]), "int64 guard"),
+    ("buffers", dict(BUFFERS_CFG, trials=2**63), "MAX_TRIGGERS"),
+    ("buffers", dict(BUFFERS_CFG, trials=1e300), "MAX_TRIGGERS"),
+    ("buffers", dict(BUFFERS_CFG, trials=10**8), "MAX_TRIGGERS"),
+    ("buffers", dict(BUFFERS_CFG, delta=1e308),
+     "(1 + delta) * 2**63 finite"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read
