@@ -18,13 +18,10 @@ __version__ = "0.1.0"
 _SOURCE = {
     "UserParams": "model",
     "SchemeV": "model",
-    "SchemeVI": "model",
     "RatePair": "model",
     "capacity_c": "model",
     "rate_pair": "model",
     "derive_scheme_v": "model",
-    "limit_power_rate": "model",
-    "stability_ok": "model",
     "BurstLayout": "geometry",
     "ChannelStateS": "geometry",
     "OverlapTriple": "geometry",

@@ -263,8 +263,9 @@ def _check_theta(theta: float):
         raise ValueError(f"theta must be positive and finite, got {theta}")
 
 
-def _chunk(u, n: int, N: int, theta: float, trials: int) -> int:
-    """floor(n*k/N), the bits per codeword, after the checks that need no
+def _checked_events(u, n: int, N: int, theta: float,
+                    trials: int) -> np.ndarray:
+    """The trigger events of codewords 1..N, after the checks that need no
     draw. Callers run these before the resonance check over m = 1..N:
     MAX_TRIGGERS bounds N, and the int64 guard bounds n and k."""
     if N < 1:
@@ -280,33 +281,36 @@ def _chunk(u, n: int, N: int, theta: float, trials: int) -> int:
     if trials * N > MAX_TRIGGERS:
         raise ValueError(f"trials*N = {trials * N} trigger slots exceed "
                          f"MAX_TRIGGERS = {MAX_TRIGGERS}")
-    return chunk
+    return _trigger_events(u.k, chunk, N)
 
 
 def _check_delay_gap(u, n: int, N: int, theta: float, delta: float,
-                     trials: int):
-    _chunk(u, n, N, theta, trials)
-    _check_resonance(1.0 / (N * u.q), theta, N)
+                     trials: int) -> np.ndarray:
+    """_checked_events, after the delay gap's config checks. The resonance
+    check runs last, so a config error exits 2 rather than 3."""
+    events = _checked_events(u, n, N, theta, trials)
     # _lag_freq scales int64 slots by 1 + delta in float arithmetic
     if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
         raise ValueError(f"delta must be positive, with (1 + delta) * 2**63 "
                          f"finite, got {delta}")
     if math.floor(n * theta) < 1:
         raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
+    _check_resonance(1.0 / (N * u.q), theta, N)
+    return events
 
 
-def _trigger_rows(u, n: int, N: int, theta: float, trials: int,
+def _trigger_rows(u, events: np.ndarray, trials: int,
                   seed: int) -> np.ndarray:
-    """Every trial's N trigger slots, as a (trials, N) array from one draw.
+    """Every trial's trigger slots for the given events, as a
+    (trials, len(events)) array from one draw.
 
     Row t is the cumulative sum of d_j + NegativeBinomial(d_j, q) over the
     gaps d_j between trigger events; chunk >= k makes every d_j >= 1. The
     slotted dispatch follows from a row in closed form (_checkpoints).
     """
-    events = _trigger_events(u.k, _chunk(u, n, N, theta, trials), N)
     d = np.diff(events, prepend=0)
     rng = np.random.default_rng(seed)
-    rows = rng.negative_binomial(d, u.q, size=(trials, N))
+    rows = rng.negative_binomial(d, u.q, size=(trials, len(events)))
     rows += d
     return np.cumsum(rows, axis=1, out=rows)
 
@@ -332,8 +336,8 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
     Reads both schedulers off common trigger rows and reports, for each
     codeword j, the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
-    _check_delay_gap(u, n, N, theta, delta, trials)
-    return _lag_freq(_trigger_rows(u, n, N, theta, trials, seed),
+    events = _check_delay_gap(u, n, N, theta, delta, trials)
+    return _lag_freq(_trigger_rows(u, events, trials, seed),
                      math.floor(n * theta), delta)
 
 
@@ -344,7 +348,8 @@ def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
     if N < 2:
         raise ValueError("violations need at least two codewords")
     nprime = _preamble(n, nprime)
-    rel = _trigger_rows(u, n, N, theta, trials, seed)
+    events = _checked_events(u, n, N, theta, trials)
+    rel = _trigger_rows(u, events, trials, seed)
     return _violation_freq(rel, nprime + math.floor(n * theta))
 
 
@@ -359,8 +364,8 @@ def buffer_experiment(u, n: int, N: int, nprime: int | None, theta: float,
     the same seed.
     """
     nprime = _preamble(n, nprime)
-    _check_delay_gap(u, n, N, theta, delta, trials)
-    rel = _trigger_rows(u, n, N, theta, trials, seed)
+    events = _check_delay_gap(u, n, N, theta, delta, trials)
+    rel = _trigger_rows(u, events, trials, seed)
     n_i = math.floor(n * theta)
     lag = _lag_freq(rel, n_i, delta)
     return lag, (_violation_freq(rel, nprime + n_i) if N >= 2 else None)

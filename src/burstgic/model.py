@@ -15,14 +15,11 @@ __all__ = [
     "InfeasibleRateError",
     "UserParams",
     "SchemeV",
-    "SchemeVI",
     "RatePair",
     "capacity_c",
     "find_root",
     "rate_pair",
     "derive_scheme_v",
-    "limit_power_rate",
-    "stability_ok",
 ]
 
 
@@ -204,47 +201,6 @@ class SchemeV(object):
         return 1.0 / (self.N * self.user.q)
 
 
-@dataclass(frozen=True)
-class SchemeVI(object):
-    """Free-parameter scheme: codeword length theta, codebook rate R_c,
-    transmit power gamma chosen directly."""
-
-    user: UserParams
-    N: int
-    theta: float
-    R_c: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        lam = self.user.lam
-        if self.N > 1 and self.R_c <= lam:
-            raise InfeasibleRateError(
-                f"R_c must exceed lam={lam} when N={self.N} > 1, got {self.R_c}"
-            )
-        if self.R_c <= 0:
-            raise ValueError(f"R_c must be positive, got {self.R_c}")
-        gmax = (1.0 / self.N + self.R_c / lam) * self.user.P
-        if not (0.0 <= self.gamma <= gmax):
-            raise ValueError(
-                f"gamma must be in [0, {gmax}] to respect the power budget, "
-                f"got {self.gamma}"
-            )
-
-    @property
-    def mu(self) -> float:
-        """Mean inter-burst spacing theta * R_c / lam."""
-        return self.theta * self.R_c / self.user.lam
-
-    @property
-    def eta(self) -> float:
-        """Bits per codeword over blocklength, theta * R_c."""
-        return self.theta * self.R_c
-
-
 def derive_scheme_v(u: UserParams, N: int, R: float) -> SchemeV:
     """Build a SchemeV, rejecting rates outside the feasible window.
 
@@ -258,30 +214,3 @@ def derive_scheme_v(u: UserParams, N: int, R: float) -> SchemeV:
             f"R={R} outside feasible interval ({lo}, {lam}) for N={N}"
         )
     return SchemeV(user=u, N=N, R=R)
-
-
-def limit_power_rate(s, u: UserParams) -> tuple[float, float]:
-    """Long-run (average power, throughput) of a scheme as n grows.
-
-    Q = N*gamma / (1 + 1/(q*theta)),  R = lam / (1 + q*theta).
-
-    Works for either scheme type; s only needs N, gamma and theta.
-    """
-    theta = s.theta
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    qt = u.q * theta
-    Q = s.N * s.gamma / (1.0 + 1.0 / qt)
-    R = u.lam / (1.0 + qt)
-    return Q, R
-
-
-def stability_ok(s) -> bool:
-    """Whether bursts drain fast enough that the queue stays stable.
-
-    Vacuously true for N = 1 (a single codeword per batch never queues
-    behind itself); otherwise requires mu > theta.
-    """
-    if s.N == 1:
-        return True
-    return s.mu > s.theta

@@ -4,8 +4,9 @@ Closed forms of the symmetric layout, the overlap triples rebuilt from a
 channel state, the degeneracy filter for burst offsets, membership and
 intersection of interval unions (the Monte Carlo side of the outage
 checks), the former body of reliability.covered_lengths, the
-per-window typicality test behind detection._typical_from_sums, and the
-full-trace preamble scan that detection.estimate_arrivals replaced.
+per-window typicality test behind detection._typical_from_sums, the
+full-trace preamble scan that detection.estimate_arrivals replaced, and
+the long-run power and throughput that derive_scheme_v inverts.
 Names that a single test module needs live in that module.
 
 Importable from any test module because pytest puts this directory on
@@ -25,6 +26,23 @@ from burstgic.detection import (
     _window_sums,
 )
 from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
+from burstgic.model import UserParams
+
+
+def limit_power_rate(s, u: UserParams) -> tuple[float, float]:
+    """Long-run (average power, throughput) of a scheme as n grows.
+
+    Q = N*gamma / (1 + 1/(q*theta)),  R = lam / (1 + q*theta).
+
+    s only needs N, gamma and theta.
+    """
+    theta = s.theta
+    if theta <= 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    qt = u.q * theta
+    Q = s.N * s.gamma / (1.0 + 1.0 / qt)
+    R = u.lam / (1.0 + qt)
+    return Q, R
 
 
 def _jstar(mu: float, alpha: float) -> int:

@@ -46,13 +46,12 @@ from burstgic.geometry import (
 from burstgic.model import (
     UserParams,
     derive_scheme_v,
-    limit_power_rate,
     rate_pair,
 )
 from burstgic.region import rbar_c, region, sym_curves, sym_region
 from burstgic.reliability import closed_form_bound, rate_bound
 
-from oracles import contains_many, mild_check, sym_omega
+from oracles import contains_many, limit_power_rate, mild_check, sym_omega
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
 U2 = UserParams(k=2, q=0.4, P=1000.0, a=0.7)

@@ -338,10 +338,12 @@ def _violation_freq(traces, u, n, N, nprime, theta):
 
 def _full_draw_delay_gap(u, n, N, theta, delta, trials, seed):
     traces = _full_draw_traces(u, n, N, theta, trials, seed)
-    arrivals._check_resonance(1.0 / (N * u.q), theta, N)
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return _lag_freq(traces, u, n, N, theta, delta)
+    # run_sync_scheduler refuses n*theta under one slot; resonance is last
+    freq = _lag_freq(traces, u, n, N, theta, delta)
+    arrivals._check_resonance(1.0 / (N * u.q), theta, N)
+    return freq
 
 
 def _full_draw_immediacy(u, n, N, nprime, theta, trials, seed):
@@ -406,10 +408,10 @@ def _check_against_full_draw(u, n, N, nprime, theta, delta, trials, seed):
     assert got[1] is None if N < 2 else _same(got[1], imm)
     # every trial's triggers and slotted dispatches, on a trace built on
     # its row
-    rel = arrivals._trigger_rows(u, n, N, theta, trials, seed)
+    events = arrivals._checked_events(u, n, N, theta, trials)
+    rel = arrivals._trigger_rows(u, events, trials, seed)
     assert rel.shape == (trials, N)
-    chunk = math.floor(n * (u.k / N))
-    d = np.diff(arrivals._trigger_events(u.k, chunk, N), prepend=0)
+    d = np.diff(events, prepend=0)
     n_i = math.floor(n * theta)
     sigmas = arrivals._checkpoints(rel, n_i) * n_i
     rng = np.random.default_rng(seed)
@@ -504,24 +506,14 @@ def test_trigger_rows_match_negative_binomial_moments():
     T = 200_000
     for k, q, n, N in ((3, 0.3, 600, 2), (2, 0.05, 90, 3), (1, 0.9, 7, 5)):
         u = UserParams(k=k, q=q, P=1.0, a=0.0)
-        rel = arrivals._trigger_rows(u, n, N, 1.0, T, 17)
         events = arrivals._trigger_events(k, math.floor(n * k / N), N)
+        rel = arrivals._trigger_rows(u, events, T, 17)
         for e, col in zip(events, rel.T):
             mean, var = _nb_moments(e, q)
             assert abs(col.mean() - mean) < 4 * math.sqrt(var / T)
             kurt = (6 + q**2 / (1 - q)) / e
             se_var = var * math.sqrt((2 + kurt) / (T - 1))
             assert abs(col.var(ddof=1) - var) < 4 * se_var
-
-
-def test_generator_draws_split_exactly():
-    for seed in range(20):
-        whole = np.random.default_rng(seed).random(1000)
-        rng = np.random.default_rng(seed)
-        cuts = np.sort(np.random.default_rng(seed + 100).integers(0, 1001, 3))
-        sizes = np.diff(np.concatenate(([0], cuts, [1000])))
-        parts = np.concatenate([rng.random(int(s)) for s in sizes])
-        assert np.array_equal(parts, whole)
 
 
 def _first_resonance(mu, theta, N, tol=1e-9):
@@ -621,7 +613,7 @@ def test_trace_budget_is_checked_before_drawing():
     assert peak < 2**20
     # the largest draw the budget allows, and a rate whose 3e14-slot
     # wait no Bernoulli stream could hold
-    assert arrivals._trigger_rows(u, 300, 2, 1.3, 2**19, 1).shape \
-        == (2**19, 2)
+    events = arrivals._checked_events(u, 300, 2, 1.3, 2**19)
+    assert arrivals._trigger_rows(u, events, 2**19, 1).shape == (2**19, 2)
     assert delay_gap_experiment(UserParams(k=2, q=1e-12, P=1.0, a=0.0),
                                 300, 2, 1.3, 0.5, 3, 1).shape == (2,)

@@ -584,6 +584,11 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     ("buffers", dict(BUFFERS_CFG, trials=10**8), "MAX_TRIGGERS"),
     ("buffers", dict(BUFFERS_CFG, delta=1e308),
      "(1 + delta) * 2**63 finite"),
+    # every mu*m/theta past 2**53 is an integer; the slot check runs first
+    ("buffers", dict(BUFFERS_CFG, theta=1e-300), "under one slot"),
+    # theta = mu = 1/(N*q) is resonant at m = 1; the delta check runs first
+    ("buffers", dict(BUFFERS_CFG, theta=1.6666666666666667, delta=-1),
+     "delta must be positive"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read

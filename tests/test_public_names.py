@@ -1,8 +1,9 @@
 """The package's public names resolve, and none of them serves only tests.
 
 A public module-level def or class in src/burstgic must be used by the
-package itself, by a demo or by the benchmark, or be exported in
-burstgic.__all__. Code that only tests call lives in tests/oracles.py or
+package itself, by a demo, by the benchmark or by the README's library
+quick start. Listing a name in __all__ or in the package's _SOURCE map
+does not use it. Code that only tests call lives in tests/oracles.py or
 beside the one test module that uses it.
 """
 
@@ -70,23 +71,24 @@ def _reads(node) -> set:
     return out
 
 
-def _is_all(stmt) -> bool:
+def _is_listing(stmt) -> bool:
+    """Whether stmt assigns __all__ or the package's _SOURCE map."""
     return isinstance(stmt, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        isinstance(t, ast.Name) and t.id in ("__all__", "_SOURCE")
+        for t in stmt.targets)
 
 
 def test_every_public_def_is_used_or_exported():
     files = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
              *(ROOT / "bench").glob("*.py")]
-    defined, used = [], set()
+    defined, used = [], _reads(ast.parse(_quick_start()))
     for path in files:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if _is_all(stmt):  # listing a name is not using it
+            if _is_listing(stmt):  # listing a name is not using it
                 continue
             own = getattr(stmt, "name", None)  # def and class statements
             used |= _reads(stmt) - {own}
             if path.parent == SRC and own and not own.startswith("_"):
                 defined.append(f"{path.stem}.{own}")
-    unused = [q for q in defined if q.split(".")[1] not in used
-              and q.split(".")[1] not in burstgic.__all__]
+    unused = [q for q in defined if q.split(".")[1] not in used]
     assert not unused, f"public names nothing outside tests/ uses: {unused}"
