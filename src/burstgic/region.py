@@ -20,7 +20,7 @@ import numpy as np
 
 from .design import IntervalUnion
 from .model import UserParams, capacity_c, find_root, rate_pair
-from .reliability import covered_lengths
+from .reliability import covered_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +90,18 @@ def gamma_grid(u: UserParams, N: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the full region on a power grid
 
-#: Cells per block in region_members: 2**15 cells keep a block's working
-#: set in cache; smaller blocks pay interpreter overhead per block.
-_BLOCK = 2 ** 15
+#: Bytes of region_members' workspace per cell of a block: two banks of
+#: the five float64 operands and the intp kc and cell index (the row loop
+#: compacts the undecided cells from one bank into the prefix of the
+#: other), three float64 and three intp scratch rows, and four flag rows.
+_CELL_BYTES = 8 * (2 * (5 + 2) + 3 + 3) + 4
+#: The workspace is allocated once per call, so its size bounds the
+#: block's memory whatever N1, N2 or the grid; 2 MiB is one core's L2
+#: cache on the 2-CPU Xeon the benchmark runs on.
+_WORKSPACE_BYTES = 2 ** 21
+#: Cells per block: what the workspace holds (12,787). Smaller blocks
+#: pay the interpreter's per-block and per-row overhead more often.
+_BLOCK = _WORKSPACE_BYTES // _CELL_BYTES
 
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1074  # absolute error of a product that underflows
@@ -138,26 +147,46 @@ def _g2_runs(slope1, top2, slope2, wlo, whi):
     return runs
 
 
-def _user1_ends(load1, worst1, t1, s1, a, b, x):
+def _holds1(load1, worst1, t1, s1, j, g, out):
+    """out = load1 < t1 - s1[j]*worst1, user 1's test at g2 index j; g is
+    float scratch."""
+    s1.take(j, out=g, mode="clip")  # j is in range; clip skips a copy
+    np.multiply(g, worst1, out=g)
+    np.subtract(t1, g, out=g)
+    np.less(load1, g, out=out)
+
+
+def _user1_ends(load1, worst1, t1, s1, a, b, x, scratch):
     """Per cell, the first j in [a, b) where load1 < t1 - s1[j]*worst1
     fails, or b if it never does.
 
     s1[a:b] is non-decreasing and worst1 >= 0, so the test holds on a
     prefix of the run. searchsorted over x = (t1 - load1)/worst1 guesses
     its end; the test itself then moves each guess until it holds at k-1
-    and fails at k, so k is exact whatever the rounding of x.
+    and fails at k, so k is exact whatever the rounding of x. scratch is
+    (k, j, g, holds, move): two intp, one float and two flag arrays of
+    load1's shape; k is returned.
     """
-    k = a + np.searchsorted(s1[a:b], x)
-    while True:
-        down = (k > a) & ~(load1 < t1 - s1[np.maximum(k - 1, a)] * worst1)
-        if not down.any():
+    k, j, g, holds, move = scratch
+    np.add(np.searchsorted(s1[a:b], x), a, out=k)
+    while True:  # down where k > a and the test fails at k-1
+        np.subtract(k, 1, out=j)
+        np.maximum(j, a, out=j)
+        _holds1(load1, worst1, t1, s1, j, g, holds)
+        np.greater(k, a, out=move)
+        np.logical_not(holds, out=holds)
+        np.logical_and(move, holds, out=move)
+        if not move.any():
             break
-        k -= down
-    while True:
-        up = (k < b) & (load1 < t1 - s1[np.minimum(k, b - 1)] * worst1)
-        if not up.any():
+        np.subtract(k, move, out=k)
+    while True:  # up where k < b and the test holds at k
+        np.minimum(k, b - 1, out=j)
+        _holds1(load1, worst1, t1, s1, j, g, holds)
+        np.less(k, b, out=move)
+        np.logical_and(move, holds, out=move)
+        if not move.any():
             break
-        k += up
+        np.add(k, move, out=k)
     return k
 
 
@@ -188,8 +217,19 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     a grid's axes such as xs[:, None] and ys[None, :]. Cells are
     independent, so they are tested _BLOCK raw cells at a time, each block
     keeping its base cells (above lam, or above 0 for a user with N = 1).
-    The mask is the only array the size of the grid; the working memory is
-    bounded by the block.
+
+    Memory: the mask is the only array the size of the grid. Everything a
+    block holds lives in one workspace of _CELL_BYTES per cell,
+    _WORKSPACE_BYTES in all, allocated once per call and reused through
+    out=. The worst covered length is a running maximum over
+    covered_length calls, one codeword at a time, so no array has a
+    codeword axis and the memory does not grow with N1 or N2. Three steps
+    take no out=: the block's rates are copied from the flat grid, and
+    flatnonzero and searchsorted return new index arrays. Each is freed at
+    once, and at most three such arrays of 8 bytes a block cell exist
+    together (both rates and the base cells' indices), so a call peaks
+    below the mask plus _WORKSPACE_BYTES + 24*_BLOCK bytes, apart from
+    the (m_grid - 1)**2 rate-pair tables, which grow with m_grid alone.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
@@ -205,66 +245,139 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     g1s = gamma_grid(u1, N1, m_grid)
     g2s = gamma_grid(u2, N2, m_grid)
     # the right-hand sides theta*phi - (phi - psi)*worst at each power
-    # pair take these scalars; they do not depend on the cells
-    phi1, psi1, phi2, psi2 = np.array(
-        [[(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
-          for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
-                           for g2 in g2s)]
-         for g1 in g1s]).transpose(2, 0, 1)
+    # pair take these scalars; they do not depend on the cells. The table
+    # is filled one g1 row at a time, so no (m_grid - 1)**2 list of Python
+    # floats is built
+    phi1, psi1, phi2, psi2 = table = np.empty((4, g1s.size, g2s.size))
+    for i, g1 in enumerate(g1s):
+        table[:, i] = np.array(
+            [(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
+             for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
+                              for g2 in g2s)]).T
     top1 = theta1 * phi1[:, 0]  # phi1 = C(g1) is one float along a row
     slope1 = phi1 - psi1
     top2 = theta2 * phi2
     slope2 = phi2 - psi2
     members = np.zeros(math.prod(grid), dtype=bool)
+    cells = min(_BLOCK, members.size)
+    # the workspace: banks[c] holds the undecided cells' operands
+    # (worst1, worst2, load1, cap1, load2) and ibanks[c] their kc and
+    # flat index; the other bank receives them compacted
+    banks = np.empty((2, 5, cells))
+    ibanks = np.empty((2, 2, cells), dtype=np.intp)
+    fs = np.empty((3, cells))
+    ints = np.empty((3, cells), dtype=np.intp)
+    flags = np.empty((4, cells), dtype=bool)
     for start in range(0, members.size, _BLOCK):
-        pos = np.unravel_index(
-            np.arange(start, min(start + _BLOCK, members.size)), grid)
-        r1, r2 = R1[pos], R2[pos]
-        idx = np.flatnonzero((r1 > lo1) & (r2 > lo2))
-        if idx.size == 0:
+        # the block's raw cells in C order; flat slices copy only rates
+        r1 = R1.flat[start:start + _BLOCK]
+        r2 = R2.flat[start:start + _BLOCK]
+        base = np.greater(r1, lo1, out=flags[0, :r1.size])
+        base &= np.greater(r2, lo2, out=flags[1, :r1.size])
+        sel = np.flatnonzero(base)
+        n = sel.size
+        if n == 0:
             continue
-        r1, r2 = r1[idx], r2[idx]
-        idx += start
-        # operands of the undecided cells, one contiguous row each; the
-        # covered lengths of each codeword are freed once reduced
-        cov1, cov2 = covered_lengths(theta1 * r1 / u1.lam, theta1, 0.0, N1,
-                                     theta2 * r2 / u2.lam, theta2, alpha, N2)
-        cols = np.empty((5, idx.size))
-        cov1.max(axis=-1, out=cols[0])
-        cov2.max(axis=-1, out=cols[1])
-        del cov1, cov2
-        cols[2] = theta1 * r1
-        cols[3] = (1.0 / N1 + r1 / u1.lam) * u1.P
-        cols[4] = theta2 * r2
+        cur = 0
+        worst1, worst2, load1, cap1, load2 = banks[cur, :, :n]
+        kc, idx = ibanks[cur, :, :n]
+        r1.take(sel, out=load1, mode="clip")
+        r2.take(sel, out=load2, mode="clip")
+        np.add(sel, start, out=idx)
+        del r1, r2, sel
+        # load1 holds r1 and load2 holds r2 until scaled below
+        np.divide(load1, u1.lam, out=cap1)
+        np.add(1.0 / N1, cap1, out=cap1)
+        np.multiply(cap1, u1.P, out=cap1)
+        cap2 = fs[0, :n]
+        np.divide(load2, u2.lam, out=cap2)
+        np.add(1.0 / N2, cap2, out=cap2)
+        np.multiply(cap2, u2.P, out=cap2)
         # user 2's cap g2 <= cap2 holds for the g2 indices j < kc
-        kc = np.searchsorted(g2s, (1.0 / N2 + r2 / u2.lam) * u2.P, side="right")
-        runs = _g2_runs(slope1, top2, slope2, cols[1].min(), cols[1].max())
-        hit = np.zeros(idx.size, dtype=bool)
+        kc[...] = np.searchsorted(g2s, cap2, side="right")
+        np.multiply(theta1, load1, out=load1)
+        np.multiply(theta2, load2, out=load2)
+        # the worst covered length of each user, a running maximum over
+        # its codewords; the spare bank and fs are the kernel's buffers
+        mu1, mu2, cov, lo, hi = banks[1, :, :n]
+        scratch = (lo, hi, *fs[1:, :n])
+        np.divide(load1, u1.lam, out=mu1)
+        np.divide(load2, u2.lam, out=mu2)
+        for worst, mu, theta, nu, N, other in (
+                (worst1, mu1, theta1, 0.0, N1, (mu2, theta2, alpha, N2)),
+                (worst2, mu2, theta2, alpha, N2, (mu1, theta1, 0.0, N1))):
+            covered_length(1, mu, theta, nu, *other, worst, scratch)
+            for j in range(2, N + 1):
+                covered_length(j, mu, theta, nu, *other, cov, scratch)
+                np.maximum(worst, cov, out=worst)
+        runs = _g2_runs(slope1, top2, slope2, worst2.min(), worst2.max())
+        flags[0, :n] = False
         for i, g1 in enumerate(g1s):
-            keep = ~hit & (g1 <= cols[3])
-            if not keep.all():
-                idx, cols, kc = idx[keep], cols.compress(keep, axis=1), kc[keep]
-            if idx.size == 0:
+            hit, keep, f1, f2 = flags[:, :n]
+            np.less_equal(g1, banks[cur, 3, :n], out=keep)
+            np.logical_not(hit, out=hit)
+            np.logical_and(keep, hit, out=keep)
+            m = np.count_nonzero(keep)
+            if m < n:
+                sel = np.flatnonzero(keep)
+                # row by row: take copies an input that is not contiguous
+                for bank in (banks, ibanks):
+                    for src, dst in zip(bank[cur, :, :n], bank[1 - cur, :, :m]):
+                        src.take(sel, out=dst, mode="clip")
+                cur, n = 1 - cur, m
+                del sel
+            if n == 0:
                 break
-            worst1, worst2, load1, _, load2 = cols
+            worst1, worst2, load1, _, load2 = banks[cur, :, :n]
+            kc, idx = ibanks[cur, :, :n]
+            hit, _, f1, f2 = flags[:, :n]
+            x, g, p = fs[:, :n]
+            k, K, j = ints[:, :n]
             t1, s1, t2, s2 = top1[i], slope1[i], top2[i], slope2[i]
             with np.errstate(divide="ignore", invalid="ignore"):
-                x = (t1 - load1) / worst1
-            hit = np.zeros(idx.size, dtype=bool)
+                np.subtract(t1, load1, out=x)
+                np.divide(x, worst1, out=x)
+            hit.fill(False)
             for a, b in runs[i]:
-                k = _user1_ends(load1, worst1, t1, s1, a, b, x)
-                K = np.minimum(k, kc)
-                j = np.maximum(K - 1, a)
-                hit |= (K > a) & (load2 < t2[j] - s2[j] * worst2)
-            members[idx[hit]] = True
+                _user1_ends(load1, worst1, t1, s1, a, b, x, (k, j, g, f1, f2))
+                np.minimum(k, kc, out=K)
+                np.subtract(K, 1, out=j)
+                np.maximum(j, a, out=j)
+                t2.take(j, out=g, mode="clip")
+                s2.take(j, out=p, mode="clip")
+                np.multiply(p, worst2, out=p)
+                np.subtract(g, p, out=g)
+                np.less(load2, g, out=f1)
+                np.greater(K, a, out=f2)
+                np.logical_and(f2, f1, out=f1)
+                np.logical_or(hit, f1, out=hit)
+            # undecided cells are not members yet, so hit is their mask
+            members[idx] = hit
     return members.reshape(shape)
 
 
 #: Largest grid region() builds. A CSV or JSON run at the cap peaks at
-#: about 40 MB of resident memory, some 12 MB above the CLI's imports.
+#: about 35 MB of resident memory, some 4 MB above a 2 x 2 grid's run:
 #: region_members reads the grid's axes and tests one block of cells at a
-#: time, so the one grid-sized array is the 1-byte mask.
+#: time in the fixed _WORKSPACE_BYTES workspace, so the one grid-sized
+#: array is the 1-byte mask, and the peak does not grow with N1 or N2.
 MAX_CELLS = 2 ** 21
+
+#: Work budget of region(), in units of one codeword-burst pair of
+#: covered_length on one cell (both users' side of it). A cell costs
+#: N1*N2 units for its worst covered lengths and about 2 for each of the
+#: m_grid - 1 g1 rows; each of the (m_grid - 1)**2 power pairs costs about
+#: 1000 to tabulate with rate_pair. A unit took about 6 ns on the 2-CPU
+#: benchmark machine (180k cells: 1.25 s at N1 = N2 = 32, 0.46 s at
+#: m_grid 160; 25 cells at m_grid 1000: 5.4 s), so 2**30 units is about
+#: 7 s.
+MAX_REGION_WORK = 2 ** 30
+
+
+def _region_work(cells: int, N1: int, N2: int, m_grid: int) -> int:
+    """region()'s cost in MAX_REGION_WORK units."""
+    rows = max(m_grid - 1, 0)
+    return cells * (N1 * N2 + 2 * rows) + 1000 * rows ** 2
 
 
 def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
@@ -291,6 +404,11 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     if nx * ny > MAX_CELLS:
         raise ValueError(f"resolution {resolution} needs more than "
                          f"{MAX_CELLS} grid cells")
+    work = _region_work(nx * ny, N1, N2, m_grid)
+    if work > MAX_REGION_WORK:
+        raise ValueError(f"{nx * ny} cells at N1 = {N1}, N2 = {N2} and "
+                         f"m_grid = {m_grid} cost {work:.3g} work units, "
+                         f"beyond MAX_REGION_WORK = {MAX_REGION_WORK}")
     xs = lo1 + (hi1 - lo1) / nx * (np.arange(nx) + 0.5)
     ys = lo2 + (hi2 - lo2) / ny * (np.arange(ny) + 0.5)
     mask = region_members(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,

@@ -18,6 +18,7 @@ from burstgic.model import RatePair
 
 __all__ = [
     "RateDecomp",
+    "covered_length",
     "covered_lengths",
     "rate_decomp",
     "rate_bound",
@@ -52,40 +53,59 @@ def rate_decomp(l: BurstLayout, user: int, j: int) -> RateDecomp:
     return d
 
 
+def covered_length(j: int, mu, theta, nu, mu_o, theta_o, nu_o, N_o: int,
+                   out, scratch):
+    """Interfered length of codeword j, written into out.
+
+    The codeword is [j*mu + nu, j*mu + nu + theta]; the other user's
+    bursts are [m*mu_o + nu_o, m*mu_o + nu_o + theta_o], m = 1..N_o. The
+    arguments broadcast to out's shape, and scratch is four arrays of that
+    shape. Each burst's endpoints are formed in scratch when it is reached,
+    and the overlaps accumulate burst by burst from +0.0, as in
+    rate_decomp, so out holds rate_decomp's len_interf bit for bit. The
+    caller owns every buffer: no array is allocated, and the memory does
+    not depend on N_o.
+    """
+    lo, hi, over, left = scratch
+    np.multiply(j, mu, out=lo)
+    np.add(lo, nu, out=lo)
+    np.add(lo, theta, out=hi)
+    out.fill(0.0)
+    for m in range(1, N_o + 1):
+        np.multiply(m, mu_o, out=left)
+        np.add(left, nu_o, out=left)
+        np.add(left, theta_o, out=over)
+        np.minimum(hi, over, out=over)
+        np.maximum(lo, left, out=left)
+        np.subtract(over, left, out=over)
+        np.maximum(over, 0.0, out=over)
+        np.add(out, over, out=out)
+    return out
+
+
 def covered_lengths(mu1, theta1, nu1, N1: int, mu2, theta2, nu2, N2: int):
     """Interfered length of every codeword of both users.
 
     Broadcasts over arrays of (mu, nu) and returns (cov1, cov2) whose
     trailing axes run over codewords 1..N1 and 1..N2 (views of arrays laid
-    out codeword by codeword). Overlaps accumulate interferer by
-    interferer, as in rate_decomp, so each entry matches rate_decomp's
-    len_interf on the same layout bit for bit.
+    out codeword by codeword). Each row is one covered_length call, so
+    each entry matches rate_decomp's len_interf on the same layout bit for
+    bit. The result takes N1 + N2 arrays of the broadcast shape; a caller
+    that needs only a reduction over codewords calls covered_length itself
+    and keeps memory independent of N.
     """
     mu1, nu1, mu2, nu2 = (np.asarray(x, dtype=float)
                           for x in (mu1, nu1, mu2, nu2))
     lead = np.broadcast_shapes(mu1.shape, nu1.shape, mu2.shape, nu2.shape)
-    # codewords run along the first axis while computing, so every
-    # operation below streams over contiguous rows of cells
-    pad = (1,) * len(lead)
-    lo1 = np.arange(1, N1 + 1).reshape(-1, *pad) * mu1 + nu1
-    lo2 = np.arange(1, N2 + 1).reshape(-1, *pad) * mu2 + nu2
-    hi1, hi2 = lo1 + theta1, lo2 + theta2
-
-    def covered(a, a2, b, b2):
-        # cov = 0.0 + max(over, 0.0) per interferer, each step written into
-        # one of two scratch arrays; the sum starts from +0.0, so a -0.0
-        # overlap leaves +0.0 as in rate_decomp
-        cov = np.zeros(a.shape[:1] + lead)
-        over, left = np.empty_like(cov), np.empty_like(cov)
-        for m in range(b.shape[0]):
-            np.minimum(a2, b2[m], out=over)
-            np.maximum(a, b[m], out=left)
-            np.subtract(over, left, out=over)
-            np.maximum(over, 0.0, out=over)
-            np.add(cov, over, out=cov)
-        return np.moveaxis(cov, 0, -1)
-
-    return covered(lo1, hi1, lo2, hi2), covered(lo2, hi2, lo1, hi1)
+    scratch = [np.empty(lead) for _ in range(4)]
+    out = []
+    for mu, theta, nu, N, other in ((mu1, theta1, nu1, N1, (mu2, theta2, nu2, N2)),
+                                    (mu2, theta2, nu2, N2, (mu1, theta1, nu1, N1))):
+        cov = np.empty((N,) + lead)
+        for j in range(1, N + 1):
+            covered_length(j, mu, theta, nu, *other, cov[j - 1, ...], scratch)
+        out.append(np.moveaxis(cov, 0, -1))
+    return tuple(out)
 
 
 def rate_bound(l: BurstLayout, user: int, j: int, rp: RatePair) -> float:

@@ -449,6 +449,27 @@ def _oracle_configs(rng):
         delta = float(rng.uniform(0.05, 2.0))
         trials, seed = int(rng.integers(20, 41)), int(rng.integers(2**31))
         yield u, 1, 1, None, theta, delta, trials, seed
+    # resonant configs, theta = mu*m/j with mu = 1/(N*q), m <= N and j a
+    # positive integer: alone, with delta <= 0, or with n*theta under one
+    # slot. Both routes must report the config error before the resonance
+    for i in range(60):
+        u = UserParams(k=int(rng.integers(1, 5)),
+                       q=float(rng.uniform(0.05, 1.0)), P=1.0, a=0.0)
+        N = int(rng.integers(1, 6))
+        n = int(rng.integers(N, 20))  # chunk >= k
+        mu, m = 1.0 / (N * u.q), int(rng.integers(1, N + 1))
+        if i % 3 == 2:  # j > n*mu*m puts n*theta below one slot
+            j = math.floor(n * mu * m) + int(rng.integers(1, 4))
+        else:
+            j = int(rng.integers(1, 4))
+        theta = mu * m / j
+        if i % 3 != 2:
+            n = max(n, math.ceil(1.0 / theta))
+        delta = (float(rng.choice([0.0, -0.5, -1e-300])) if i % 3 == 1
+                 else float(rng.uniform(0.05, 2.0)))
+        nprime = None if rng.random() < 0.2 else int(rng.integers(0, 20))
+        trials, seed = int(rng.integers(1, 9)), int(rng.integers(2**31))
+        yield u, n, N, nprime, theta, delta, trials, seed
 
 
 #: (u, n, N, nprime, theta, delta) for the two-sample comparison; small n
@@ -472,12 +493,18 @@ def _two_sided_z(alpha):
 
 
 def test_experiments_match_full_horizon_oracle():
-    passed = failed = 0
+    passed, failed = 0, {ValueError: 0, ResonanceError: 0}
     for cfg in _oracle_configs(np.random.default_rng(77)):
         rel = _check_against_full_draw(*cfg)
         passed += rel is not None
-        failed += rel is None
-    assert passed >= 200 and failed >= 20, (passed, failed)
+        if rel is None:
+            u, n, N, _, theta, delta, trials, seed = cfg
+            failed[_outcome(delay_gap_experiment, u, n, N, theta, delta,
+                            trials, seed)] += 1
+    assert passed >= 200 and sum(failed.values()) >= 20, (passed, failed)
+    # both failures occur: a resonance, and a config error that comes
+    # before the resonance of the same config
+    assert min(failed.values()) >= 10, failed
     # The one draw and the full-draw route sample the same law with
     # different streams, so their frequencies are compared as two
     # binomial samples of T trials each. Under a common p, the difference

@@ -323,6 +323,23 @@ def test_region_grid_cell_budget_is_config_error(tmp_path, resolution):
     assert not (tmp_path / "out" / "region_points.csv").exists()
 
 
+@pytest.mark.parametrize("over", [
+    {"N1": 2000, "N2": 2000, "m_grid": 40, "resolution": 0.01},
+    {"N1": 10 ** 9, "N2": 1},
+    {"m_grid": 2000, "resolution": 10.0},
+])
+def test_region_grid_work_budget_is_config_error(tmp_path, over):
+    # without the budget, the first config would take about an hour of
+    # covered-length work and the last about 20 s of rate-pair tables
+    start = time.monotonic()
+    res = run_cli("region", dict(GRID_CFG, **over), tmp_path, timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_REGION_WORK" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out" / "region_points.csv").exists()
+    assert time.monotonic() - start < 10.0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -18,7 +18,11 @@ from burstgic.geometry import (
 from burstgic.model import UserParams, capacity_c, rate_pair
 from burstgic.region import (
     _BLOCK,
+    _WORKSPACE_BYTES,
+    MAX_CELLS,
+    MAX_REGION_WORK,
     Region2D,
+    _region_work,
     _sym_pert_region,
     gamma_grid,
     rbar_c,
@@ -498,16 +502,21 @@ def test_region_members_full_grid_oracle_all_and_none():
 
 
 def test_region_members_full_grid_oracle_across_blocks():
-    # region_members tests _BLOCK base cells at a time; this grid spans four
-    # blocks, the last one partial. x-major, its rows run: at or below lam
-    # (no base cells), beyond rbar_c (none), across the box (mixed), inside
-    # the far-offset square (all in), so whole blocks are all out or in
+    # region_members tests _BLOCK raw cells at a time; this grid's base
+    # cells span four blocks' worth, the last one partial. x-major, its
+    # rows run: at or below lam (no base cells), beyond rbar_c (none),
+    # across the box (mixed), inside the far-offset square (all in), so
+    # whole blocks are all out or in. Row counts follow _BLOCK: each of
+    # the last three sections holds 1.125 blocks of cells
     rb = rbar_c(U, 2)
+    ny = 307
+    rows = lambda blocks: math.ceil(blocks * _BLOCK / ny)
     box = lambda lo, hi, n: U.lam + (rb - U.lam) * np.linspace(lo, hi, n)
-    xs = np.concatenate((np.linspace(0.5 * U.lam, U.lam, 40),
-                         box(1.01, 1.5, 120), box(0.02, 0.98, 120),
-                         box(0.4, 0.85, 120)))
-    X, Y = np.meshgrid(xs, box(0.4, 0.85, 307), indexing="ij")
+    xs = np.concatenate((np.linspace(0.5 * U.lam, U.lam, rows(0.375)),
+                         box(1.01, 1.5, rows(1.125)),
+                         box(0.02, 0.98, rows(1.125)),
+                         box(0.4, 0.85, rows(1.125))))
+    X, Y = np.meshgrid(xs, box(0.4, 0.85, ny), indexing="ij")
     args = (U, U, 2, 2, 1.0, 1.0, 20.0, 3, X, Y)
     got = region_members(*args)
     assert X.size > 2 * _BLOCK and X.size % _BLOCK
@@ -660,6 +669,8 @@ def test_user1_ends_are_exact_from_any_guess():
     holds = load1[:, None] < t1 - s1[None, :] * worst1[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         exact = (t1 - load1) / worst1
+    scratch = (np.empty(500, np.intp), np.empty(500, np.intp), np.empty(500),
+               np.empty(500, bool), np.empty(500, bool))
     guesses = {"exact": exact, "zero": np.zeros(500), "inf": np.full(500, np.inf),
                "-inf": np.full(500, -np.inf), "nan": np.full(500, np.nan),
                "random": rng.uniform(-5.0, 5.0, 500)}
@@ -667,7 +678,7 @@ def test_user1_ends_are_exact_from_any_guess():
         want = a + np.argmin(np.column_stack((holds[:, a:b], np.zeros(500, bool))),
                              axis=1)
         for name, x in guesses.items():
-            got = mod._user1_ends(load1, worst1, t1, s1, a, b, x)
+            got = mod._user1_ends(load1, worst1, t1, s1, a, b, x, scratch)
             assert np.array_equal(got, want), (a, b, name)
 
 
@@ -715,6 +726,57 @@ def test_region_members_memory_does_not_grow_with_cells():
             tracemalloc.stop()
     per_cell = (peaks[1] - peaks[0]) / (2 ** 19 - 2 ** 17)
     assert per_cell < 32, per_cell
+
+
+def test_region_members_memory_does_not_grow_with_N():
+    # a block's buffers are one workspace of _WORKSPACE_BYTES, and the
+    # worst covered length is a running maximum over codewords, so no
+    # array region_members makes has a codeword axis. Besides the mask and
+    # the workspace, a call holds at most three transient arrays of 8
+    # bytes a block cell at once (the block's two rate copies and its base
+    # cells' indices) at any N; at m_grid 5 its tables and Python objects
+    # take well under 64 KiB. The row loop's own transients (flatnonzero,
+    # searchsorted) are one such array, one intp an undecided cell, and
+    # the undecided cells are all that N changes, so the peaks at two N
+    # differ by at most 8 bytes a block cell. Before the workspace, the
+    # covered lengths of every codeword of a block made it grow by about
+    # 2 MB per unit of N.
+    rb = rbar_c(U, 2)
+    xs = np.linspace(0.0, 1.1 * rb, 300)
+    ys = np.linspace(0.0, 1.1 * rb, 301)
+    assert xs.size * ys.size > 4 * _BLOCK
+    peaks = {}
+    for N in (2, 16):
+        tracemalloc.start()
+        try:
+            mask = region_members(U, U, N, N, 1.0, 1.0, 0.5, 5,
+                                  xs[:, None], ys[None, :])
+            peaks[N] = tracemalloc.get_traced_memory()[1] - mask.nbytes
+        finally:
+            tracemalloc.stop()
+        assert mask.any() and not mask.all()
+    bound = _WORKSPACE_BYTES + 3 * 8 * _BLOCK + 2 ** 16
+    assert max(peaks.values()) <= bound, (peaks, bound)
+    assert abs(peaks[16] - peaks[2]) <= 8 * _BLOCK, peaks
+
+
+def test_region_work_budget_is_checked_before_allocating():
+    # the README cap run (MAX_CELLS cells at m_grid 40) and the benchmark
+    # grid at N1 = N2 = 32 (428 x 428 cells) fit the budget
+    assert _region_work(MAX_CELLS, 2, 2, 40) <= MAX_REGION_WORK
+    assert _region_work(428 * 428, 32, 32, 40) <= MAX_REGION_WORK
+    rb = rbar_c(U, 2)
+    for N1, N2, m_grid, resolution in ((400, 400, 10, None),
+                                       (10 ** 9, 1, 10, None),
+                                       (2, 2, 2000, rb)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_REGION_WORK"):
+                region(U, U, N1, N2, 1.0, 1.0, 0.5, m_grid, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16, (N1, N2, m_grid, peak)
 
 
 def test_region_members_power_grid_nesting():
@@ -788,20 +850,23 @@ def _axes_match_mesh(args, xs, ys):
 
 
 def test_region_members_axes_match_mesh_across_blocks():
-    # 260 x 500 cells are four blocks of raw cells, the last one partial.
-    # The first 70 rows sit at or below lam, so the first block holds no
-    # base cell and the second starts among them; columns at or below lam
-    # leave no base cell in any row either
+    # 3.97 blocks of raw cells: four blocks, the last one partial. The
+    # first rows, 1.07 blocks of cells, sit at or below lam, so the first
+    # block holds no base cell and the second starts among them; columns
+    # at or below lam leave no base cell in any row either. Row counts
+    # follow _BLOCK
     rb = rbar_c(U, 2)
-    xs = np.concatenate((np.linspace(0.3 * U.lam, U.lam, 70),
-                         np.linspace(U.lam, 1.05 * rb, 191)[1:]))
     ys = np.linspace(0.5 * U.lam, 1.05 * rb, 500)
+    below = math.ceil(1.07 * _BLOCK / ys.size)
+    total = math.floor(3.97 * _BLOCK / ys.size)
+    xs = np.concatenate((np.linspace(0.3 * U.lam, U.lam, below),
+                         np.linspace(U.lam, 1.05 * rb, total - below + 1)[1:]))
     args = (U, U, 2, 2, 1.0, 1.0, 0.5, 12)
     got, X, Y = _axes_match_mesh(args, xs, ys)
-    assert 3 * _BLOCK < X.size < 4 * _BLOCK and 70 * ys.size > _BLOCK
+    assert 3 * _BLOCK < X.size < 4 * _BLOCK and below * ys.size > _BLOCK
     assert np.array_equal(got, _members_full_grid(*args, X, Y))
-    assert not got[:70].any() and not got[:, ys <= U.lam].any()
-    assert got.any() and not got[70:].all()
+    assert not got[:below].any() and not got[:, ys <= U.lam].any()
+    assert got.any() and not got[below:].all()
 
 
 def test_region_members_axes_match_mesh_at_one_burst():
@@ -855,10 +920,10 @@ def test_region_peak_grows_by_the_mask_alone():
     # region() hands region_members the grid's axes, and the blocks walk
     # raw cells, so the one array the size of the grid is the mask, 1 byte
     # a cell. The axes add 8 bytes a row and a column, about 0.03 bytes per
-    # added cell between these grids. A block's buffers are bounded by
-    # _BLOCK cells on both grids, but its cells differ and so compact
-    # differently; that moved the peak by about 0.3 bytes per added cell
-    # when this was written. So the peak may grow by 1 + 1 bytes per added
+    # added cell between these grids. A block's buffers are one workspace
+    # of the same size on both grids, and its transients are bounded by
+    # _BLOCK cells; with the workspace this reads 1.001 bytes per added
+    # cell. So the peak may grow by 1 + 1 bytes per added
     # cell. A mesh of the axes costs 16 bytes a cell, a full-grid index of
     # the base cells 8 more, and the two together read 26 here.
     rb = rbar_c(U, 2)
