@@ -487,9 +487,10 @@ def cmd_detect(rc: RunConfig) -> list:
                                  for m in nprime_values)
                            if nprime_values is not None else None),
         )
+        trials = _integer(p.get("trials", 200), "trials")
+        cfg.check_trials(trials)
     except ValueError as e:
         raise ConfigError(str(e))
-    trials = _integer(p.get("trials", 200), "trials")
     rows = detection_experiment(cfg, trials, rc.seed)
     header = ("n", "nprime", "trials", "traces", "bursts_total",
               "bursts_located", "recovered_traces", "recovery_rate",

@@ -31,6 +31,15 @@ M_CAP = 1 << 16
 #: trial at the cap peaks near 135 MB (peak RSS of a fresh CLI process).
 MAX_TRACE = 1 << 21
 
+#: Most receiver-trace slots one detect run may simulate: trials times
+#: the slots of one trial's traces over every n (2*n + 9*nprime each, as
+#: for MAX_TRACE). A trial also pays about 0.5 ms whatever its length, as
+#: much as about 2**12 slots, so each n is charged at least that many. A
+#: slot took about 0.2 us on the 2-CPU benchmark machine (0.34 s a trial
+#: at n = 10**6, 0.6 ms at n = 64), so 2**28 slots is about a minute; a
+#: trial count past it is refused before any stream is spawned.
+MAX_TRIAL_SLOTS = 1 << 28
+
 #: Largest receive power P per sample, 1 + gamma_own + a * gamma_other, at
 #: either receiver; past it rounding, not noise, decides the tests.
 #: deviations_from_sums expands the residual energy ||y - coef*x||^2 as
@@ -582,6 +591,18 @@ class DetectionConfig:
     M: int
     nprime_values: tuple = None  # default: ceil(sqrt(n)) per n
 
+    def check_trials(self, trials: int) -> None:
+        """Raise ValueError unless 1 <= trials and trials times the
+        per-trial trace slots fit MAX_TRIAL_SLOTS."""
+        if trials < 1:
+            raise ValueError("need at least one trial")
+        slots = sum(max(2 * n + 9 * self.nprime_for(idx), 1 << 12)
+                    for idx, n in enumerate(self.n_values))
+        if trials * slots > MAX_TRIAL_SLOTS:
+            raise ValueError(f"trials of {slots} trace slots each may "
+                             f"number at most {MAX_TRIAL_SLOTS // slots} "
+                             f"(MAX_TRIAL_SLOTS = {MAX_TRIAL_SLOTS})")
+
     def __post_init__(self):
         if not self.n_values or any(n < 4 for n in self.n_values):
             raise ValueError("n_values must be codeword lengths >= 4")
@@ -753,8 +774,7 @@ def detection_experiment(cfg: DetectionConfig, trials: int, seed) -> tuple:
     Trials draw from independent spawned streams, so the report is
     reproducible for a given seed and safe to parallelize later.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    cfg.check_trials(trials)
     rows = []
     tps_pair = (rx_params(cfg.eps, cfg.gamma1, cfg.gamma2, cfg.a2),
                 rx_params(cfg.eps, cfg.gamma2, cfg.gamma1, cfg.a1))

@@ -90,67 +90,83 @@ def gamma_grid(u: UserParams, N: int, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the full region on a power grid
 
-#: Bytes of region_members' workspace per cell of a block: two banks of
-#: the five float64 operands and the intp kc and cell index (the row loop
-#: compacts the undecided cells from one bank into the prefix of the
-#: other), three float64 and three intp scratch rows, and four flag rows.
-_CELL_BYTES = 8 * (2 * (5 + 2) + 3 + 3) + 4
+#: Bytes of region_members' workspace per cell of a batch: four float64
+#: operands (loads and worst covered lengths) and three intp (flat index
+#: and both power caps as grid counts), seven float64 rows that are
+#: covered_length's buffers and then the row loop's scratch, and four
+#: flag rows.
+_CELL_BYTES = 8 * (4 + 3 + 7) + 4
 #: The workspace is allocated once per call, so its size bounds the
-#: block's memory whatever N1, N2 or the grid; 2 MiB is one core's L2
-#: cache on the 2-CPU Xeon the benchmark runs on.
+#: memory of a block and a batch whatever N1, N2 or the grid; 2 MiB is
+#: one core's L2 cache on the 2-CPU Xeon the benchmark runs on.
 _WORKSPACE_BYTES = 2 ** 21
-#: Cells per block: what the workspace holds (12,787). Smaller blocks
-#: pay the interpreter's per-block and per-row overhead more often.
+#: Cells per batch, and most raw cells per block: what the workspace
+#: holds (18,078). Smaller batches pay the interpreter's per-row overhead
+#: more often.
 _BLOCK = _WORKSPACE_BYTES // _CELL_BYTES
 
 _U = 2.0 ** -53  # unit roundoff of float64
 _TINY = 2.0 ** -1074  # absolute error of a product that underflows
 
 
+def _rising(T, S, wlo, whi):
+    """The steps i -> i+1 along the last axis of T and S where
+    f(i) = fl(T_i - fl(S_i*w)) rises for every w in [wlo, whi].
+
+    With u = 2**-53, f(i) is within u*(|T_i| + (2+u)*|S_i|*|w|) + 2**-1074
+    of T_i - S_i*w (one rounding per operation, plus the product's
+    underflow), and the step (T_{i+1} - T_i) - (S_{i+1} - S_i)*w, linear
+    in w and so smallest at wlo or whi, is computed within 3u*(|T_i| +
+    |T_{i+1}| + (|S_i| + |S_{i+1}|)*|w|) + 2**-1074. A computed step above
+    8u*(|T_i| + |T_{i+1}| + 2*(|S_i| + |S_{i+1}|)*W) + 2**-1072, with
+    W = max(|wlo|, |whi|), covers both errors, so f(i+1) > f(i). A NaN
+    bound certifies nothing.
+    """
+    W = max(abs(wlo), abs(whi))
+    dT = np.diff(T, axis=-1)
+    dS = np.diff(S, axis=-1)
+    need = (8.0 * _U * (np.abs(T[..., :-1]) + np.abs(T[..., 1:])
+                        + 2.0 * W * (np.abs(S[..., :-1]) + np.abs(S[..., 1:])))
+            + 4.0 * _TINY)
+    ok = dT - dS * wlo > need
+    ok &= dT - dS * whi > need
+    return ok
+
+
+def _runs(ok):
+    """The half-open runs (a, b) of indices 0..len(ok) between the steps
+    ok does not certify."""
+    if ok.all():
+        return [(0, ok.size + 1)]
+    cuts = [0, *(np.flatnonzero(~ok) + 1).tolist(), ok.size + 1]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _g2_runs(slope1, top2, slope2, wlo, whi):
     """Split each power row's g2 indices into runs where both decoding
-    tests are monotone in g2 for every cell of a block.
+    tests are monotone in g2 for every cell of a batch.
 
     slope1, top2 and slope2 are the (rows, m-1) tables of region_members;
-    wlo and whi bound the block's worst2. Step j -> j+1 of row i is
+    wlo and whi bound the batch's worst2. Step j -> j+1 of row i is
     certified when
 
     - slope1[i, j] <= slope1[i, j+1], so user 1's test
       load1 < top1 - slope1*worst1 (worst1 >= 0) can only turn false;
-    - user 2's right-hand side f(j) = fl(T_j - fl(S_j*w)) rises for every
-      w in [wlo, whi], so its test can only turn true. With u = 2**-53,
-      f(j) is within u*(|T_j| + (2+u)*|S_j|*|w|) + 2**-1074 of T_j - S_j*w
-      (one rounding per operation, plus the product's underflow), and the
-      step (T_{j+1} - T_j) - (S_{j+1} - S_j)*w, linear in w and so
-      smallest at wlo or whi, is computed within 3u*(|T_j| + |T_{j+1}| +
-      (|S_j| + |S_{j+1}|)*|w|) + 2**-1074. A computed step above
-      8u*(|T_j| + |T_{j+1}| + 2*(|S_j| + |S_{j+1}|)*W) + 2**-1072, with
-      W = max(|wlo|, |whi|), covers both errors, so f(j+1) > f(j).
+    - user 2's right-hand side fl(T_j - fl(S_j*w)) rises for every w in
+      [wlo, whi] (_rising), so its test can only turn true.
 
     Returns, per row, the half-open runs (a, b) between uncertified steps.
     A NaN bound certifies nothing, so every index is then its own run.
     """
-    W = max(abs(wlo), abs(whi))
-    dT = np.diff(top2, axis=1)
-    dS = np.diff(slope2, axis=1)
-    need = (8.0 * _U * (np.abs(top2[:, :-1]) + np.abs(top2[:, 1:])
-                        + 2.0 * W * (np.abs(slope2[:, :-1]) + np.abs(slope2[:, 1:])))
-            + 4.0 * _TINY)
     ok = np.diff(slope1, axis=1) >= 0.0
-    ok &= dT - dS * wlo > need
-    ok &= dT - dS * whi > need
-    n = slope1.shape[1]
-    runs = []
-    for row in ok:
-        cuts = [0, *(np.flatnonzero(~row) + 1).tolist(), n]
-        runs.append(list(zip(cuts, cuts[1:])))
-    return runs
+    ok &= _rising(top2, slope2, wlo, whi)
+    return [_runs(row) for row in ok]
 
 
 def _holds1(load1, worst1, t1, s1, j, g, out):
     """out = load1 < t1 - s1[j]*worst1, user 1's test at g2 index j; g is
     float scratch."""
-    s1.take(j, out=g, mode="clip")  # j is in range; clip skips a copy
+    s1.take(j, out=g, mode="clip")  # clip also skips a copy
     np.multiply(g, worst1, out=g)
     np.subtract(t1, g, out=g)
     np.less(load1, g, out=out)
@@ -169,25 +185,178 @@ def _user1_ends(load1, worst1, t1, s1, a, b, x, scratch):
     """
     k, j, g, holds, move = scratch
     np.add(np.searchsorted(s1[a:b], x), a, out=k)
+    # the test reads s1 with clip, so it may run at k - 1 = a - 1 or at
+    # k = b, outside the run (even outside s1); move masks those cells out
     while True:  # down where k > a and the test fails at k-1
         np.subtract(k, 1, out=j)
-        np.maximum(j, a, out=j)
         _holds1(load1, worst1, t1, s1, j, g, holds)
         np.greater(k, a, out=move)
-        np.logical_not(holds, out=holds)
-        np.logical_and(move, holds, out=move)
+        np.greater(move, holds, out=move)  # and not holds
         if not move.any():
             break
         np.subtract(k, move, out=k)
     while True:  # up where k < b and the test holds at k
-        np.minimum(k, b - 1, out=j)
-        _holds1(load1, worst1, t1, s1, j, g, holds)
+        _holds1(load1, worst1, t1, s1, k, g, holds)
         np.less(k, b, out=move)
         np.logical_and(move, holds, out=move)
         if not move.any():
             break
         np.add(k, move, out=k)
     return k
+
+
+def _budget_counts(r, u: UserParams, N: int, gs, cap):
+    """How many powers of the rising grid gs each rate r affords: g <= cap
+    = (1/N + r/lam)*P, the cap written into cap."""
+    np.divide(r, u.lam, out=cap)
+    np.add(1.0 / N, cap, out=cap)
+    np.multiply(cap, u.P, out=cap)
+    return np.searchsorted(gs, cap, side="right")
+
+
+def _flat_range(a, start, out):
+    """Copy the cells of a from flat index start on, in C order, into out.
+
+    a.flat[...] walks a broadcast array one element at a time; a ranged,
+    buffered iterator copies it in strided chunks, several times faster.
+    """
+    it = np.nditer(a, flags=["ranged", "buffered", "external_loop"],
+                   order="C", buffersize=4096)
+    it.iterrange = (start, start + out.size)
+    pos = 0
+    for chunk in it:
+        out[pos:pos + chunk.size] = chunk
+        pos += chunk.size
+
+
+def _compact(fl, it, sel, kern):
+    """Move the columns at sel of the float rows fl and the intp rows it
+    to their fronts, in order. The moved columns pass through kern's
+    memory, since take into its own input would allocate a copy."""
+    m = sel.size
+    nf, ni = len(fl), len(it)
+    buf = kern.reshape(-1)
+    f = buf[:nf * m].reshape(nf, m)
+    i = buf[nf * m:(nf + ni) * m].view(np.intp).reshape(ni, m)
+    # row by row: take copies an input that is not contiguous
+    for src, dst in (*zip(fl, f), *zip(it, i)):
+        src.take(sel, out=dst, mode="clip")
+    fl[:, :m] = f
+    it[:, :m] = i
+
+
+def _test_batch(members, fl, it, kern, flags, tables):
+    """Decide a batch of undecided cells by the power-row loop.
+
+    fl and it are the batch's operand rows, (load1, load2, worst1,
+    worst2) and (idx, ic, kc), over its cells; kern is seven float rows
+    of scratch and flags four flag rows. The cells are sorted by their
+    first live row, the first g1 row whose user-1 test can pass at some
+    g2 (see region_members), so the cells a row tests are a prefix: the
+    earlier cells still undecided, then the cells that start at that row.
+    """
+    top1, slope1, smin1, top2, slope2 = tables
+    (load1, load2, worst1, worst2), (idx, ic, kc) = fl, it
+    n, nrows = load1.size, top1.size
+    ints = kern.view(np.intp)
+    first = ints[6, :n]
+    k, probe = ints[3:5, :n]
+    g, sw = kern[:2, :n]
+    live, dead = flags[:2, :n]
+    # row i is dead for a cell when load1 >= fl(T1_i - fl(smin1_i*worst1)):
+    # smin1_i is the row's least slope, so by the bound of region_members'
+    # pre-pass no g2 passes user 1 there. On a run of rows where that
+    # right-hand side rises for the batch's every worst1 (_rising), the
+    # dead rows of a cell live at the run's last row are a prefix of the
+    # run, counted by binary lifting: a probe moves past rows only once it
+    # finds them dead, and a probe beyond the run reads its live last row.
+    # Runs go backwards, so the last write is the first live row
+    first.fill(nrows)
+    top = int(ic.max())
+    for a, b in reversed(_runs(_rising(top1[:top], smin1[:top],
+                                       worst1.min(), worst1.max()))):
+        np.multiply(smin1[b - 1], worst1, out=g)
+        np.subtract(top1[b - 1], g, out=g)
+        np.less(load1, g, out=live)
+        k.fill(a)
+        step = 1 << (b - 1 - a).bit_length() >> 1
+        while step:
+            np.add(k, step - 1, out=probe)
+            np.minimum(probe, b - 1, out=probe)
+            top1.take(probe, out=g, mode="clip")
+            smin1.take(probe, out=sw, mode="clip")
+            np.multiply(sw, worst1, out=sw)
+            np.subtract(g, sw, out=g)
+            np.greater_equal(load1, g, out=dead)
+            np.add(k, step, out=k, where=dead)
+            step >>= 1
+        np.copyto(first, k, where=live)
+    # a first live row the cell cannot afford means no row admits it
+    np.greater_equal(first, ic, out=live)
+    np.copyto(first, nrows, where=live)
+    counts = np.bincount(first, minlength=nrows + 1)
+    n -= int(counts[nrows])
+    if n == 0:
+        return
+    # a stable sort keeps each row's new cells in grid order, where
+    # neighbours have close rates: searchsorted then runs over nearly
+    # sorted keys. Radix sort needs a small dtype
+    order = np.argsort(first.astype(np.min_scalar_type(nrows)),
+                       kind="stable")[:n]
+    _compact(fl, it, order, kern)
+    del order
+    # ends[i]: the cells whose first live row is i or earlier
+    ends = np.cumsum(counts[:nrows]).tolist()
+    runs = _g2_runs(slope1, top2, slope2, worst2[:n].min(), worst2[:n].max())
+    m = p = 0  # the rows' cells [0, m) are tested, [p, n) wait their row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(nrows):
+            new = ends[i] - p
+            if new:
+                if m < p:  # one dimension: numpy copies overlapping slices
+                    for row in (*fl, *it):
+                        row[m:m + new] = row[p:p + new]
+                m += new
+                p += new
+            if m == 0:
+                if p == n:
+                    break
+                continue
+            load1, load2, worst1, worst2 = fl[:, :m]
+            idx, ic, kc = it[:, :m]
+            hit, keep, f1, f2 = flags[:4, :m]
+            x, g, q = kern[:3, :m]
+            k, K, j = ints[3:6, :m]
+            t1, s1, t2, s2 = top1[i], slope1[i], top2[i], slope2[i]
+            np.subtract(t1, load1, out=x)
+            np.divide(x, worst1, out=x)
+            for r, (a, b) in enumerate(runs[i]):
+                _user1_ends(load1, worst1, t1, s1, a, b, x, (k, j, g, f1, f2))
+                np.minimum(k, kc, out=K)
+                # K - 1 = -1 reads index 0 (clip); K > a masks it
+                np.subtract(K, 1, out=j)
+                t2.take(j, out=g, mode="clip")
+                s2.take(j, out=q, mode="clip")
+                np.multiply(q, worst2, out=q)
+                np.subtract(g, q, out=q)
+                np.less(load2, q, out=f1)
+                np.greater(K, a, out=f2)
+                if r:
+                    np.logical_and(f2, f1, out=f1)
+                    np.logical_or(hit, f1, out=hit)
+                else:
+                    np.logical_and(f2, f1, out=hit)
+            # undecided cells are not members yet, so hit is their mask
+            members[idx] = hit
+            # a cell leaves once it is a member or cannot afford row i + 1
+            np.greater(ic, i + 1, out=keep)
+            np.greater(keep, hit, out=keep)  # and not hit
+            left = np.count_nonzero(keep)
+            if left < m:
+                sel = np.flatnonzero(keep)
+                _compact(fl[:, :m], it[:, :m], sel, kern)
+                m = left
+                del sel
 
 
 def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
@@ -197,39 +366,72 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     A point is in iff the worst-covered codeword of each user decodes and
     both power budgets hold, for at least one power pair on the grid. The
     worst codeword suffices because all of a user's codewords share the
-    same (phi, psi) at a fixed power pair.
+    same (phi, psi) at a fixed power pair. At pair (i, j) the test is
+    load1 < fl(T1_i - fl(S1_ij*worst1)) and load2 < fl(T2_j -
+    fl(S2_ij*worst2)), with T = theta*phi and S = phi - psi from the
+    rate-pair table (phi depends on the user's own power alone), and the
+    budgets hold for the rows i < ic and the columns j < kc.
 
-    Only undecided cells are tested: a cell leaves once it is a member, or
-    once g1 exceeds its power cap (the grid rises, so no later row admits
-    it). Within a g1 row each test has a fixed direction in g2: user 1's
+    Most cells are decided before the row loop, by a pre-pass of O(1)
+    comparisons per cell against running extremes of the table: pm1[ic] =
+    max of T1_i over i < ic, ps1[ic] = min of S1_ij over i < ic and all j,
+    and pm2[kc], ps2[kc] likewise over the columns j < kc.
+
+    - Exclusion. If load1 >= fl(pm1[ic] - fl(ps1[ic]*worst1)), or the same
+      holds for user 2, the cell is out (ic = 0 or kc = 0 reads pm = -inf).
+      Proof: worst >= 0, and rounding is monotone, so for every pair the
+      cell can afford T <= pm and S >= ps give fl(S*w) >= fl(ps*w) and
+      fl(T - fl(S*w)) <= fl(pm - fl(ps*w)) <= load; that user's test fails
+      there. A NaN anywhere makes a comparison false, so it excludes
+      nothing, and its pair's own test fails too.
+    - Interference-free cells (worst1 = worst2 = 0) with a finite table:
+      S*0 is +0, so the test at (i, j) is load1 < T1_i and load2 < T2_j,
+      which separate. A cell that passes the exclusion has load1 <
+      pm1[ic] = T1_i for some i < ic and load2 < T2_j for some j < kc, so
+      the pair (i, j) admits it.
+
+    The other cells are gathered from consecutive raw blocks into batches
+    of at most _BLOCK cells: each block is staged behind the batch's cells
+    and only its undecided ones stay, and a batch more than three quarters
+    full goes to the row loop (_test_batch). A batch's cells start at
+    their first live row: row i is dead when load1 >= fl(T1_i -
+    fl(smin1_i*worst1)) with smin1_i the row's least slope, by the same
+    bound, so no pair of that row admits the cell. Sorted by first live
+    row, the cells a row tests are a prefix of the batch. A cell leaves
+    once it is a member, or once g1 exceeds its power cap (the grid rises,
+    so no later row admits it).
+
+    Within a g1 row each test has a fixed direction in g2: user 1's
     right-hand side theta1*phi1 - (phi1 - psi1)*worst1 falls (phi1 is fixed
     and psi1 falls), user 2's cap g2 <= cap2 holds on a prefix, and user
     2's right-hand side (theta2 - worst2)*phi2 + worst2*psi2 rises
     (worst2 <= theta2). On a run of g2 indices where _g2_runs certifies
-    that this holds in floats, user 1 decodes exactly for j < k1 and the
-    cap holds for j < kc, so a cell is hit iff K = min(k1, kc) is past the
-    run's start and user 2 decodes at K-1. k1 comes from searchsorted and
-    is then corrected with the test itself; kc from searchsorted over g2.
-    Every test is the same elementwise expression on the same values, so
-    the mask is exactly that of testing all cells at every power pair.
+    that this holds in floats for the batch, user 1 decodes exactly for
+    j < k1 and the cap holds for j < kc, so a cell is hit iff K = min(k1,
+    kc) is past the run's start and user 2 decodes at K-1. k1 comes from
+    searchsorted and is then corrected with the test itself; kc from
+    searchsorted over g2. Every comparison that decides a cell is one the
+    full test makes, or bounds all of them as above, so the mask is
+    exactly that of testing all cells at every power pair.
 
     R1 and R2 broadcast against each other: point arrays of one shape, or
     a grid's axes such as xs[:, None] and ys[None, :]. Cells are
-    independent, so they are tested _BLOCK raw cells at a time, each block
-    keeping its base cells (above lam, or above 0 for a user with N = 1).
+    independent, so they are staged in blocks of raw cells in C order,
+    each block keeping its base cells (above lam, or above 0 for a user
+    with N = 1).
 
     Memory: the mask is the only array the size of the grid. Everything a
-    block holds lives in one workspace of _CELL_BYTES per cell,
+    block and a batch hold lives in one workspace of _CELL_BYTES per cell,
     _WORKSPACE_BYTES in all, allocated once per call and reused through
     out=. The worst covered length is a running maximum over
     covered_length calls, one codeword at a time, so no array has a
-    codeword axis and the memory does not grow with N1 or N2. Three steps
-    take no out=: the block's rates are copied from the flat grid, and
-    flatnonzero and searchsorted return new index arrays. Each is freed at
-    once, and at most three such arrays of 8 bytes a block cell exist
-    together (both rates and the base cells' indices), so a call peaks
-    below the mask plus _WORKSPACE_BYTES + 24*_BLOCK bytes, apart from
-    the (m_grid - 1)**2 rate-pair tables, which grow with m_grid alone.
+    codeword axis and the memory does not grow with N1 or N2. A few steps
+    take no out=: a block's rates are copied from the flat grid, and
+    flatnonzero, searchsorted and argsort return new index arrays. Each
+    is freed at once, and at most three such arrays of 8 bytes a cell
+    exist together, so a call peaks below the mask plus _WORKSPACE_BYTES
+    + 24*_BLOCK bytes, apart from the (m_grid - 1)**2 rate-pair tables,
+    which grow with m_grid alone.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
@@ -239,68 +441,92 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
         raise ValueError(f"R1 and R2 must broadcast together, got shapes "
                          f"{R1.shape} and {R2.shape}") from None
     grid = shape or (1,)  # a 0-d pair is one cell of a 1-d grid
-    R1, R2 = np.broadcast_to(R1, grid), np.broadcast_to(R2, grid)
     lo1 = u1.lam if N1 > 1 else 0.0
     lo2 = u2.lam if N2 > 1 else 0.0
     g1s = gamma_grid(u1, N1, m_grid)
     g2s = gamma_grid(u2, N2, m_grid)
+    # a user's budget count depends on its own rate alone: a rate array
+    # smaller than the grid (a grid's axis) is counted once here, entry by
+    # entry, and any other block by block below
+    users = ((u1, N1, g1s), (u2, N2, g2s))
+    counts = [np.broadcast_to(_budget_counts(R, *user, np.empty(R.shape)),
+                              grid)
+              if R.size < math.prod(grid) else None
+              for R, user in zip((R1, R2), users)]
+    R1, R2 = np.broadcast_to(R1, grid), np.broadcast_to(R2, grid)
     # the right-hand sides theta*phi - (phi - psi)*worst at each power
     # pair take these scalars; they do not depend on the cells. The table
     # is filled one g1 row at a time, so no (m_grid - 1)**2 list of Python
-    # floats is built
+    # floats is built. rate_pair gets Python floats, on which its scalar
+    # arithmetic (the same IEEE operations) runs faster than on numpy's
     phi1, psi1, phi2, psi2 = table = np.empty((4, g1s.size, g2s.size))
-    for i, g1 in enumerate(g1s):
+    powers2 = g2s.tolist()
+    for i, g1 in enumerate(g1s.tolist()):
         table[:, i] = np.array(
             [(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
              for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
-                              for g2 in g2s)]).T
+                              for g2 in powers2)]).T
     top1 = theta1 * phi1[:, 0]  # phi1 = C(g1) is one float along a row
     slope1 = phi1 - psi1
-    top2 = theta2 * phi2
+    top2 = theta2 * phi2  # and phi2 = C(g2) one float down a column
     slope2 = phi2 - psi2
+    smin1 = slope1.min(axis=1)
+    tables = (top1, slope1, smin1, top2, slope2)
+    # the pre-pass bounds, indexed by the count of affordable rows (ic) or
+    # columns (kc); none affordable reads -inf
+    pm1, ps1, pm2, ps2 = (np.concatenate(([v], acc(t))) for v, acc, t in (
+        (-np.inf, np.maximum.accumulate, top1),
+        (0.0, np.minimum.accumulate, smin1),
+        (-np.inf, np.maximum.accumulate, top2[0]),
+        (0.0, np.minimum.accumulate, slope2.min(axis=0))))
+    free_exact = all(np.isfinite(t).all() for t in tables)
     members = np.zeros(math.prod(grid), dtype=bool)
     cells = min(_BLOCK, members.size)
-    # the workspace: banks[c] holds the undecided cells' operands
-    # (worst1, worst2, load1, cap1, load2) and ibanks[c] their kc and
-    # flat index; the other bank receives them compacted
-    banks = np.empty((2, 5, cells))
-    ibanks = np.empty((2, 2, cells), dtype=np.intp)
-    fs = np.empty((3, cells))
-    ints = np.empty((3, cells), dtype=np.intp)
+    # the workspace: bank and ibank hold the batch's cells as rows
+    # (load1, load2, worst1, worst2) and (idx, ic, kc). Each raw block is
+    # staged behind the batch's cells, and only its undecided cells stay;
+    # kern is covered_length's buffers, then the batch's scratch
+    bank = np.empty((4, cells))
+    ibank = np.empty((3, cells), dtype=np.intp)
+    kern = np.empty((7, cells))
     flags = np.empty((4, cells), dtype=bool)
-    for start in range(0, members.size, _BLOCK):
-        # the block's raw cells in C order; flat slices copy only rates
-        r1 = R1.flat[start:start + _BLOCK]
-        r2 = R2.flat[start:start + _BLOCK]
-        base = np.greater(r1, lo1, out=flags[0, :r1.size])
-        base &= np.greater(r2, lo2, out=flags[1, :r1.size])
+
+    ints = kern.view(np.intp)
+    start = fill = 0
+    while start < members.size:
+        # the next raw cells in C order, as many as the batch has room
+        # for, their rates copied into kern
+        size = min(cells - fill, members.size - start)
+        r1, r2 = kern[:2, :size]
+        _flat_range(R1, start, r1)
+        _flat_range(R2, start, r2)
+        base = np.greater(r1, lo1, out=flags[0, :size])
+        base &= np.greater(r2, lo2, out=flags[1, :size])
         sel = np.flatnonzero(base)
         n = sel.size
-        if n == 0:
-            continue
-        cur = 0
-        worst1, worst2, load1, cap1, load2 = banks[cur, :, :n]
-        kc, idx = ibanks[cur, :, :n]
+        staged = bank[:, fill:fill + n], ibank[:, fill:fill + n]
+        (load1, load2, worst1, worst2), (idx, ic, kc) = staged
         r1.take(sel, out=load1, mode="clip")
         r2.take(sel, out=load2, mode="clip")
         np.add(sel, start, out=idx)
-        del r1, r2, sel
-        # load1 holds r1 and load2 holds r2 until scaled below
-        np.divide(load1, u1.lam, out=cap1)
-        np.add(1.0 / N1, cap1, out=cap1)
-        np.multiply(cap1, u1.P, out=cap1)
-        cap2 = fs[0, :n]
-        np.divide(load2, u2.lam, out=cap2)
-        np.add(1.0 / N2, cap2, out=cap2)
-        np.multiply(cap2, u2.P, out=cap2)
-        # user 2's cap g2 <= cap2 holds for the g2 indices j < kc
-        kc[...] = np.searchsorted(g2s, cap2, side="right")
+        # load1 and load2 hold the rates until scaled below. Each user's
+        # budget holds for the first ic rows (kc columns) of the power grid
+        for r, user, count, C in zip((load1, load2), users, (ic, kc), counts):
+            if C is None:
+                count[...] = _budget_counts(r, *user, kern[0, :n])
+            else:
+                _flat_range(C, start, ints[2, :size])
+                ints[2, :size].take(sel, out=count, mode="clip")
+        start += size
+        del sel
+        if n == 0:
+            continue
         np.multiply(theta1, load1, out=load1)
         np.multiply(theta2, load2, out=load2)
         # the worst covered length of each user, a running maximum over
-        # its codewords; the spare bank and fs are the kernel's buffers
-        mu1, mu2, cov, lo, hi = banks[1, :, :n]
-        scratch = (lo, hi, *fs[1:, :n])
+        # its codewords, in kern
+        mu1, mu2, cov = kern[:3, :n]
+        scratch = kern[3:, :n]
         np.divide(load1, u1.lam, out=mu1)
         np.divide(load2, u2.lam, out=mu2)
         for worst, mu, theta, nu, N, other in (
@@ -310,67 +536,58 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
             for j in range(2, N + 1):
                 covered_length(j, mu, theta, nu, *other, cov, scratch)
                 np.maximum(worst, cov, out=worst)
-        runs = _g2_runs(slope1, top2, slope2, worst2.min(), worst2.max())
-        flags[0, :n] = False
-        for i, g1 in enumerate(g1s):
-            hit, keep, f1, f2 = flags[:, :n]
-            np.less_equal(g1, banks[cur, 3, :n], out=keep)
-            np.logical_not(hit, out=hit)
-            np.logical_and(keep, hit, out=keep)
-            m = np.count_nonzero(keep)
-            if m < n:
-                sel = np.flatnonzero(keep)
-                # row by row: take copies an input that is not contiguous
-                for bank in (banks, ibanks):
-                    for src, dst in zip(bank[cur, :, :n], bank[1 - cur, :, :m]):
-                        src.take(sel, out=dst, mode="clip")
-                cur, n = 1 - cur, m
-                del sel
-            if n == 0:
-                break
-            worst1, worst2, load1, _, load2 = banks[cur, :, :n]
-            kc, idx = ibanks[cur, :, :n]
-            hit, _, f1, f2 = flags[:, :n]
-            x, g, p = fs[:, :n]
-            k, K, j = ints[:, :n]
-            t1, s1, t2, s2 = top1[i], slope1[i], top2[i], slope2[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.subtract(t1, load1, out=x)
-                np.divide(x, worst1, out=x)
-            hit.fill(False)
-            for a, b in runs[i]:
-                _user1_ends(load1, worst1, t1, s1, a, b, x, (k, j, g, f1, f2))
-                np.minimum(k, kc, out=K)
-                np.subtract(K, 1, out=j)
-                np.maximum(j, a, out=j)
-                t2.take(j, out=g, mode="clip")
-                s2.take(j, out=p, mode="clip")
-                np.multiply(p, worst2, out=p)
-                np.subtract(g, p, out=g)
-                np.less(load2, g, out=f1)
-                np.greater(K, a, out=f2)
-                np.logical_and(f2, f1, out=f1)
-                np.logical_or(hit, f1, out=hit)
-            # undecided cells are not members yet, so hit is their mask
-            members[idx] = hit
+        # the pre-pass: refused, admitted (free) or undecided (und)
+        b, c = kern[:2, :n]
+        refused, fail2, free, und = flags[:, :n]
+        for load, worst, count, pm, ps, fails in (
+                (load1, worst1, ic, pm1, ps1, refused),
+                (load2, worst2, kc, pm2, ps2, fail2)):
+            pm.take(count, out=b, mode="clip")
+            ps.take(count, out=c, mode="clip")
+            np.multiply(c, worst, out=c)
+            np.subtract(b, c, out=b)
+            np.greater_equal(load, b, out=fails)
+        np.logical_or(refused, fail2, out=refused)
+        np.logical_not(refused, out=und)
+        if free_exact:
+            np.equal(worst1, 0.0, out=free)
+            free &= np.equal(worst2, 0.0, out=fail2)
+            free &= und
+            members[idx] = free  # base cells are not members yet
+            und ^= free
+        sel = np.flatnonzero(und)
+        _compact(*staged, sel, kern)
+        fill += sel.size
+        del sel
+        # a batch more than three quarters full is decided, so no raw
+        # block but the last is under a quarter of the workspace
+        if 4 * fill > 3 * cells:
+            _test_batch(members, bank[:, :fill], ibank[:, :fill], kern, flags,
+                        tables)
+            fill = 0
+    if fill:
+        _test_batch(members, bank[:, :fill], ibank[:, :fill], kern, flags,
+                    tables)
     return members.reshape(shape)
 
 
-#: Largest grid region() builds. A CSV or JSON run at the cap peaks at
-#: about 35 MB of resident memory, some 4 MB above a 2 x 2 grid's run:
-#: region_members reads the grid's axes and tests one block of cells at a
-#: time in the fixed _WORKSPACE_BYTES workspace, so the one grid-sized
-#: array is the 1-byte mask, and the peak does not grow with N1 or N2.
+#: Largest grid region() builds. A CSV run at the cap peaks at about 34 MB
+#: of resident memory, some 4 MB above a 2 x 2 grid's run: region_members
+#: reads the grid's axes and stages one block of cells at a time in the
+#: fixed _WORKSPACE_BYTES workspace, so the one grid-sized array is the
+#: 1-byte mask, and the peak does not grow with N1 or N2.
 MAX_CELLS = 2 ** 21
 
 #: Work budget of region(), in units of one codeword-burst pair of
 #: covered_length on one cell (both users' side of it). A cell costs
-#: N1*N2 units for its worst covered lengths and about 2 for each of the
-#: m_grid - 1 g1 rows; each of the (m_grid - 1)**2 power pairs costs about
-#: 1000 to tabulate with rate_pair. A unit took about 6 ns on the 2-CPU
-#: benchmark machine (180k cells: 1.25 s at N1 = N2 = 32, 0.46 s at
-#: m_grid 160; 25 cells at m_grid 1000: 5.4 s), so 2**30 units is about
-#: 7 s.
+#: N1*N2 units for its worst covered lengths and at most about 2 for each
+#: of the m_grid - 1 g1 rows (a cell the pre-pass decides pays none of
+#: them); each of the (m_grid - 1)**2 power pairs costs about 1000 to
+#: tabulate with rate_pair. A unit took 5 to 8 ns on the 2-CPU benchmark
+#: machine (a CLI run on 180k cells: 1.6 s at N1 = N2 = 32, 0.7 s at
+#: m_grid 160; 25 cells at m_grid 1000: 5.2 s; 2.1M cells at m_grid 40:
+#: 0.8 s, where the row term overprices the pre-pass), so 2**30 units is
+#: 5 to 9 s.
 MAX_REGION_WORK = 2 ** 30
 
 
@@ -378,6 +595,19 @@ def _region_work(cells: int, N1: int, N2: int, m_grid: int) -> int:
     """region()'s cost in MAX_REGION_WORK units."""
     rows = max(m_grid - 1, 0)
     return cells * (N1 * N2 + 2 * rows) + 1000 * rows ** 2
+
+
+def _count(n: int) -> str:
+    """A count for a message: in full below 10**12, else in e-notation
+    without converting it to a float, which overflows past about 1.8e308
+    (and whose digits would run to hundreds)."""
+    if n < 10 ** 12:
+        return str(n)
+    e = int(math.log10(n))  # math.log10 takes an int of any size
+    lead = n / 10 ** e  # int true division rounds once
+    if lead >= 10.0:
+        lead, e = lead / 10.0, e + 1
+    return f"{lead:.3g}e+{e}"
 
 
 def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
@@ -406,9 +636,10 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
                          f"{MAX_CELLS} grid cells")
     work = _region_work(nx * ny, N1, N2, m_grid)
     if work > MAX_REGION_WORK:
-        raise ValueError(f"{nx * ny} cells at N1 = {N1}, N2 = {N2} and "
-                         f"m_grid = {m_grid} cost {work:.3g} work units, "
-                         f"beyond MAX_REGION_WORK = {MAX_REGION_WORK}")
+        raise ValueError(f"{nx * ny} cells at N1 = {_count(N1)}, N2 = "
+                         f"{_count(N2)} and m_grid = {_count(m_grid)} cost "
+                         f"{_count(work)} work units, beyond "
+                         f"MAX_REGION_WORK = {MAX_REGION_WORK}")
     xs = lo1 + (hi1 - lo1) / nx * (np.arange(nx) + 0.5)
     ys = lo2 + (hi2 - lo2) / ny * (np.arange(ny) + 0.5)
     mask = region_members(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
@@ -592,10 +823,33 @@ def _sweep_union(samples) -> IntervalUnion:
     return IntervalUnion.from_intervals(pieces)
 
 
+#: Most power samples the symmetric sweeps may take: windows times
+#: n_gamma, one window for the closed-form sweep and four per offset class
+#: (ceil(alpha/theta) + 1 classes) when alpha >= theta. A window sample
+#: took about 2.4 us on the 2-CPU benchmark machine (84 windows of 2048
+#: samples at alpha/theta = 20: 0.40 s) and a closed-form one about 6 us,
+#: so 2**22 samples is 10 to 25 s.
+MAX_SYM_SAMPLES = 2 ** 22
+
+
+def _check_sym_samples(windows: float, n_gamma: int) -> None:
+    """Raise ValueError past MAX_SYM_SAMPLES; windows may be inf."""
+    # n_gamma first: an int past float range cannot be multiplied
+    if not (n_gamma <= MAX_SYM_SAMPLES
+            and windows * n_gamma <= MAX_SYM_SAMPLES):
+        raise ValueError(f"{windows:.3g} windows of n_gamma = "
+                         f"{_count(n_gamma)} samples exceed "
+                         f"MAX_SYM_SAMPLES = {MAX_SYM_SAMPLES}")
+
+
 def _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma=2048) -> IntervalUnion:
     """Symmetric region assembled per offset class; works for any alpha >= 0."""
+    # alpha/theta may overflow to inf, which the budget refuses before
+    # anything is built; ceil(r) + 1 <= r + 2 bounds the class count
+    ratio = alpha / theta
+    _check_sym_samples(4.0 * (ratio + 2.0), n_gamma)
     gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
-    js_max = int(math.ceil(alpha / theta)) + 1 if alpha > 0 else 1
+    js_max = int(math.ceil(ratio)) + 1 if alpha > 0 else 1
     windows = []
     for js in range(1, js_max + 1):
         windows.extend(_pert_windows(js, N, theta, alpha))
@@ -652,6 +906,7 @@ def sym_region(N: int, theta, lam, a, P, alpha, n_gamma: int = 2048) -> Interval
         return IntervalUnion.from_intervals([(0.0, (gstar / P - 1.0) * lam)])
     if not alpha < theta:
         return _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma)
+    _check_sym_samples(1.0, n_gamma)
     sc = sym_curves(N, theta, lam, a, P, alpha)
     gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
     grid = set(np.linspace(0.0, gbar, n_gamma))

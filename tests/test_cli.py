@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -338,6 +339,71 @@ def test_region_grid_work_budget_is_config_error(tmp_path, over):
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "out" / "region_points.csv").exists()
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize("over", [{"m_grid": 1e300}, {"N1": 1e300}])
+def test_region_grid_budget_message_for_huge_counts(tmp_path, over):
+    # the work of these configs is past float range: the message shows it
+    # and the counts in e-notation, not as an OverflowError or as integers
+    # of 300 digits
+    res = run_cli("region", dict(GRID_CFG, **over), tmp_path, timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_REGION_WORK" in res.stderr and "e+" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert max(map(len, re.findall(r"\d+", res.stderr))) < 20, res.stderr
+
+
+@pytest.mark.parametrize("over", [{"theta": 1e-320}, {"alpha": 1e300}])
+def test_region_symmetric_window_budget_is_config_error(tmp_path, over):
+    # alpha/theta offset classes of four windows each: 1e-320 overflows the
+    # ratio, and 1e300 would sweep past any time limit
+    start = time.monotonic()
+    res = run_cli("region", dict(SYM_CFG, **over), tmp_path, timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_SYM_SAMPLES" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out" / "sym_intervals.json").exists()
+    assert time.monotonic() - start < 10.0
+
+
+def test_region_symmetric_window_budget_edge():
+    # the budget is checked before anything is built. At alpha/theta = 3
+    # it counts 4*(3 + 2) windows, a bound on the four windows of each of
+    # the ceil(3) + 1 offset classes; the closed-form sweep (alpha < theta)
+    # counts one
+    from burstgic.region import MAX_SYM_SAMPLES
+    assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, 64).intervals
+    with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
+        sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, MAX_SYM_SAMPLES // 20 + 1)
+    with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
+        sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5, MAX_SYM_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("trials", [1e300, 2**63, 10**8])
+def test_detect_trials_budget_is_config_error(tmp_path, trials):
+    start = time.monotonic()
+    res = run_cli("detect", dict(DETECT_CFG, trials=trials), tmp_path,
+                  timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_TRIAL_SLOTS" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out" / "detect.csv").exists()
+    assert time.monotonic() - start < 10.0
+
+
+def test_detect_trials_budget_edge():
+    # each n is charged 2n + 9*nprime trace slots a trial, and no fewer
+    # than 2**12: DETECT_CFG's n = 400 and 1600 are charged 4096 each
+    cfg = detection.DetectionConfig(
+        n_values=(400, 1600), gamma1=100.0, gamma2=100.0, a1=0.1, a2=0.1,
+        eps=0.48, M=8)
+    most = detection.MAX_TRIAL_SLOTS // (2 * 4096)
+    cfg.check_trials(most)
+    for bad in (most + 1, 0, 2**63):
+        with pytest.raises(ValueError):
+            cfg.check_trials(bad)
+    with pytest.raises(ValueError, match="MAX_TRIAL_SLOTS"):
+        detection.detection_experiment(cfg, most + 1, seed=1)
 
 
 def _reject_constant(name):

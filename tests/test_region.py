@@ -709,6 +709,168 @@ def test_g2_runs_cut_at_every_uncertified_step():
         [[(j, j + 1) for j in range(5)]] * 2
 
 
+# ------------------------------------------ pre-pass routes and batches
+#
+# region_members decides most cells before the row loop: cells that fail
+# one user at every affordable power pair are excluded, interference-free
+# cells are decided by two prefix maxima, and only the rest are gathered
+# into batches for the row loop (_test_batch), each cell starting at its
+# first live g1 row. These tests force each route and check the mask
+# against the full-grid oracle.
+
+def _spy_batches(monkeypatch):
+    """Record the flat cell indices of every batch _test_batch receives."""
+    mod = sys.modules["burstgic.region"]
+    batches = []
+
+    def spy(members, fl, it, *rest):
+        batches.append(it[0].copy())
+        return real(members, fl, it, *rest)
+
+    real = mod._test_batch
+    monkeypatch.setattr(mod, "_test_batch", spy)
+    return batches
+
+
+def _first_live_rows(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, R1, R2):
+    """Each cell's first g1 row where user 1's test can pass at some g2
+    within its power cap, or m_grid - 1 if none: the row loop's start."""
+    g1s = gamma_grid(u1, N1, m_grid)
+    g2s = gamma_grid(u2, N2, m_grid)
+    cov1, _ = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
+                              theta2 * R2 / u2.lam, theta2, alpha, N2)
+    worst1 = cov1.max(axis=-1)
+    cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P
+    first = np.full(R1.shape, g1s.size)
+    for i in reversed(range(g1s.size)):
+        rps = [rate_pair(g1s[i], g2, u2.a) for g2 in g2s]
+        smin = min(rp.phi - rp.psi for rp in rps)
+        live = (theta1 * R1 < theta1 * rps[0].phi - smin * worst1) & (g1s[i] <= cap1)
+        first[live] = i
+    return first
+
+
+def test_region_members_interference_free_cells_skip_the_row_loop(monkeypatch):
+    # at a far offset no burst meets a codeword of the other user, so every
+    # base cell is interference-free and the two prefix maxima decide it:
+    # inside the box it is in, past rbar_c or at a power cap it is out
+    rb = rbar_c(U, 2)
+    xs = np.linspace(U.lam, 1.2 * rb, 90)
+    ys = np.linspace(0.5 * U.lam, 1.2 * rb, 80)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    args = (U, U, 2, 2, 1.0, 1.0, 50.0, 12, X, Y)
+    batches = _spy_batches(monkeypatch)
+    got = region_members(*args)
+    assert batches == []
+    want = _members_full_grid(*args)
+    assert np.array_equal(got, want)
+    base = (X > U.lam) & (Y > U.lam)
+    assert 100 < want.sum() < base.sum() - 100
+
+
+def test_region_members_excluded_cells_skip_the_row_loop(monkeypatch):
+    # beyond rbar_c user 1 fails at every power pair it can afford, however
+    # much interference: every base cell is excluded by the pre-pass
+    rb = rbar_c(U, 2)
+    X, Y = np.meshgrid(np.linspace(1.02 * rb, 1.5 * rb, 40),
+                       np.linspace(U.lam, rb, 41)[1:], indexing="ij")
+    for alpha in (0.0, 0.5, 50.0):
+        args = (U, U, 2, 2, 1.0, 1.0, alpha, 12, X, Y)
+        batches = _spy_batches(monkeypatch)
+        got = region_members(*args)
+        assert batches == [] and not got.any()
+        assert np.array_equal(got, _members_full_grid(*args))
+
+
+def test_region_members_batches_fill_mid_grid_then_a_partial_one(monkeypatch):
+    # about 1.2 workspaces' worth of undecided cells: a batch is decided
+    # once it is more than three quarters full, in the middle of the grid,
+    # and the cells left at the end make a last, partial batch
+    rb = rbar_c(U, 2)
+    n = math.ceil(math.sqrt(7 * _BLOCK))
+    xs = np.linspace(U.lam, 1.05 * rb, n)
+    ys = np.linspace(U.lam, 1.05 * rb, n + 1)
+    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 5)
+    batches = _spy_batches(monkeypatch)
+    got = region_members(*args, xs[:, None], ys[None, :])
+    sizes = [b.size for b in batches]
+    assert len(sizes) >= 2 and min(sizes[:-1]) > 3 * _BLOCK // 4, sizes
+    assert sizes[-1] < min(sizes[:-1]) and max(sizes) <= _BLOCK, sizes
+    # a batch holds cells of several raw blocks, in grid order
+    assert all(np.all(np.diff(b) > 0) for b in batches)
+    assert batches[0][-1] < batches[1][0]
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    want = _members_full_grid(*args, X, Y)
+    assert np.array_equal(got, want)
+    assert 0.1 < want.mean() < 0.9
+
+
+def test_region_members_cells_start_at_different_first_live_rows(monkeypatch):
+    # at m_grid 40 the undecided cells' first live rows spread over many g1
+    # rows, so each row's tests run on the earlier cells still undecided
+    # plus the cells that start there
+    rb = rbar_c(U, 2)
+    X, Y = np.meshgrid(np.linspace(U.lam, rb, 70)[1:],
+                       np.linspace(U.lam, rb, 60)[1:], indexing="ij")
+    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 40, X, Y)
+    batches = _spy_batches(monkeypatch)
+    got = region_members(*args)
+    assert len(batches) == 1
+    first = _first_live_rows(*args).ravel()[batches[0]]
+    assert len(set(first[first < 39].tolist())) >= 10
+    want = _members_full_grid(*args)
+    assert np.array_equal(got, want)
+    # members among cells that start late as well as early
+    late = batches[0][first >= 5]
+    assert want.ravel()[late].any() and not want.ravel()[late].all()
+
+
+def test_region_members_exclusion_never_refuses_a_member(monkeypatch):
+    # a cell the pre-pass neither admits nor sends to a batch is refused;
+    # on random users and rates, none of those is in the oracle's region
+    rng = np.random.default_rng(2609)
+    refused = 0
+    for trial in range(30):
+        u1, u2 = _random_user(rng), _random_user(rng)
+        N1, N2 = (int(n) for n in rng.integers(1, 4, 2))
+        th1, th2 = (float(t) for t in rng.uniform(0.3, 1.5, 2))
+        alpha = float(rng.choice([0.0, 0.25, 0.9, 1.7, 4.0]))
+        args = (u1, u2, N1, N2, th1, th2, alpha, (2, 5, 12)[trial % 3])
+        R1, R2 = _rates(rng, u1, N1, (300,)), _rates(rng, u2, N2, (300,))
+        batches = _spy_batches(monkeypatch)
+        got = region_members(*args, R1, R2)
+        want = _members_full_grid(*args, R1, R2)
+        sent = np.zeros(R1.size, dtype=bool)
+        for b in batches:
+            sent[b] = True
+        base = ((R1 > (u1.lam if N1 > 1 else 0.0))
+                & (R2 > (u2.lam if N2 > 1 else 0.0)))
+        out = base & ~sent & ~got
+        assert not want[out].any(), args
+        assert np.array_equal(got, want), args
+        refused += int(out.sum())
+    assert refused > 1000
+
+
+def test_region_members_row_loop_tests_on_the_benchmark_grid(monkeypatch):
+    # the benchmark's grid (428 x 428 cells, m_grid 40): the row loop runs
+    # user 1's window search once a row per cell it still tests. Testing
+    # every undecided cell against every row up to its cap took 2,228,863
+    # cell-row tests; the pre-pass and first live rows leave 317,905
+    mod = sys.modules["burstgic.region"]
+    tests = []
+
+    def spy(load1, *rest):
+        tests.append(load1.size)
+        return real(load1, *rest)
+
+    real = mod._user1_ends
+    monkeypatch.setattr(mod, "_user1_ends", spy)
+    reg = region(U, U, 2, 2, 1.0, 1.0, 0.5, 40, 0.01)
+    assert reg.mask.shape == (428, 428)
+    assert sum(tests) <= 400_000, sum(tests)
+
+
 def test_region_members_memory_does_not_grow_with_cells():
     # beyond the mask, region_members holds one block of cells at a time,
     # so 3n more cells cost a few bytes each; covered_lengths on every
