@@ -214,21 +214,6 @@ def _budget_counts(r, u: UserParams, N: int, gs, cap):
     return np.searchsorted(gs, cap, side="right")
 
 
-def _flat_range(a, start, out):
-    """Copy the cells of a from flat index start on, in C order, into out.
-
-    a.flat[...] walks a broadcast array one element at a time; a ranged,
-    buffered iterator copies it in strided chunks, several times faster.
-    """
-    it = np.nditer(a, flags=["ranged", "buffered", "external_loop"],
-                   order="C", buffersize=4096)
-    it.iterrange = (start, start + out.size)
-    pos = 0
-    for chunk in it:
-        out[pos:pos + chunk.size] = chunk
-        pos += chunk.size
-
-
 def _compact(fl, it, sel, kern):
     """Move the columns at sel of the float rows fl and the intp rows it
     to their fronts, in order. The moved columns pass through kern's
@@ -445,27 +430,17 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     lo2 = u2.lam if N2 > 1 else 0.0
     g1s = gamma_grid(u1, N1, m_grid)
     g2s = gamma_grid(u2, N2, m_grid)
-    # a user's budget count depends on its own rate alone: a rate array
-    # smaller than the grid (a grid's axis) is counted once here, entry by
-    # entry, and any other block by block below
-    users = ((u1, N1, g1s), (u2, N2, g2s))
-    counts = [np.broadcast_to(_budget_counts(R, *user, np.empty(R.shape)),
-                              grid)
-              if R.size < math.prod(grid) else None
-              for R, user in zip((R1, R2), users)]
     R1, R2 = np.broadcast_to(R1, grid), np.broadcast_to(R2, grid)
     # the right-hand sides theta*phi - (phi - psi)*worst at each power
     # pair take these scalars; they do not depend on the cells. The table
     # is filled one g1 row at a time, so no (m_grid - 1)**2 list of Python
-    # floats is built. rate_pair gets Python floats, on which its scalar
-    # arithmetic (the same IEEE operations) runs faster than on numpy's
+    # floats is built
     phi1, psi1, phi2, psi2 = table = np.empty((4, g1s.size, g2s.size))
-    powers2 = g2s.tolist()
-    for i, g1 in enumerate(g1s.tolist()):
+    for i, g1 in enumerate(g1s):
         table[:, i] = np.array(
             [(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
              for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
-                              for g2 in powers2)]).T
+                              for g2 in g2s)]).T
     top1 = theta1 * phi1[:, 0]  # phi1 = C(g1) is one float along a row
     slope1 = phi1 - psi1
     top2 = theta2 * phi2  # and phi2 = C(g2) one float down a column
@@ -490,16 +465,13 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     ibank = np.empty((3, cells), dtype=np.intp)
     kern = np.empty((7, cells))
     flags = np.empty((4, cells), dtype=bool)
-
-    ints = kern.view(np.intp)
     start = fill = 0
     while start < members.size:
         # the next raw cells in C order, as many as the batch has room
-        # for, their rates copied into kern
+        # for; flat slices copy only rates
         size = min(cells - fill, members.size - start)
-        r1, r2 = kern[:2, :size]
-        _flat_range(R1, start, r1)
-        _flat_range(R2, start, r2)
+        r1 = R1.flat[start:start + size]
+        r2 = R2.flat[start:start + size]
         base = np.greater(r1, lo1, out=flags[0, :size])
         base &= np.greater(r2, lo2, out=flags[1, :size])
         sel = np.flatnonzero(base)
@@ -509,18 +481,14 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
         r1.take(sel, out=load1, mode="clip")
         r2.take(sel, out=load2, mode="clip")
         np.add(sel, start, out=idx)
-        # load1 and load2 hold the rates until scaled below. Each user's
-        # budget holds for the first ic rows (kc columns) of the power grid
-        for r, user, count, C in zip((load1, load2), users, (ic, kc), counts):
-            if C is None:
-                count[...] = _budget_counts(r, *user, kern[0, :n])
-            else:
-                _flat_range(C, start, ints[2, :size])
-                ints[2, :size].take(sel, out=count, mode="clip")
         start += size
-        del sel
+        del r1, r2, sel
         if n == 0:
             continue
+        # load1 and load2 hold the rates until scaled below. Each user's
+        # budget holds for the first ic rows (kc columns) of the power grid
+        ic[...] = _budget_counts(load1, u1, N1, g1s, kern[0, :n])
+        kc[...] = _budget_counts(load2, u2, N2, g2s, kern[0, :n])
         np.multiply(theta1, load1, out=load1)
         np.multiply(theta2, load2, out=load2)
         # the worst covered length of each user, a running maximum over
@@ -583,11 +551,11 @@ MAX_CELLS = 2 ** 21
 #: N1*N2 units for its worst covered lengths and at most about 2 for each
 #: of the m_grid - 1 g1 rows (a cell the pre-pass decides pays none of
 #: them); each of the (m_grid - 1)**2 power pairs costs about 1000 to
-#: tabulate with rate_pair. A unit took 5 to 8 ns on the 2-CPU benchmark
-#: machine (a CLI run on 180k cells: 1.6 s at N1 = N2 = 32, 0.7 s at
-#: m_grid 160; 25 cells at m_grid 1000: 5.2 s; 2.1M cells at m_grid 40:
-#: 0.8 s, where the row term overprices the pre-pass), so 2**30 units is
-#: 5 to 9 s.
+#: tabulate with rate_pair. A unit took 4 to 6 ns on the 2-CPU benchmark
+#: machine (a CLI run on 180k cells: 1.2 s at N1 = N2 = 32, 0.6 s at
+#: m_grid 160; 25 cells at m_grid 1000: 3.8 s; 2.1M cells at m_grid 40:
+#: 0.8 to 0.9 s, where the row term overprices the pre-pass), and up to
+#: 8 ns when the machine ran slow, so 2**30 units is 4 to 9 s.
 MAX_REGION_WORK = 2 ** 30
 
 

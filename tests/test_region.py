@@ -852,6 +852,44 @@ def test_region_members_exclusion_never_refuses_a_member(monkeypatch):
     assert refused > 1000
 
 
+def test_region_members_full_grid_oracle_across_blocks_and_batches(monkeypatch):
+    # the four sections of test_region_members_full_grid_oracle_across_blocks
+    # at a near offset and m_grid 12, with larger mixed sections (2.5
+    # blocks each): at or below lam (no base cells), beyond rbar_c (all
+    # refused by the pre-pass), then two sections across the box, whose
+    # undecided cells fill one batch past three quarters, mid-grid, and
+    # leave a partial one. Row counts follow _BLOCK
+    rb = rbar_c(U, 2)
+    ny = 307
+    rows = [math.ceil(blocks * _BLOCK / ny) for blocks in (0.375, 1.125, 2.5, 2.5)]
+    box = lambda lo, hi, n: U.lam + (rb - U.lam) * np.linspace(lo, hi, n)
+    xs = np.concatenate((np.linspace(0.5 * U.lam, U.lam, rows[0]),
+                         box(1.01, 1.5, rows[1]),
+                         box(0.02, 0.98, rows[2]),
+                         box(0.3, 0.98, rows[3])))
+    ys = box(0.02, 0.98, ny)
+    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 12)
+    batches = _spy_batches(monkeypatch)
+    got, X, Y = _axes_match_mesh(args, xs, ys)
+    assert X.size > 6 * _BLOCK
+    assert np.array_equal(got, _members_full_grid(*args, X, Y))
+    # the grid's axes and its mesh batch the same cells
+    half = len(batches) // 2
+    assert len(batches) == 2 * half
+    assert all(np.array_equal(a, b) for a, b in zip(batches[:half], batches[half:]))
+    sizes = [b.size for b in batches[:half]]
+    assert half >= 2 and min(sizes[:-1]) > 3 * _BLOCK // 4, sizes
+    assert sizes[-1] <= 3 * _BLOCK // 4, sizes
+    # only the mixed sections reach the row loop; the first batch ends
+    # in the last section, so it holds cells of several raw blocks
+    ends = np.cumsum(rows) * ny
+    sent = np.concatenate(batches[:half])
+    assert sent.min() >= ends[1] and batches[0][-1] >= ends[2]
+    shares = [got.ravel()[a:b].mean() for a, b in zip([0, *ends[:-1]], ends)]
+    assert shares[:2] == [0.0, 0.0]
+    assert 0.0 < min(shares[2:]) and max(shares[2:]) < 1.0
+
+
 def test_region_members_row_loop_tests_on_the_benchmark_grid(monkeypatch):
     # the benchmark's grid (428 x 428 cells, m_grid 40): the row loop runs
     # user 1's window search once a row per cell it still tests. Testing
