@@ -116,6 +116,16 @@ def _need(params: dict, key: str):
     return params[key]
 
 
+def _shown(val) -> str:
+    """A config value for a message: its repr, but an integer of more than
+    twelve digits in e-notation, since a JSON integer has no size limit."""
+    if isinstance(val, int) and not isinstance(val, bool) \
+            and abs(val) >= 10 ** 12:
+        from burstgic.model import _count
+        return _count(val)
+    return repr(val)
+
+
 def _float(val, key: str) -> float:
     """A JSON number (an int or float, not a bool) as a float. Strings,
     booleans, containers and integers beyond float range are errors."""
@@ -124,7 +134,7 @@ def _float(val, key: str) -> float:
             return float(val)
         except OverflowError:
             pass
-    raise ConfigError(f"field {key!r} must be a number, got {val!r}")
+    raise ConfigError(f"field {key!r} must be a number, got {_shown(val)}")
 
 
 def _number(params: dict, key: str) -> float:
@@ -133,7 +143,7 @@ def _number(params: dict, key: str) -> float:
         raise ConfigError(f"missing required field {key!r}")
     x = _float(val, key)
     if not math.isfinite(x):
-        raise ConfigError(f"field {key!r} must be finite, got {val!r}")
+        raise ConfigError(f"field {key!r} must be finite, got {_shown(val)}")
     return x
 
 
@@ -145,7 +155,8 @@ def _integer(val, name: str) -> int:
     except ConfigError:
         x = math.nan
     if not (math.isfinite(x) and x == math.floor(x)):
-        raise ConfigError(f"field {name!r} must be an integer, got {val!r}")
+        raise ConfigError(f"field {name!r} must be an integer, "
+                          f"got {_shown(val)}")
     return val if isinstance(val, int) else int(x)
 
 
@@ -154,7 +165,7 @@ def _list(params: dict, key: str) -> list:
     val = _need(params, key)
     if not (isinstance(val, list) and val):
         raise ConfigError(f"field {key!r} must be a non-empty list, "
-                          f"got {val!r}")
+                          f"got {_shown(val)}")
     return val
 
 
@@ -176,7 +187,8 @@ def _power(params: dict, key: str, default=None) -> float:
             x = math.inf
     if not (math.isfinite(x) and x > 0):
         raise ConfigError(f"power {key} must be positive and finite, got "
-                          f"{name} = {val!r} (dB values must be finite too)")
+                          f"{name} = {_shown(val)} (dB values must be finite "
+                          f"too)")
     return x
 
 
@@ -206,6 +218,7 @@ def _rate(params: dict, key: str, u: UserParams) -> float:
 
 
 def _d_values(params: dict) -> list:
+    from burstgic.design import MAX_SPREADS
     if "ds" in params:
         ds = [_float(d, "ds") for d in _list(params, "ds")]
     else:
@@ -216,6 +229,9 @@ def _d_values(params: dict) -> list:
         count = _integer(grid[2], "d_grid count")
         if count < 2 or stop <= start:
             raise ConfigError("d_grid needs stop > start and count >= 2")
+        if count > MAX_SPREADS:
+            raise ConfigError(f"d_grid count {_shown(count)} exceeds "
+                              f"design.MAX_SPREADS = {MAX_SPREADS}")
         if not math.isfinite(stop - start):
             # np.linspace would overflow computing the step
             raise ConfigError(f"d_grid stop - start must be finite, "
@@ -304,12 +320,16 @@ def cmd_design(rc: RunConfig) -> list:
 
 
 def _design(rc: RunConfig) -> list:
-    from burstgic.design import (MAX_ACTIVE_PAIRS, MAX_ACTIVE_WORK,
+    from burstgic.design import (MAX_ACTIVE_PAIRS, MAX_ACTIVE_WORK, MIN_LAM,
                                  active_set, active_work, admissible_alpha,
                                  d_max, inadmissible_alpha, optimize_N,
                                  outage_curve, please1_holds)
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
+    for key, u in (("user1", u1), ("user2", u2)):
+        if u.lam < MIN_LAM:
+            raise ConfigError(f"{key}: q = {u.q!r} puts lam = k*q = {u.lam!r} "
+                              f"below design.MIN_LAM = {MIN_LAM:.3g}")
     R1, R2 = _rate(p, "R1", u1), _rate(p, "R2", u2)
     ds = _d_values(p)
     act = sorted(active_set(u1, u2, R1, R2))
@@ -422,6 +442,12 @@ def _emit_grid(reg, base: Path, fmt: str) -> Path:
     return path
 
 
+#: Most rows of sym_curves.csv. A row took about 6 us and 290 bytes of
+#: resident memory on the 2-CPU benchmark machine (10**6 rows: 6.3 s and
+#: 290 MB), so 2**16 rows take about 0.4 s and 19 MB.
+MAX_CURVE_POINTS = 2 ** 16
+
+
 def _region_symmetric(rc: RunConfig) -> list:
     from burstgic.model import UserParams
     from burstgic.region import sym_curves, sym_region
@@ -433,8 +459,9 @@ def _region_symmetric(rc: RunConfig) -> list:
     alpha = _number(p, "alpha")
     n_gamma = _integer(p.get("n_gamma", 2048), "n_gamma")
     points = _integer(p.get("curve_points", 256), "curve_points")
-    if points < 1:
-        raise ConfigError(f"curve_points must be >= 1, got {points}")
+    if not 1 <= points <= MAX_CURVE_POINTS:
+        raise ConfigError(f"curve_points must be in [1, MAX_CURVE_POINTS = "
+                          f"{MAX_CURVE_POINTS}], got {_shown(points)}")
     try:
         # lam is given, or k and q are read under UserParams' rules
         lam = _number(p, "lam") if "lam" in p else UserParams(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,21 @@ class OutageCurve:
             raise ValueError("outage values must lie in [0, 1]")
 
 
+#: rbar_target solves on (lam*_BRACKET, lam*(1 - _BRACKET)). Its h divides
+#: by both ends' distances from 0 and from lam, so a design user's lam = k*q
+#: must be at least MIN_LAM (about 2.2e-296), where they are normal floats.
+_BRACKET = 1e-12
+MIN_LAM = sys.float_info.min / _BRACKET
+
+
+@functools.lru_cache(maxsize=1024)
 def rbar_target(u: UserParams, N: int) -> float:
     """Largest average rate with a decodable interference-free codeword.
 
     Solves theta_hat(R) * C(gamma_hat(R)) = k/N for R on (0, lam) with
     model.find_root; the left side strictly exceeds k/N below the root.
+    Cached per (user, N): active_set asks for the same roots at every
+    spread optimize_N visits and again in please1_holds.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -100,7 +111,7 @@ def rbar_target(u: UserParams, N: int) -> float:
         gamma = (u.P / N) * lam / (lam - R)
         return theta * capacity_c(gamma) - u.k / N
 
-    lo, hi = lam * 1e-12, lam * (1.0 - 1e-12)
+    lo, hi = lam * _BRACKET, lam * (1.0 - _BRACKET)
     if h(lo) <= 0.0:
         raise InfeasibleDesignError(
             f"no feasible rate for N={N}: even R->0 cannot carry k/N={u.k / N}"
@@ -150,6 +161,13 @@ def active_set(u1: UserParams, u2: UserParams, R1: float, R2: float) -> set:
 MAX_ACTIVE_PAIRS = 256
 MAX_ACTIVE_WORK = 10 ** 7
 
+#: Most offset spreads one design run takes. Each spread costs every active
+#: pair an outage value in optimize_N and a row of its outage curve, about
+#: 9 us a pair on the 2-CPU benchmark machine (15,000 spreads of 9 pairs:
+#: 1.3 s), so MAX_ACTIVE_PAIRS pairs at 2**12 spreads take about 10 s and
+#: write about 40 MB of CSV.
+MAX_SPREADS = 2 ** 12
+
 
 def active_work(act) -> int:
     """Alpha-analysis work units N1*N2*(N1 + N2) summed over pairs."""
@@ -164,18 +182,22 @@ def _schemes_and_rates(u1, u2, N1, N2, R1, R2):
     return s1, s2, rp1, rp2
 
 
+def _both_reliable(s1, s2, rp1, rp2) -> bool:
+    """Whether both loads sit below their interference-free thresholds, so
+    every overlap pattern decodes (no division: psi may round to 0)."""
+    return s1.eta < s1.theta * rp1.psi and s2.eta < s2.theta * rp2.psi
+
+
 def please1_holds(u1: UserParams, u2: UserParams, R1: float, R2: float) -> bool:
     """Whether offsets can matter: every active (N1, N2) leaves at least
     one user above its always-reliable load."""
     act = active_set(u1, u2, R1, R2)
     if not act:
         raise InfeasibleDesignError("active set is empty")
-    worst = math.inf
     for N1, N2 in act:
-        s1, s2, rp1, rp2 = _schemes_and_rates(u1, u2, N1, N2, R1, R2)
-        val = max(s1.eta / (s1.theta * rp1.psi), s2.eta / (s2.theta * rp2.psi))
-        worst = min(worst, val)
-    return worst >= 1.0
+        if _both_reliable(*_schemes_and_rates(u1, u2, N1, N2, R1, R2)):
+            return False
+    return True
 
 
 def _thresholds(s1, s2, rp1, rp2, nu1, nu2) -> np.ndarray:
@@ -209,7 +231,7 @@ def _alpha_analysis(u1, u2, N1, N2, R1, R2):
     argument tuple, which the frozen UserParams make hashable.
     """
     s1, s2, rp1, rp2 = _schemes_and_rates(u1, u2, N1, N2, R1, R2)
-    if s1.eta < s1.theta * rp1.psi and s2.eta < s2.theta * rp2.psi:
+    if _both_reliable(s1, s2, rp1, rp2):
         # every overlap pattern decodes; offsets are irrelevant
         full = IntervalUnion.from_intervals([(-math.inf, math.inf)])
         return full, IntervalUnion.from_intervals([])

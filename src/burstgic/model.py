@@ -34,6 +34,21 @@ def capacity_c(x: float) -> float:
     return 0.5 * math.log2(1.0 + x)
 
 
+def _count(n: int) -> str:
+    """An integer for a message: in full below 10**12 in magnitude, else in
+    e-notation without converting it to a float, which overflows past
+    about 1.8e308 (and whose digits would run to hundreds)."""
+    if n < 0:
+        return "-" + _count(-n)
+    if n < 10 ** 12:
+        return str(n)
+    e = int(math.log10(n))  # math.log10 takes an int of any size
+    lead = n / 10 ** e  # int true division rounds once
+    if lead >= 10.0:
+        lead, e = lead / 10.0, e + 1
+    return f"{lead:.3g}e+{e}"
+
+
 _XTOL = 1e-10
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAXITER = 100

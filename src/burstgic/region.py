@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import IntervalUnion
-from .model import UserParams, capacity_c, find_root, rate_pair
+from .model import UserParams, _count, capacity_c, find_root, rate_pair
 from .reliability import covered_length
 
 
@@ -565,19 +565,6 @@ def _region_work(cells: int, N1: int, N2: int, m_grid: int) -> int:
     return cells * (N1 * N2 + 2 * rows) + 1000 * rows ** 2
 
 
-def _count(n: int) -> str:
-    """A count for a message: in full below 10**12, else in e-notation
-    without converting it to a float, which overflows past about 1.8e308
-    (and whose digits would run to hundreds)."""
-    if n < 10 ** 12:
-        return str(n)
-    e = int(math.log10(n))  # math.log10 takes an int of any size
-    lead = n / 10 ** e  # int true division rounds once
-    if lead >= 10.0:
-        lead, e = lead / 10.0, e + 1
-    return f"{lead:.3g}e+{e}"
-
-
 def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
            alpha, m_grid: int = 10, resolution: float | None = None) -> Region2D:
     """Achievable-region occupancy grid on the natural bounding box.
@@ -740,11 +727,12 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
 
 
 def _pert_windows(js: int, N: int, theta: float, alpha: float):
-    """mu-windows of offset class js with their decoding-constraint lists.
+    """mu-windows of offset class js <= N with their decoding-constraint lists.
 
     Each constraint (x, y) stands for (1 - x*(phi-psi)/lam)*R < psi -
     (phi-psi)*y/theta at the power under test. Division by js-1 at js=1
     follows the sign of the numerator (the window simply has no such edge).
+    Classes past N are merged by _sym_pert_region.
     """
     if js > 1:
         prev = (alpha - theta) / (js - 1)
@@ -754,20 +742,17 @@ def _pert_windows(js: int, N: int, theta: float, alpha: float):
         nxt = math.inf
     lo_slot = alpha / js
     hi_slot = (alpha + theta) / js
-    if js <= N - 1:
+    if js < N:
         a_cons = ((1, theta), (1 - js, -alpha))
-    elif js == N:
-        a_cons = ((1 - N, -alpha),)
+        b_cons = ((js, alpha),)
     else:
-        a_cons = ((0, -theta),)
-    b_cons = ((js, alpha),) if js <= N - 1 else ((0, -theta),)
-    c_cons = ((1 - js, -alpha),) if js <= N else ((0, -theta),)
-    d_cons = ((0, -theta),)
+        a_cons = ((1 - N, -alpha),)
+        b_cons = ((0, -theta),)
     return (
         ((max(prev, lo_slot), min(hi_slot, nxt)), a_cons),
         ((lo_slot, min(prev, hi_slot)), b_cons),
-        ((max(prev, hi_slot), nxt), c_cons),
-        ((hi_slot, prev), d_cons),
+        ((max(prev, hi_slot), nxt), ((1 - js, -alpha),)),
+        ((hi_slot, prev), ((0, -theta),)),
     )
 
 
@@ -792,35 +777,33 @@ def _sweep_union(samples) -> IntervalUnion:
 
 
 #: Most power samples the symmetric sweeps may take: windows times
-#: n_gamma, one window for the closed-form sweep and four per offset class
-#: (ceil(alpha/theta) + 1 classes) when alpha >= theta. A window sample
+#: n_gamma, one window for the closed-form sweep (alpha < theta) and
+#: 4*min(ceil(alpha/theta) + 1, N) + 1 for the window sweep, four per
+#: offset class up to N and one for every class past N. A window sample
 #: took about 2.4 us on the 2-CPU benchmark machine (84 windows of 2048
-#: samples at alpha/theta = 20: 0.40 s) and a closed-form one about 6 us,
-#: so 2**22 samples is 10 to 25 s.
+#: samples: 0.40 s) and a closed-form one about 6 us, so 2**22 samples is
+#: 10 to 25 s.
 MAX_SYM_SAMPLES = 2 ** 22
 
 
-def _check_sym_samples(windows: float, n_gamma: int) -> None:
-    """Raise ValueError past MAX_SYM_SAMPLES; windows may be inf."""
-    # n_gamma first: an int past float range cannot be multiplied
-    if not (n_gamma <= MAX_SYM_SAMPLES
-            and windows * n_gamma <= MAX_SYM_SAMPLES):
-        raise ValueError(f"{windows:.3g} windows of n_gamma = "
+def _check_sym_samples(windows: int, n_gamma: int) -> None:
+    """Raise ValueError unless 2 <= n_gamma and the sweep fits
+    MAX_SYM_SAMPLES."""
+    if n_gamma < 2:
+        raise ValueError(f"n_gamma must be at least 2, got {_count(n_gamma)}")
+    if windows * n_gamma > MAX_SYM_SAMPLES:
+        raise ValueError(f"{_count(windows)} windows of n_gamma = "
                          f"{_count(n_gamma)} samples exceed "
                          f"MAX_SYM_SAMPLES = {MAX_SYM_SAMPLES}")
 
 
-def _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma=2048) -> IntervalUnion:
-    """Symmetric region assembled per offset class; works for any alpha >= 0."""
-    # alpha/theta may overflow to inf, which the budget refuses before
-    # anything is built; ceil(r) + 1 <= r + 2 bounds the class count
-    ratio = alpha / theta
-    _check_sym_samples(4.0 * (ratio + 2.0), n_gamma)
+def _sweep_windows(N, theta, lam, a, P, windows, n_gamma) -> IntervalUnion:
+    """Union over windows of the rate interval swept across the power grid.
+
+    A window is ((wlo, whi), constraints): a mu-range and the decoding
+    constraints of _pert_windows that hold on it.
+    """
     gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
-    js_max = int(math.ceil(ratio)) + 1 if alpha > 0 else 1
-    windows = []
-    for js in range(1, js_max + 1):
-        windows.extend(_pert_windows(js, N, theta, alpha))
     grid = np.linspace(0.0, gbar, n_gamma)
     out = IntervalUnion.from_intervals([])
 
@@ -853,6 +836,52 @@ def _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma=2048) -> IntervalUnion:
     return out
 
 
+def _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma=2048) -> IntervalUnion:
+    """Symmetric region assembled per offset class; works for any alpha >= 0.
+
+    Offset class js holds the spacings alpha/js < mu < alpha/(js - 1), and
+    there are js_max = ceil(alpha/theta) + 1 classes (unboundedly many when
+    alpha/theta overflows). Classes js <= N are swept window by window
+    (_pert_windows). All classes past N are swept as the one window
+    (alpha/js_max, alpha/N), whose lower end is 0 when alpha/theta
+    overflows, with the constraint (0, -theta). That gives the same
+    interval at every power sample:
+
+    - each class js > N has four windows, and all four carry only (0,
+      -theta). With prev = (alpha - theta)/(js - 1), nxt = alpha/(js - 1),
+      lo = alpha/js and hi = (alpha + theta)/js they are (max(prev, lo),
+      min(hi, nxt)), (lo, min(prev, hi)), (max(prev, hi), nxt) and (hi,
+      prev), and prev < nxt, lo < hi, lo < nxt;
+    - together they tile (lo, nxt). If prev <= hi, the fourth is empty, the
+      second is (lo, prev) and the first starts at prev (or the second is
+      empty and the first starts at lo, when prev <= lo), and the third is
+      (hi, nxt) where the first ends (or is empty and the first ends at
+      nxt, when hi >= nxt). If prev > hi, the first is empty and the
+      second, fourth and third are (lo, hi), (hi, prev) and (prev, nxt).
+      Class js + 1 ends at alpha/js where class js starts, the same float,
+      so classes N + 1 ... js_max tile (alpha/js_max, alpha/N);
+    - so at each power sample, where the constraint bounds the rate by one
+      interval, clipping it to the merged window gives the union of its
+      clips to the tiles, since the tiles' ends map to the same floats.
+
+    The sweep also hulls two consecutive samples that fell in different
+    tiles, which the per-class sweep does not: that can only add the gap
+    between two disjoint consecutive samples, no longer than one interval
+    end moves in one power step. At most 4*min(js_max, N) + 1 windows are
+    swept, and MAX_SYM_SAMPLES counts them before anything is built.
+    """
+    ratio = alpha / theta
+    tail = ratio > N - 1  # js_max > N: some class lies past N
+    classes = N if tail else math.ceil(ratio) + 1
+    _check_sym_samples(4 * classes + 1, n_gamma)
+    windows = [w for js in range(1, classes + 1)
+               for w in _pert_windows(js, N, theta, alpha)]
+    if tail:
+        lo = alpha / (math.ceil(ratio) + 1) if math.isfinite(ratio) else 0.0
+        windows.append(((lo, alpha / N), ((0, -theta),)))
+    return _sweep_windows(N, theta, lam, a, P, windows, n_gamma)
+
+
 def sym_region(N: int, theta, lam, a, P, alpha, n_gamma: int = 2048) -> IntervalUnion:
     """Achievable codeword rates of the symmetric model.
 
@@ -874,7 +903,7 @@ def sym_region(N: int, theta, lam, a, P, alpha, n_gamma: int = 2048) -> Interval
         return IntervalUnion.from_intervals([(0.0, (gstar / P - 1.0) * lam)])
     if not alpha < theta:
         return _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma)
-    _check_sym_samples(1.0, n_gamma)
+    _check_sym_samples(1, n_gamma)
     sc = sym_curves(N, theta, lam, a, P, alpha)
     gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
     grid = set(np.linspace(0.0, gbar, n_gamma))

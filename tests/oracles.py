@@ -27,6 +27,7 @@ from burstgic.detection import (
 )
 from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
 from burstgic.model import UserParams
+from burstgic.region import _sweep_windows
 
 
 def limit_power_rate(s, u: UserParams) -> tuple[float, float]:
@@ -267,3 +268,44 @@ def estimate_arrivals_full(trace, preambles, tps, nprime: int,
         ends[sender] = ts + nprime + n_codewords[sender - 1] - 1
         t = ts + 1
     return found
+
+
+def sym_class_windows(js: int, N: int, theta: float, alpha: float):
+    """mu-windows of offset class js >= 1 with their constraint lists.
+
+    region._pert_windows gives them for js <= N; past N all four carry the
+    one constraint (0, -theta), and region._sym_pert_region sweeps those
+    classes as one window.
+    """
+    if js > 1:
+        prev = (alpha - theta) / (js - 1)
+        nxt = alpha / (js - 1)
+    else:
+        prev = -math.inf if alpha < theta else math.inf
+        nxt = math.inf
+    lo_slot = alpha / js
+    hi_slot = (alpha + theta) / js
+    if js <= N - 1:
+        a_cons = ((1, theta), (1 - js, -alpha))
+    elif js == N:
+        a_cons = ((1 - N, -alpha),)
+    else:
+        a_cons = ((0, -theta),)
+    b_cons = ((js, alpha),) if js <= N - 1 else ((0, -theta),)
+    c_cons = ((1 - js, -alpha),) if js <= N else ((0, -theta),)
+    d_cons = ((0, -theta),)
+    return (
+        ((max(prev, lo_slot), min(hi_slot, nxt)), a_cons),
+        ((lo_slot, min(prev, hi_slot)), b_cons),
+        ((max(prev, hi_slot), nxt), c_cons),
+        ((hi_slot, prev), d_cons),
+    )
+
+
+def sym_pert_region_per_class(N, theta, lam, a, P, alpha, n_gamma=2048):
+    """The symmetric region swept window by window over all
+    ceil(alpha/theta) + 1 offset classes, four windows each."""
+    js_max = math.ceil(alpha / theta) + 1
+    windows = [w for js in range(1, js_max + 1)
+               for w in sym_class_windows(js, N, theta, alpha)]
+    return _sweep_windows(N, theta, lam, a, P, windows, n_gamma)

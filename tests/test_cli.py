@@ -44,11 +44,12 @@ SYM_CFG = {"scenario": "symmetric", "N": 2, "theta": 1.0, "lam": 0.6,
 
 
 def run_cli(command, cfg, tmp_path, out="out", seed=11, extra=(),
-            timeout=None):
-    """Run the CLI on cfg; out=None passes no --out flag."""
+            timeout=None, flags=()):
+    """Run the CLI on cfg; out=None passes no --out flag, and flags go to
+    the interpreter."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
-    args = [sys.executable, "-m", "burstgic.cli", command,
+    args = [sys.executable, *flags, "-m", "burstgic.cli", command,
             "--config", str(cfg_path), "--seed", str(seed), *extra]
     if out is not None:
         args += ["--out", str(tmp_path / out)]
@@ -353,12 +354,31 @@ def test_region_grid_budget_message_for_huge_counts(tmp_path, over):
     assert max(map(len, re.findall(r"\d+", res.stderr))) < 20, res.stderr
 
 
-@pytest.mark.parametrize("over", [{"theta": 1e-320}, {"alpha": 1e300}])
-def test_region_symmetric_window_budget_is_config_error(tmp_path, over):
-    # alpha/theta offset classes of four windows each: 1e-320 overflows the
-    # ratio, and 1e300 would sweep past any time limit
+@pytest.mark.parametrize("over", [{"theta": 1e-320}, {"alpha": 1e300},
+                                  {"theta": 1e-12}])
+def test_region_symmetric_huge_offset_ratio_runs(tmp_path, over):
+    # every offset class past N is swept as one window, so alpha/theta =
+    # 5e12, 1e300 or an overflow to inf costs 4*N + 1 windows
+    cfg = {**SYM_CFG, "alpha": 5.0, **over}
     start = time.monotonic()
-    res = run_cli("region", dict(SYM_CFG, **over), tmp_path, timeout=60.0)
+    res = run_cli("region", cfg, tmp_path, timeout=60.0,
+                  flags=("-W", "error::RuntimeWarning"))
+    elapsed = time.monotonic() - start
+    assert res.returncode == 0, res.stderr
+    assert elapsed < 1.0
+    meta = json.loads((tmp_path / "out" / "sym_intervals.json").read_text(),
+                      parse_constant=_reject_constant)
+    (lo, hi), = meta["intervals"]
+    assert lo == approx(0.6) and 4.8 < hi < 4.9
+    assert meta["alpha"] == cfg["alpha"] and meta["theta"] == cfg["theta"]
+
+
+def test_region_symmetric_window_budget_is_config_error(tmp_path):
+    # a million bursts per frame sweep four windows per offset class up to
+    # N, past any time limit
+    start = time.monotonic()
+    res = run_cli("region", dict(SYM_CFG, N=10**6, alpha=1e300), tmp_path,
+                  timeout=60.0)
     assert res.returncode == 2, res.stderr
     assert "MAX_SYM_SAMPLES" in res.stderr
     assert "Traceback" not in res.stderr
@@ -368,15 +388,19 @@ def test_region_symmetric_window_budget_is_config_error(tmp_path, over):
 
 def test_region_symmetric_window_budget_edge():
     # the budget is checked before anything is built. At alpha/theta = 3
-    # it counts 4*(3 + 2) windows, a bound on the four windows of each of
-    # the ceil(3) + 1 offset classes; the closed-form sweep (alpha < theta)
-    # counts one
+    # and N = 2 it counts 4*min(ceil(3) + 1, 2) + 1 = 9 windows: four for
+    # each of the offset classes 1 and 2 and one for the classes past N;
+    # the closed-form sweep (alpha < theta) counts one
     from burstgic.region import MAX_SYM_SAMPLES
     assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, 64).intervals
     with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
-        sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, MAX_SYM_SAMPLES // 20 + 1)
+        sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, MAX_SYM_SAMPLES // 9 + 1)
     with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
         sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5, MAX_SYM_SAMPLES + 1)
+    # a sweep needs two power samples to hull
+    for alpha in (0.5, 3.0):
+        with pytest.raises(ValueError, match="n_gamma must be at least 2"):
+            sym_region(2, 1.0, 0.6, 0.5, 100.0, alpha, 1)
 
 
 @pytest.mark.parametrize("trials", [1e300, 2**63, 10**8])
@@ -838,3 +862,42 @@ def test_design_work_budget_is_config_error(tmp_path, cfg, budget):
     assert res.returncode == 2, res.stderr
     assert budget in res.stderr
     assert time.monotonic() - start < 20.0
+
+
+DESIGN_PROBE = dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    d_grid=[0.05, 3.0, 6])
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # psi rounds to 0, which please1_holds once divided by
+    ("design", dict(DESIGN_PROBE, user1=dict(U1, a=1e300))),
+    ("design", dict(DESIGN_PROBE,
+                    user1={"k": 3, "q": 0.3, "P": 2**63, "a": 0.5})),
+    # lam = k*q underflows rbar_target's bracket
+    ("design", dict(DESIGN_PROBE, user1=dict(U1, q=1e-320))),
+    # counts past MAX_SPREADS and MAX_CURVE_POINTS, which np.linspace
+    # refused with an IndexError (2**63) or "array is too big" (2**62)
+    ("design", dict(DESIGN_PROBE, d_grid=[0.05, 3.0, 2**63])),
+    ("design", dict(DESIGN_PROBE, d_grid=[0.05, 3.0, 2**62])),
+    ("region", dict(SYM_CFG, curve_points=2**63)),
+    ("region", dict(SYM_CFG, curve_points=2**62)),
+    ("region", dict(SYM_CFG, n_gamma=2**63)),
+    # an integer past float range is echoed in e-notation, and so is a
+    # count below 2 that np.linspace would echo in full
+    ("region", dict(SYM_CFG, n_gamma=10**400)),
+    ("region", dict(SYM_CFG, n_gamma=-2**64)),
+    # offset ratios of 1e300, inf and 1e12 sweep 4*N + 1 windows
+    ("region", dict(SYM_CFG, alpha=1e300)),
+    ("region", dict(SYM_CFG, alpha=5.0, theta=1e-320)),
+    ("region", dict(SYM_CFG, alpha=5.0, theta=1e-12)),
+], ids=["design-a", "design-P", "design-q", "d_grid-2**63", "d_grid-2**62",
+        "curve_points-2**63", "curve_points-2**62", "n_gamma-2**63",
+        "n_gamma-10**400", "n_gamma--2**64", "sym-alpha", "sym-theta-1e-320",
+        "sym-theta-1e-12"])
+def test_extreme_magnitudes_exit_cleanly(tmp_path, command, cfg):
+    res = run_cli(command, cfg, tmp_path, timeout=60.0,
+                  flags=("-W", "error::RuntimeWarning"))
+    assert res.returncode in (0, 2, 3), res.stderr
+    assert "Traceback" not in res.stderr
+    text = res.stdout + res.stderr
+    assert max(map(len, re.findall(r"\d+", text)), default=0) < 20, text

@@ -149,6 +149,28 @@ def test_please1_no_cross_gain_is_always_false():
         assert please1_holds(u1, u2, f * u1.lam, f * u2.lam) is False
 
 
+def test_please1_with_interfered_rate_zero():
+    # a cross gain of 1e300 rounds user 2's interfered rate psi to 0, so
+    # user 2 is never always reliable and offsets matter for every pair
+    loud = UserParams(k=3, q=0.3, P=1000.0, a=1e300)
+    R1, R2 = 0.7 * loud.lam, 0.7 * U2.lam
+    for N1, N2 in active_set(loud, U2, R1, R2):
+        assert _schemes(loud, U2, N1, N2, R1, R2)[3].psi == 0.0
+    assert please1_holds(loud, U2, R1, R2) is True
+
+
+def test_rbar_target_is_solved_once_per_user_and_count():
+    # optimize_N re-derives the active set at every spread
+    rbar_target.cache_clear()
+    act = active_set(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam)
+    solved = rbar_target.cache_info().misses
+    for d in (0.5, 1.0, 2.0):
+        optimize_N(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam, d)
+    please1_holds(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam)
+    assert active_set(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam) == act
+    assert rbar_target.cache_info().misses == solved
+
+
 def test_please1_errors_on_empty_active_set():
     weak = UserParams(k=3, q=0.3, P=0.01, a=0.5)
     with pytest.raises(InfeasibleDesignError):

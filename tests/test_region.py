@@ -22,6 +22,8 @@ from burstgic.region import (
     MAX_CELLS,
     MAX_REGION_WORK,
     Region2D,
+    _pert_windows,
+    _rbar_raw,
     _region_work,
     _sym_pert_region,
     gamma_grid,
@@ -33,7 +35,13 @@ from burstgic.region import (
 )
 from burstgic.reliability import covered_lengths, rate_bound
 
-from oracles import contains_many, sym_omega, triples_from_state
+from oracles import (
+    contains_many,
+    sym_class_windows,
+    sym_omega,
+    sym_pert_region_per_class,
+    triples_from_state,
+)
 
 U = UserParams(k=2, q=0.3, P=100.0, a=0.5)  # lam = 0.6
 
@@ -1283,6 +1291,117 @@ def test_sym_region_agrees_with_perturbation_route():
         for (a0, b0), (a1, b1) in zip(got.intervals, ref.intervals):
             assert a0 == approx(a1, rel=1e-6, abs=1e-9)
             assert b0 == approx(b1, rel=1e-6, abs=1e-9)
+
+
+# (N, theta, lam, a, P, alpha); the first is the README example, and all
+# but (4, 1.5, ...) have offset classes past N
+SYM_WINDOW_CASES = [
+    (2, 1.0, 0.6, 0.5, 100.0, 5.0),
+    (3, 1.0, 0.6, 0.5, 100.0, 7.3),
+    (2, 1.0, 0.6, 0.5, 100.0, 20.0),
+    (4, 1.5, 0.8, 0.3, 316.0, 3.7),
+    (2, 1.0, 0.5, 1.0, 100.0, 2.0),
+    (5, 0.3, 0.7, 0.2, 50.0, 11.0),
+]
+
+
+@pytest.mark.parametrize("case", SYM_WINDOW_CASES)
+def test_sym_pert_region_matches_per_class_oracle(case):
+    assert _sym_pert_region(*case) == sym_pert_region_per_class(*case)
+
+
+@pytest.mark.parametrize("case", SYM_WINDOW_CASES)
+def test_sym_classes_past_n_tile_one_window(case):
+    # the four windows of every class N + 1 ... js_max, end to end with no
+    # gap or overlap, cover exactly the window _sym_pert_region sweeps
+    # for them, (alpha/js_max, alpha/N)
+    N, theta, _, _, _, alpha = case
+    js_max = math.ceil(alpha / theta) + 1
+    if js_max <= N:
+        return
+    tiles = sorted(w for js in range(N + 1, js_max + 1)
+                   for w, cons in sym_class_windows(js, N, theta, alpha)
+                   if w[1] > w[0] and cons == ((0, -theta),))
+    assert len(tiles) >= js_max - N
+    assert tiles[0][0] == alpha / js_max and tiles[-1][1] == alpha / N
+    assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+    for js in range(1, N + 1):
+        assert _pert_windows(js, N, theta, alpha) \
+            == sym_class_windows(js, N, theta, alpha)
+
+
+@pytest.mark.parametrize("theta, alpha", [(1.0, 20.0), (1.0, 1e300),
+                                          (1e-320, 5.0)])
+def test_sym_pert_region_sweeps_at_most_4n_plus_1_windows(monkeypatch,
+                                                          theta, alpha):
+    # four windows per offset class up to N and one for every class past
+    # it: 4*min(ceil(alpha/theta) + 1, N) + 1 = 9 at these ratios, which
+    # are 20, 1e300 and an overflow to inf. The per-class sweep took
+    # 4*(ceil(alpha/theta) + 1) = 84 at 20.
+    # the package's burstgic.region is the function, not the module
+    region_mod = sys.modules["burstgic.region"]
+    sweep = region_mod._sweep_union
+    swept = []
+
+    def counting(samples):
+        swept.append(1)
+        return sweep(samples)
+
+    monkeypatch.setattr(region_mod, "_sweep_union", counting)
+    N = 2
+    iv = _sym_pert_region(N, theta, 0.6, 0.5, 100.0, alpha, 64)
+    assert iv.intervals
+    assert 0 < len(swept) <= 4 * N + 1
+
+
+def _minus(outer, inner):
+    """Pieces of the interval list outer that the sorted list inner misses."""
+    out = []
+    for lo, hi in outer:
+        cur = lo
+        for a, b in inner:
+            if a < hi and b > cur:
+                if a > cur:
+                    out.append((cur, a))
+                cur = b
+        if cur < hi:
+            out.append((cur, hi))
+    return out
+
+
+def test_sym_pert_region_contains_per_class_oracle():
+    # The merged window gives every power sample the union of the tiles'
+    # intervals, so it contains the per-class sweep. It also hulls two
+    # consecutive samples that fell in different tiles: that adds at most
+    # the gap between two disjoint consecutive samples. On the merged
+    # window the interval is (max(lam, power line, const), min(const,
+    # phi)): per power step dg its lower end moves at most lam*dg/P and
+    # its upper end at most dg/(2 ln 2), since phi' = 1/(2 ln 2 (1 + g)).
+    # A gap between disjoint samples is at most either move, so each
+    # extra piece is at most dg*min(lam/P, 1/(2 ln 2)) long. Coarse power
+    # grids make such gaps happen.
+    rng = np.random.default_rng(7)
+    extra_cases = 0
+    for _ in range(150):
+        N = int(rng.integers(2, 6))
+        theta = rng.uniform(0.3, 2.0)
+        lam = rng.uniform(0.3, 1.2)
+        a = rng.uniform(0.0, 2.0)
+        P = 10 ** rng.uniform(0.0, 3.0)
+        alpha = theta * rng.uniform(N - 0.9, 3 * N)
+        n_gamma = int(rng.integers(3, 40))
+        args = (N, theta, lam, a, P, alpha, n_gamma)
+        got = _sym_pert_region(*args).intervals
+        ref = sym_pert_region_per_class(*args).intervals
+        for lo, hi in ref:
+            assert any(g0 <= lo + 1e-12 and hi <= g1 + 1e-12
+                       for g0, g1 in got), (args, got, ref)
+        gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
+        bound = gbar / (n_gamma - 1) * min(lam / P, 0.5 / math.log(2.0))
+        extra = [b - a for a, b in _minus(got, ref) if b - a > 1e-12]
+        assert all(e <= bound + 1e-12 for e in extra), (args, extra, bound)
+        extra_cases += bool(extra)
+    assert extra_cases > 0
 
 
 def test_sym_region_disconnects_at_moderate_offset():
