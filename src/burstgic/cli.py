@@ -457,7 +457,6 @@ def _region_symmetric(rc: RunConfig) -> list:
     a = _number(p, "a")
     P = _power(p, "P")
     alpha = _number(p, "alpha")
-    n_gamma = _integer(p.get("n_gamma", 2048), "n_gamma")
     points = _integer(p.get("curve_points", 256), "curve_points")
     if not 1 <= points <= MAX_CURVE_POINTS:
         raise ConfigError(f"curve_points must be in [1, MAX_CURVE_POINTS = "
@@ -467,32 +466,27 @@ def _region_symmetric(rc: RunConfig) -> list:
         lam = _number(p, "lam") if "lam" in p else UserParams(
             k=_integer(_need(p, "k"), "k"), q=_float(_need(p, "q"), "q"),
             P=P, a=a).lam
-        intervals = sym_region(N, theta, lam, a, P, alpha, n_gamma).intervals
+        intervals = sym_region(N, theta, lam, a, P, alpha).intervals
+        c = sym_curves(N, theta, lam, a, P, alpha) \
+            if N >= 2 and alpha < theta else None
     except ValueError as e:
         raise ConfigError(str(e))
     meta = {"scenario": rc.scenario, "N": N, "theta": theta, "lam": lam,
             "a": a, "P": P, "alpha": alpha,
             "intervals": [[lo, hi] for lo, hi in intervals]}
-    curves = sym_curves(N, theta, lam, a, P, alpha) \
-        if N >= 2 and alpha < theta else None
-    if curves is not None:
-        meta["gamma0"] = _finite(curves.gamma0)
-        meta["gamma1"] = _finite(curves.gamma1)
-        meta["gamma2"] = _finite(curves.gamma2)
-        meta["branch_low"] = curves.branch_low
-    files = [_write_json(meta, rc.out / "sym_intervals.json")]
-    if curves is not None:
-        c = curves
-        hi_max = max((hi for _, hi in intervals), default=lam)
-        g_max = (1.0 / N + 1.05 * hi_max / lam) * P
-        rows = []
-        for g in np.linspace(g_max / points, g_max, points):
-            rows.append({"gamma": float(g), "f": float(c.f(g)),
-                         "g": float(c.g(g)),
-                         "power_line": float(c.power_line(g))})
-        files.append(_emit(rows, ("gamma", "f", "g", "power_line"),
-                           rc.out / "sym_curves", rc.fmt))
-    return files
+    if c is None:
+        return [_write_json(meta, rc.out / "sym_intervals.json")]
+    meta.update(gamma0=_finite(c.gamma0), gamma1=_finite(c.gamma1),
+                gamma2=_finite(c.gamma2), branch_low=c.branch_low)
+    hi_max = max((hi for _, hi in intervals), default=lam)
+    g_max = (1.0 / N + 1.05 * hi_max / lam) * P
+    # Python floats: a numpy scalar warns where a*g overflows
+    rows = [{"gamma": g, "f": float(c.f(g)), "g": float(c.g(g)),
+             "power_line": float(c.power_line(g))}
+            for g in np.linspace(g_max / points, g_max, points).tolist()]
+    return [_write_json(meta, rc.out / "sym_intervals.json"),
+            _emit(rows, ("gamma", "f", "g", "power_line"),
+                  rc.out / "sym_curves", rc.fmt)]
 
 
 def cmd_detect(rc: RunConfig) -> list:

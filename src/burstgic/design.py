@@ -116,9 +116,17 @@ def rbar_target(u: UserParams, N: int) -> float:
         raise InfeasibleDesignError(
             f"no feasible rate for N={N}: even R->0 cannot carry k/N={u.k / N}"
         )
-    if h(hi) >= 0.0:  # theta*phi -> 0 as R -> lam, so this cannot happen
-        raise InfeasibleDesignError("bracketing failed at R near lam")
-    return find_root(h, lo, hi)
+    if h(hi) < 0.0:
+        return find_root(h, lo, hi)
+    # theta*phi -> 0 as R -> lam: halve w = lam - hi until h(lam - w/2) < 0,
+    # then solve R = lam - w*t on [1/2, 1], to a tolerance relative to w
+    w = lam - hi
+    while h(lam - 0.5 * w) >= 0.0:
+        w *= 0.5
+        if not lam - w < lam - 0.5 * w < lam:
+            raise InfeasibleDesignError(f"q = {u.q!r}: the rate root for N={N} "
+                                        "lies within float resolution of lam")
+    return lam - w * find_root(lambda t: h(lam - w * t), 0.5, 1.0)
 
 
 def _n_window(u: UserParams, R: float) -> list:

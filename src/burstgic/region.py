@@ -8,11 +8,12 @@ union over states and over a finite grid of transmit powers. region()
 evaluates that union pointwise without enumerating states: it rebuilds each
 grid point's own layout and checks every codeword directly, which is the
 same predicate. The symmetric model collapses to a union of intervals on the
-diagonal (sym_curves, sym_region).
+diagonal, which sym_region gives exactly over all powers (sym_curves).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -436,11 +437,11 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     # is filled one g1 row at a time, so no (m_grid - 1)**2 list of Python
     # floats is built
     phi1, psi1, phi2, psi2 = table = np.empty((4, g1s.size, g2s.size))
-    for i, g1 in enumerate(g1s):
-        table[:, i] = np.array(
+    for i, g1 in enumerate(g1s.tolist()):  # a numpy scalar warns where
+        table[:, i] = np.array(            # a*gamma overflows
             [(rp1.phi, rp1.psi, rp2.phi, rp2.psi)
              for rp1, rp2 in ((rate_pair(g1, g2, u2.a), rate_pair(g2, g1, u1.a))
-                              for g2 in g2s)]).T
+                              for g2 in g2s.tolist())]).T
     top1 = theta1 * phi1[:, 0]  # phi1 = C(g1) is one float along a row
     slope1 = phi1 - psi1
     top2 = theta2 * phi2  # and phi2 = C(g2) one float down a column
@@ -572,9 +573,10 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     The box is [lam1*1{N1>1}, rbar_c1] x [lam2*1{N2>1}, rbar_c2] and
     resolution is the cell size (default: a 100x100 grid).
     """
-    if not all(math.isfinite(t) and t > 0 for t in (theta1, theta2)):
-        raise ValueError(f"theta1 and theta2 must be positive and finite, "
-                         f"got {theta1} and {theta2}")
+    # rates are below C(float max) < 2**9: theta*rate < 2**1022 stays finite
+    if not all(0 < t <= 2.0 ** 1013 for t in (theta1, theta2)):
+        raise ValueError(f"theta1 and theta2 must be positive and at most "
+                         f"2**1013, got {theta1} and {theta2}")
     lo1 = u1.lam if N1 > 1 else 0.0
     lo2 = u2.lam if N2 > 1 else 0.0
     hi1 = rbar_c(u1, N1)
@@ -638,10 +640,6 @@ class SymCurves:
     gamma1: float
     gamma2: float
 
-    def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-
     @property
     def branch_low(self) -> bool:
         """True when lam < psi(gamma0), the empty-until-gamma1 branch."""
@@ -661,16 +659,10 @@ class SymCurves:
 
     def clear_cap(self, gamma):
         """Rate cap when only the offset stub of a codeword is interfered."""
-        p, s = self.phi(gamma), self.psi(gamma)
-        return s + self.alpha / self.theta * (p - s)
+        return _clear_cap(self.a, gamma, self.alpha / self.theta)
 
     def ratio_cap(self, gamma):
-        """The bound (2*psi - phi) / (1 - (phi - psi)/lam).
-
-        Upper bound while the denominator is positive, lower bound once it
-        flips sign; each branch only evaluates it where it is the active
-        finite bound.
-        """
+        """(2*psi - phi)/(1 - (phi-psi)/lam): a cap below phi-psi = lam."""
         p, s = self.phi(gamma), self.psi(gamma)
         return (2.0 * s - p) / (1.0 - (p - s) / self.lam)
 
@@ -678,22 +670,18 @@ class SymCurves:
         return (gamma / self.P - 1.0 / self.N) * self.lam
 
     def f(self, gamma):
-        if self.branch_low:
-            return 0.0 if gamma <= self.gamma1 else self.lam
-        if gamma <= self.gamma2:
+        low = self.branch_low
+        if gamma <= (self.gamma1 if low else self.gamma2):
             return 0.0
-        if gamma <= self.gamma1:
-            return self.ratio_cap(gamma)
-        return self.lam
+        return self.ratio_cap(gamma) if not low and gamma <= self.gamma1 \
+            else self.lam
 
     def g(self, gamma):
-        if self.branch_low:
-            if gamma <= self.gamma1:
-                return 0.0
-            if gamma <= self.gamma2:
-                return self.ratio_cap(gamma)
-            return self.clear_cap(gamma)
-        return 0.0 if gamma <= self.gamma2 else self.clear_cap(gamma)
+        low = self.branch_low
+        if gamma <= (self.gamma1 if low else self.gamma2):
+            return 0.0
+        return self.ratio_cap(gamma) if low and gamma <= self.gamma2 \
+            else self.clear_cap(gamma)
 
 
 def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
@@ -701,28 +689,17 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
     _check_sym_args(N, theta, lam, a, P, alpha)
     if not alpha < theta:
         raise ValueError(f"closed form needs alpha < theta, got {alpha} >= {theta}")
-    if a > 0:
-        # (1 + sqrt(1 + 4a^2)) / (2a^2) with b = 1/a: finite for huge a,
-        # +inf only where the true value overflows too
-        b = 1.0 / a
-        gamma0 = b * (0.5 * (b + math.sqrt(b * b + 4.0)))
-    else:
-        gamma0 = math.inf
+    # gamma0 = (1 + sqrt(1 + 4a^2)) / (2a^2) with b = 1/a: finite for huge
+    # a, +inf at a = 0 and only where the true value overflows too
+    b = 1.0 / a if a > 0 else math.inf
+    gamma0 = b * (0.5 * (b + math.sqrt(b * b + 4.0)))
     # psi = lam needs SNR t = 2**(2*lam) - 1; beyond float range gamma1 = +inf
     t = 2.0 ** (2.0 * lam) - 1.0 if lam < 512.0 else math.inf
     den = 1.0 - a * t
     gamma1 = t / den if den > 0 else math.inf
-    if alpha == 0:
-        gamma2 = gamma1
-    else:
-        kap = 1.0 + alpha / theta
-
-        def short(g):
-            p = capacity_c(g)
-            s = capacity_c(g / (1.0 + a * g))
-            return s + alpha / theta * (p - s) - kap * lam
-
-        gamma2 = find_root(short, 0.0, 1.0)
+    gamma2 = gamma1 if alpha == 0 else find_root(
+        lambda g: _clear_cap(a, g, alpha / theta) - (1.0 + alpha / theta) * lam,
+        0.0, 1.0)
     return SymCurves(N, theta, lam, a, P, alpha, gamma0, gamma1, gamma2)
 
 
@@ -731,8 +708,7 @@ def _pert_windows(js: int, N: int, theta: float, alpha: float):
 
     Each constraint (x, y) stands for (1 - x*(phi-psi)/lam)*R < psi -
     (phi-psi)*y/theta at the power under test. Division by js-1 at js=1
-    follows the sign of the numerator (the window simply has no such edge).
-    Classes past N are merged by _sym_pert_region.
+    follows the sign of the numerator (the window has no such edge).
     """
     if js > 1:
         prev = (alpha - theta) / (js - 1)
@@ -756,167 +732,189 @@ def _pert_windows(js: int, N: int, theta: float, alpha: float):
     )
 
 
-def _sweep_union(samples) -> IntervalUnion:
-    """Union of a continuously moving interval sampled along a curve.
+#: Most windows _sym_pert_region solves, 4*min(ceil(alpha/theta) + 1, N)
+#: + 1. A window took 0.8 to 4 ms on the 2-CPU benchmark machine (1025 at
+#: N = 256, alpha = 1e300: 0.85 s; 801 at N = 200, alpha = 199: 2.2 s).
+MAX_SYM_WINDOWS = 2 ** 11
+_K = 0.5 / math.log(2.0)  # capacity_c'(x) = _K/(1 + x)
+#: Powers in every bracket list of _zeros: find_root closes a bracket [u,
+#: v] with v <= 2**10*max(u, 1) in under 70 of its 100 steps, at any scale.
+_BRACKETS = [2.0 ** k for k in range(0, 1024, 10)]
 
-    samples yields (lo, hi) or None per grid point, in sweep order. When two
-    consecutive samples are nonempty the interval never vanished in between
-    (its endpoints move continuously), so their hull joins the union; this
-    closes the pinholes a narrow interval leaves when it climbs faster per
-    grid step than its own width.
+
+def _clear_cap(a, g, r):
+    """psi + r*(phi - psi) at power g: the cap with r = alpha/theta."""
+    psi = capacity_c(g / (1.0 + a * g))
+    return psi + r * (capacity_c(g) - psi)
+
+
+def _sym_rates(a, g):
+    """(psi, d, psi', d') at power g, with d = phi - psi."""
+    dpsi = _K / ((1.0 + a * g) * (1.0 + (1.0 + a) * g))
+    psi = capacity_c(g / (1.0 + a * g))
+    return psi, capacity_c(g) - psi, dpsi, _K / (1.0 + g) - dpsi
+
+
+def _zeros(f, pts):
+    """Zeros of f on sorted pts, between each two of which f is monotone."""
+    pts = sorted({*pts, *(g for g in _BRACKETS if pts[0] < g < pts[-1])})
+    fs = [f(t) for t in pts]
+    return [find_root(f, u, v) for u, v, fu, fv in zip(pts, pts[1:], fs, fs[1:])
+            if min(fu, fv) <= 0.0 <= max(fu, fv)]
+
+
+def _meets(b1, b2, lam, a, gb):
+    """Powers in [0, gb] where bounds b1 and b2 of _sym_union meet: zeros
+    of G = num1*coef2 - num2*coef1 (over d for two constraints) = A*psi +
+    (B0 + B1*g)*d + C0 + C1*g. In z = (1 + a)*g, G''(z) = _K*e*H(z)/(p*Q)**2
+    with e = 1/(1 + a), p = 1 + e*z, Q = (1 + a*e*z)*(1 + z) and H of degree
+    5 at most. G, G', H, H', ... are each monotone between the zeros of the
+    next, the last constant, so solving them from the last misses none."""
+    (h1, y1, x1, c01, c11), (h2, y2, x2, c02, c12) = b1, b2
+    if h1 and h2:
+        A, B0, B1 = (x1 - x2) / lam, (x2 * y1 - x1 * y2) / lam, 0.0
+        C0, C1 = y2 - y1, 0.0
+    else:  # one has h = x = y = 0: no d*psi or d*d term
+        A, B0 = h1 - h2, y2 - y1 - (x2 * c01 - x1 * c02) / lam
+        B1, C0, C1 = (x1 * c12 - x2 * c11) / lam, c01 - c02, c11 - c12
+
+    def G(g, slope=False):
+        psi, d, dpsi, dd = _sym_rates(a, g)
+        return A * dpsi + (B0 + B1 * g) * dd + B1 * d + C1 if slope \
+            else A * psi + (B0 + B1 * g) * d + C0 + C1 * g
+
+    poly, e = np.polynomial.Polynomial, 1.0 / (1.0 + a)
+    p, Q = poly([1.0, e]), poly([1.0, a * e]) * poly([1.0, 1.0])
+    dQ = Q.deriv()
+    H = (-A * dQ * p ** 2 + poly([B0, B1 * e]) * (dQ * p ** 2 - e * Q ** 2)
+         + 2.0 * B1 * e * (Q - p) * p * Q)
+    pts = [0.0, gb]
+    for k in range(H.degree(), -1, -1):  # H's k-th derivative, by Horner in
+        c = H.deriv(k).coef.tolist()[::-1]  # floats, which overflow quietly
+        pts = sorted({0.0, gb, *_zeros(lambda g: functools.reduce(
+            lambda v, h: v * (1.0 + a) * g + h, c, 0.0), pts)})
+    pts = sorted({*pts, *_zeros(lambda g: G(g, True), pts)})
+    return _zeros(G, pts)
+
+
+def _sym_union(N, theta, lam, a, P, gb, window) -> list:
+    """The rates of window ((wlo, whi), constraints) at powers in [0, gb],
+    as a list of intervals: above lam (N > 1), the power line and
+    wlo*lam/theta, below whi*lam/theta, and meeting each constraint (x, y)
+    of _pert_windows as (1, y/theta, x, 0, 0), where y = -theta is -1.
+
+    A bound (h, y, x, c0, c1) is num/coef, num = h*psi - y*d + c0 + c1*g,
+    coef = 1 - x*d/lam. A constraint coef*R < num caps R where coef > 0
+    and floors it where coef < 0; d rises, so it switches only at d =
+    lam/x. For h = 1, F = num - R*coef has F' = phi'*(c + (1 - c)*rho),
+    with c = x*R/lam - y and rho = psi'/phi' falling from 1: F rises, then
+    falls, so a cap rises, then falls, and a floor falls, then rises. The
+    switches, these turns and the meets of two bounds cut [0, gb] into runs
+    with fixed, monotone active bounds; a run feasible at its midpoint adds
+    the hull of its ends' intervals (a bound with coef = 0 at its limit).
     """
-    pieces = []
-    prev = None
-    for cur in samples:
-        if cur is not None:
-            pieces.append(cur)
-            if prev is not None:
-                pieces.append((min(prev[0], cur[0]), max(prev[1], cur[1])))
-        prev = cur
-    return IntervalUnion.from_intervals(pieces)
+    (wlo, whi), cons = window
+    lo, hi = max(lam if N > 1 else 0.0, wlo * lam / theta), whi * lam / theta
+    if not lo < hi:
+        return []
+    lows = [(0, 0.0, 0, lo, 0.0), (0, 0.0, 0, -lam / N, lam / P)]
+    cons = [(1, y / theta, x, 0.0, 0.0) for x, y in cons] + (
+        [(0, 0.0, 0, hi, 0.0)] if hi < math.inf else [])
 
+    def bound(b, g, upper):
+        (h, y, x, c0, c1), (psi, d, _, _) = b, _sym_rates(a, g)
+        num = h * psi + c0 + c1 * g - (y * d if d else 0.0)  # y may be inf
+        coef = 1.0 - x * d / lam
+        if coef == 1.0 or (coef > 0.0 if upper else coef < 0.0):
+            return num / coef
+        return math.copysign(math.inf, num if upper else -num)
 
-#: Most power samples the symmetric sweeps may take: windows times
-#: n_gamma, one window for the closed-form sweep (alpha < theta) and
-#: 4*min(ceil(alpha/theta) + 1, N) + 1 for the window sweep, four per
-#: offset class up to N and one for every class past N. A window sample
-#: took about 2.4 us on the 2-CPU benchmark machine (84 windows of 2048
-#: samples: 0.40 s) and a closed-form one about 6 us, so 2**22 samples is
-#: 10 to 25 s.
-MAX_SYM_SAMPLES = 2 ** 22
+    def turn(b, g):  # the sign of b's slope, num'*coef - num*coef'
+        psi, d, dpsi, dd = _sym_rates(a, g)
+        return (dpsi - b[1] * dd) * (1.0 - b[2] * d / lam) \
+            + b[2] / lam * dd * (psi - b[1] * d)
 
+    def ends(g, lo, hi):
+        return (max([bound(b, g, False) for b in lo]),
+                min([bound(b, g, True) for b in hi], default=math.inf))
 
-def _check_sym_samples(windows: int, n_gamma: int) -> None:
-    """Raise ValueError unless 2 <= n_gamma and the sweep fits
-    MAX_SYM_SAMPLES."""
-    if n_gamma < 2:
-        raise ValueError(f"n_gamma must be at least 2, got {_count(n_gamma)}")
-    if windows * n_gamma > MAX_SYM_SAMPLES:
-        raise ValueError(f"{_count(windows)} windows of n_gamma = "
-                         f"{_count(n_gamma)} samples exceed "
-                         f"MAX_SYM_SAMPLES = {MAX_SYM_SAMPLES}")
-
-
-def _sweep_windows(N, theta, lam, a, P, windows, n_gamma) -> IntervalUnion:
-    """Union over windows of the rate interval swept across the power grid.
-
-    A window is ((wlo, whi), constraints): a mu-range and the decoding
-    constraints of _pert_windows that hold on it.
-    """
-    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
-    grid = np.linspace(0.0, gbar, n_gamma)
-    out = IntervalUnion.from_intervals([])
-
-    def window_samples(wlo, whi, cons):
-        for g in grid:
-            p = capacity_c(g)
-            s = capacity_c(g / (1.0 + a * g))
-            d = p - s
-            lo = max(lam if N > 1 else 0.0, (g / P - 1.0 / N) * lam,
-                     wlo * lam / theta)
-            hi = whi * lam / theta
-            feasible = True
-            for x, y in cons:
-                coef = 1.0 - x * d / lam
-                rhs = s - d * y / theta
-                if abs(coef) < 1e-14:
-                    if rhs <= 0:
-                        feasible = False
-                        break
-                elif coef > 0:
-                    hi = min(hi, rhs / coef)
-                else:
-                    lo = max(lo, rhs / coef)
-            yield (lo, hi) if feasible and hi > lo else None
-
-    for (wlo, whi), cons in windows:
-        if whi <= wlo:
-            continue
-        out = out.union(_sweep_union(window_samples(wlo, whi, cons)))
+    cuts = {0.0, gb}
+    for x in {b[2] for b in cons if b[2] > 0}:
+        cuts.update(_zeros(lambda g: _sym_rates(a, g)[1] - lam / x, [0.0, gb]))
+    cuts, bs = sorted(cuts), lows + cons
+    pts = set(cuts)
+    for i, b in enumerate(bs):
+        if b[0]:
+            pts.update(_zeros(lambda g: turn(b, g), cuts))
+        for c in bs[i + 1:]:
+            pts.update(_meets(b, c, lam, a, gb))
+    pts, out = sorted(pts), []
+    for s, t in zip(pts, pts[1:]):
+        d = _sym_rates(a, 0.5 * (s + t))[1]
+        lo = lows + [b for b in cons if 1.0 - b[2] * d / lam < 0.0]
+        hi = [b for b in cons if not 1.0 - b[2] * d / lam < 0.0]
+        low, high = ends(0.5 * (s + t), lo, hi)
+        if low < high:
+            (ls, hs), (lt, ht) = ends(s, lo, hi), ends(t, lo, hi)
+            out.append((min(ls, lt), max(hs, ht)))
     return out
 
 
-def _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma=2048) -> IntervalUnion:
+def _sym_pert_region(N, theta, lam, a, P, alpha) -> IntervalUnion:
     """Symmetric region assembled per offset class; works for any alpha >= 0.
 
-    Offset class js holds the spacings alpha/js < mu < alpha/(js - 1), and
-    there are js_max = ceil(alpha/theta) + 1 classes (unboundedly many when
-    alpha/theta overflows). Classes js <= N are swept window by window
-    (_pert_windows). All classes past N are swept as the one window
-    (alpha/js_max, alpha/N), whose lower end is 0 when alpha/theta
-    overflows, with the constraint (0, -theta). That gives the same
-    interval at every power sample:
-
-    - each class js > N has four windows, and all four carry only (0,
-      -theta). With prev = (alpha - theta)/(js - 1), nxt = alpha/(js - 1),
-      lo = alpha/js and hi = (alpha + theta)/js they are (max(prev, lo),
-      min(hi, nxt)), (lo, min(prev, hi)), (max(prev, hi), nxt) and (hi,
-      prev), and prev < nxt, lo < hi, lo < nxt;
-    - together they tile (lo, nxt). If prev <= hi, the fourth is empty, the
-      second is (lo, prev) and the first starts at prev (or the second is
-      empty and the first starts at lo, when prev <= lo), and the third is
-      (hi, nxt) where the first ends (or is empty and the first ends at
-      nxt, when hi >= nxt). If prev > hi, the first is empty and the
-      second, fourth and third are (lo, hi), (hi, prev) and (prev, nxt).
-      Class js + 1 ends at alpha/js where class js starts, the same float,
-      so classes N + 1 ... js_max tile (alpha/js_max, alpha/N);
-    - so at each power sample, where the constraint bounds the rate by one
-      interval, clipping it to the merged window gives the union of its
-      clips to the tiles, since the tiles' ends map to the same floats.
-
-    The sweep also hulls two consecutive samples that fell in different
-    tiles, which the per-class sweep does not: that can only add the gap
-    between two disjoint consecutive samples, no longer than one interval
-    end moves in one power step. At most 4*min(js_max, N) + 1 windows are
-    swept, and MAX_SYM_SAMPLES counts them before anything is built.
+    Offset class js holds the spacings alpha/js < mu < alpha/(js - 1), up to
+    js_max = ceil(alpha/theta) + 1 (no end when alpha/theta overflows). Classes
+    js <= N are solved window by window (_pert_windows). Past N a class's
+    windows carry only (0, -theta); with prev = (alpha - theta)/(js - 1), nxt =
+    alpha/(js - 1), lo = alpha/js and hi = (alpha + theta)/js they are
+    (max(prev, lo), min(hi, nxt)), (lo, min(prev, hi)), (max(prev, hi), nxt)
+    and (hi, prev): end to end at max(prev, lo) and min(hi, nxt) if prev <= hi,
+    else (lo, hi), (hi, prev), (prev, nxt). Class js + 1 ends at the float
+    alpha/js where class js starts, so one window, (alpha/js_max, alpha/N) or
+    (0, alpha/N) on overflow, gives at each power the union of their intervals.
+    MAX_SYM_WINDOWS caps the 4*min(js_max, N) + 1 windows before any is built.
     """
     ratio = alpha / theta
     tail = ratio > N - 1  # js_max > N: some class lies past N
     classes = N if tail else math.ceil(ratio) + 1
-    _check_sym_samples(4 * classes + 1, n_gamma)
+    if 4 * classes + 1 > MAX_SYM_WINDOWS:
+        raise ValueError(f"{_count(4 * classes + 1)} windows exceed "
+                         f"MAX_SYM_WINDOWS = {MAX_SYM_WINDOWS}")
     windows = [w for js in range(1, classes + 1)
                for w in _pert_windows(js, N, theta, alpha)]
     if tail:
         lo = alpha / (math.ceil(ratio) + 1) if math.isfinite(ratio) else 0.0
         windows.append(((lo, alpha / N), ((0, -theta),)))
-    return _sweep_windows(N, theta, lam, a, P, windows, n_gamma)
+    return _solve_windows(N, theta, lam, a, P, windows)
 
 
-def sym_region(N: int, theta, lam, a, P, alpha, n_gamma: int = 2048) -> IntervalUnion:
-    """Achievable codeword rates of the symmetric model.
+def _solve_windows(N, theta, lam, a, P, windows) -> IntervalUnion:
+    """Exact rates of windows, up to where the power line meets rbar_c."""
+    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
+    return IntervalUnion.from_intervals([
+        iv for w in windows for iv in _sym_union(N, theta, lam, a, P, gbar, w)])
 
-    N=1 reduces to a closed form. For N >= 2 with alpha < theta the curve
-    pair of sym_curves is swept over a power grid plus its breakpoints; for
-    alpha >= theta the per-offset-class windows are assembled directly.
+
+def sym_region(N: int, theta, lam, a, P, alpha) -> IntervalUnion:
+    """Achievable codeword rates of the symmetric model, exactly.
+
+    N=1 reduces to a closed form. For N >= 2 and alpha < theta the rates
+    (max(f, power line), g) of sym_curves are the window (0, inf) with the
+    ratio cap r, constraint (1, theta), and the clear cap c, (0, -alpha):
+    r - k = (c - k)/coef, k = (1 + alpha/theta)*lam, coef = 1 - d/lam. For
+    coef in (0, 1], r is below c before gamma2 (c = k) and above it after,
+    and r <= lam iff psi <= lam, before gamma1; for coef < 0, r < lam past
+    gamma1 and r >= k >= c up to gamma2. Else see _sym_pert_region.
     """
     _check_sym_args(N, theta, lam, a, P, alpha)
     if N == 1:
         if alpha >= theta:
             return IntervalUnion.from_intervals([(0.0, _rbar_raw(lam, P, 1))])
-
-        def short(g):
-            p = capacity_c(g)
-            s = capacity_c(g / (1.0 + a * g))
-            return s + alpha / theta * (p - s) - (g / P - 1.0) * lam
-
-        gstar = find_root(short, 0.0, 2.0 * P)
+        gstar = find_root(lambda g: _clear_cap(a, g, alpha / theta)
+                          - (g / P - 1.0) * lam, 0.0, 2.0 * P)
         return IntervalUnion.from_intervals([(0.0, (gstar / P - 1.0) * lam)])
     if not alpha < theta:
-        return _sym_pert_region(N, theta, lam, a, P, alpha, n_gamma)
-    _check_sym_samples(1, n_gamma)
-    sc = sym_curves(N, theta, lam, a, P, alpha)
-    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
-    grid = set(np.linspace(0.0, gbar, n_gamma))
-    grid |= {g for g in (sc.gamma1, sc.gamma2) if 0.0 < g < gbar}
-
-    def samples():
-        for g in sorted(grid):
-            f_val = sc.f(g)
-            if f_val <= 0.0:
-                yield None
-                continue
-            lo = max(f_val, sc.power_line(g))
-            hi = sc.g(g)
-            yield (lo, hi) if hi > lo else None
-
-    return _sweep_union(samples())
+        return _sym_pert_region(N, theta, lam, a, P, alpha)
+    return _solve_windows(N, theta, lam, a, P,
+                          [((0.0, math.inf), ((1, theta), (0, -alpha)))])

@@ -26,8 +26,8 @@ from burstgic.detection import (
     _window_sums,
 )
 from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
-from burstgic.model import UserParams
-from burstgic.region import _sweep_windows
+from burstgic.model import UserParams, capacity_c
+from burstgic.region import _pert_windows, _rbar_raw, _solve_windows, sym_curves
 
 
 def limit_power_rate(s, u: UserParams) -> tuple[float, float]:
@@ -302,10 +302,113 @@ def sym_class_windows(js: int, N: int, theta: float, alpha: float):
     )
 
 
-def sym_pert_region_per_class(N, theta, lam, a, P, alpha, n_gamma=2048):
-    """The symmetric region swept window by window over all
-    ceil(alpha/theta) + 1 offset classes, four windows each."""
+def sym_pert_region_per_class(N, theta, lam, a, P, alpha, n_gamma=None):
+    """The symmetric region over all ceil(alpha/theta) + 1 offset classes,
+    four windows each: solved window by window by the exact solver, or
+    swept on n_gamma powers when n_gamma is given."""
     js_max = math.ceil(alpha / theta) + 1
     windows = [w for js in range(1, js_max + 1)
                for w in sym_class_windows(js, N, theta, alpha)]
+    if n_gamma is None:
+        return _solve_windows(N, theta, lam, a, P, windows)
     return _sweep_windows(N, theta, lam, a, P, windows, n_gamma)
+
+
+# ------------------------------------------------ sampled symmetric sweep
+#
+# The symmetric region as region.sym_region computed it before its exact
+# union: the closed-form curves or the windows' constraints sampled on a
+# grid of n_gamma powers over [0, gamma_bar], neighbouring nonempty samples
+# joined by their hull. Each end it reports lags the exact one by at most
+# what that end moves in one power step.
+
+def _sweep_union(samples) -> IntervalUnion:
+    """Union of a continuously moving interval sampled along a curve.
+
+    samples yields (lo, hi) or None per grid point, in sweep order. When two
+    consecutive samples are nonempty the interval never vanished in between
+    (its endpoints move continuously), so their hull joins the union; this
+    closes the pinholes a narrow interval leaves when it climbs faster per
+    grid step than its own width.
+    """
+    pieces = []
+    prev = None
+    for cur in samples:
+        if cur is not None:
+            pieces.append(cur)
+            if prev is not None:
+                pieces.append((min(prev[0], cur[0]), max(prev[1], cur[1])))
+        prev = cur
+    return IntervalUnion.from_intervals(pieces)
+
+
+def _sweep_windows(N, theta, lam, a, P, windows, n_gamma) -> IntervalUnion:
+    """Union over windows of the rate interval swept across the power grid.
+
+    A window is ((wlo, whi), constraints): a mu-range and the decoding
+    constraints of _pert_windows that hold on it.
+    """
+    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
+    grid = np.linspace(0.0, gbar, n_gamma)
+    out = IntervalUnion.from_intervals([])
+
+    def window_samples(wlo, whi, cons):
+        for g in grid:
+            p = capacity_c(g)
+            s = capacity_c(g / (1.0 + a * g))
+            d = p - s
+            lo = max(lam if N > 1 else 0.0, (g / P - 1.0 / N) * lam,
+                     wlo * lam / theta)
+            hi = whi * lam / theta
+            feasible = True
+            for x, y in cons:
+                coef = 1.0 - x * d / lam
+                rhs = s - d * y / theta
+                if abs(coef) < 1e-14:
+                    if rhs <= 0:
+                        feasible = False
+                        break
+                elif coef > 0:
+                    hi = min(hi, rhs / coef)
+                else:
+                    lo = max(lo, rhs / coef)
+            yield (lo, hi) if feasible and hi > lo else None
+
+    for (wlo, whi), cons in windows:
+        if whi <= wlo:
+            continue
+        out = out.union(_sweep_union(window_samples(wlo, whi, cons)))
+    return out
+
+
+def sym_region_sampled(N, theta, lam, a, P, alpha, n_gamma):
+    """The symmetric region (N >= 2) sampled at n_gamma powers: the
+    closed-form curves for alpha < theta, else every offset class up to N
+    window by window and the classes past N as one window."""
+    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
+    if not alpha < theta:
+        ratio = alpha / theta
+        tail = ratio > N - 1
+        classes = N if tail else math.ceil(ratio) + 1
+        windows = [w for js in range(1, classes + 1)
+                   for w in _pert_windows(js, N, theta, alpha)]
+        if tail:
+            lo = alpha / (math.ceil(ratio) + 1) if math.isfinite(ratio) \
+                else 0.0
+            windows.append(((lo, alpha / N), ((0, -theta),)))
+        return _sweep_windows(N, theta, lam, a, P, windows, n_gamma)
+    sc = sym_curves(N, theta, lam, a, P, alpha)
+    grid = set(np.linspace(0.0, gbar, n_gamma))
+    grid |= {g for g in (sc.gamma1, sc.gamma2) if 0.0 < g < gbar}
+
+    def samples():
+        for g in sorted(grid):
+            f_val = sc.f(g)
+            if f_val <= 0.0:
+                yield None
+                continue
+            lo = max(f_val, sc.power_line(g))
+            hi = sc.g(g)
+            yield (lo, hi) if hi > lo else None
+
+    return _sweep_union(samples())

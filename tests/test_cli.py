@@ -374,33 +374,32 @@ def test_region_symmetric_huge_offset_ratio_runs(tmp_path, over):
 
 
 def test_region_symmetric_window_budget_is_config_error(tmp_path):
-    # a million bursts per frame sweep four windows per offset class up to
+    # a million bursts per frame give four windows per offset class up to
     # N, past any time limit
     start = time.monotonic()
     res = run_cli("region", dict(SYM_CFG, N=10**6, alpha=1e300), tmp_path,
                   timeout=60.0)
     assert res.returncode == 2, res.stderr
-    assert "MAX_SYM_SAMPLES" in res.stderr
+    assert "MAX_SYM_WINDOWS" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "out" / "sym_intervals.json").exists()
     assert time.monotonic() - start < 10.0
 
 
-def test_region_symmetric_window_budget_edge():
+def test_region_symmetric_window_budget_edge(monkeypatch):
     # the budget is checked before anything is built. At alpha/theta = 3
     # and N = 2 it counts 4*min(ceil(3) + 1, 2) + 1 = 9 windows: four for
     # each of the offset classes 1 and 2 and one for the classes past N;
-    # the closed-form sweep (alpha < theta) counts one
-    from burstgic.region import MAX_SYM_SAMPLES
-    assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, 64).intervals
-    with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
-        sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0, MAX_SYM_SAMPLES // 9 + 1)
-    with pytest.raises(ValueError, match="MAX_SYM_SAMPLES"):
-        sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5, MAX_SYM_SAMPLES + 1)
-    # a sweep needs two power samples to hull
-    for alpha in (0.5, 3.0):
-        with pytest.raises(ValueError, match="n_gamma must be at least 2"):
-            sym_region(2, 1.0, 0.6, 0.5, 100.0, alpha, 1)
+    # the closed form (alpha < theta) is one window, which the budget does
+    # not count
+    region_mod = sys.modules["burstgic.region"]
+    assert region_mod.MAX_SYM_WINDOWS >= 9
+    monkeypatch.setattr(region_mod, "MAX_SYM_WINDOWS", 9)
+    assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0).intervals
+    monkeypatch.setattr(region_mod, "MAX_SYM_WINDOWS", 8)
+    with pytest.raises(ValueError, match="9 windows exceed MAX_SYM_WINDOWS"):
+        sym_region(2, 1.0, 0.6, 0.5, 100.0, 3.0)
+    assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5).intervals
 
 
 @pytest.mark.parametrize("trials", [1e300, 2**63, 10**8])
@@ -618,7 +617,7 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
      "before overflow"),
     ("region", dict(SYM_CFG, N=math.inf), "'N' must be an integer"),
     ("region", dict(SYM_CFG, N=2.5), "'N' must be an integer"),
-    ("region", dict(SYM_CFG, n_gamma=math.inf), "'n_gamma' must be"),
+    ("region", dict(GRID_CFG, theta1=1e308), "2**1013"),
     ("region", dict(SYM_CFG, curve_points=0), "curve_points"),
     ("region", dict(GRID_CFG, N1=math.inf), "'N1' must be an integer"),
     ("region", dict(GRID_CFG, m_grid=math.inf), "'m_grid' must be"),
@@ -890,10 +889,16 @@ DESIGN_PROBE = dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
     ("region", dict(SYM_CFG, alpha=1e300)),
     ("region", dict(SYM_CFG, alpha=5.0, theta=1e-320)),
     ("region", dict(SYM_CFG, alpha=5.0, theta=1e-12)),
+    # a*gamma and theta*phi past float range
+    ("region", dict(GRID_CFG, user1=dict(USYM, a=1e308))),
+    ("region", dict(GRID_CFG, theta1=1e308)),
+    ("region", dict(GRID_CFG, theta2=1e308)),
+    ("region", dict(SYM_CFG, a=1e308)),
 ], ids=["design-a", "design-P", "design-q", "d_grid-2**63", "d_grid-2**62",
         "curve_points-2**63", "curve_points-2**62", "n_gamma-2**63",
         "n_gamma-10**400", "n_gamma--2**64", "sym-alpha", "sym-theta-1e-320",
-        "sym-theta-1e-12"])
+        "sym-theta-1e-12", "grid-a-1e308", "grid-theta1-1e308",
+        "grid-theta2-1e308", "sym-a-1e308"])
 def test_extreme_magnitudes_exit_cleanly(tmp_path, command, cfg):
     res = run_cli(command, cfg, tmp_path, timeout=60.0,
                   flags=("-W", "error::RuntimeWarning"))
@@ -901,3 +906,18 @@ def test_extreme_magnitudes_exit_cleanly(tmp_path, command, cfg):
     assert "Traceback" not in res.stderr
     text = res.stdout + res.stderr
     assert max(map(len, re.findall(r"\d+", text)), default=0) < 20, text
+
+
+@pytest.mark.parametrize("q", [1e-11, 1e-12, 1e-100])
+def test_design_tiny_q_never_fails_bracketing(tmp_path, q):
+    # rbar_target's root sits ever closer to lam as q shrinks; the upper
+    # bracket end follows it, and past float resolution the run is
+    # infeasible with a message naming q
+    res = run_cli("design", dict(DESIGN_PROBE, user1=dict(U1, q=q)),
+                  tmp_path, timeout=60.0,
+                  flags=("-W", "error::RuntimeWarning"))
+    assert res.returncode in (0, 3), res.stderr
+    assert "bracketing failed" not in res.stdout + res.stderr
+    assert "Traceback" not in res.stderr
+    if res.returncode == 3:
+        assert f"q = {q!r}" in res.stderr and "float resolution" in res.stderr

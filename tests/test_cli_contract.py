@@ -43,7 +43,7 @@ BASES = {
         resolution=0.5)),
     "symmetric": ("region", dict(
         COMMON, scenario="symmetric", N=2, theta=1.0, k=2, q=0.3, a=0.5,
-        P_db=20, alpha=0.5, n_gamma=16, curve_points=4)),
+        P_db=20, alpha=0.5, curve_points=4)),
     "detect": ("detect", dict(
         COMMON, scenario="detect", n_values=[16, 32], nprime_values=[4, 6],
         gamma1_db=20, gamma2_db=20, a1=0.1, a2=0.1, eps=0.48, M=4,

@@ -95,6 +95,29 @@ def test_rbar_root_residual():
         assert 0.0 < R < u.lam
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_rbar_root_at_tiny_q_is_float_exact(N):
+    # at q = 1e-12 the root lies within about 1e-13*lam of lam, past the
+    # first upper bracket end lam*(1 - 1e-12): h changes sign across the
+    # floats next to the root
+    u = UserParams(k=3, q=1e-12, P=1000.0, a=0.5)
+
+    def h(R):
+        theta = (u.lam / R - 1.0) / u.q
+        return theta * capacity_c((u.P / N) * u.lam / (u.lam - R)) - u.k / N
+
+    R = rbar_target(u, N)
+    assert u.lam * (1.0 - 1e-12) < R < u.lam
+    assert h(math.nextafter(R, 0.0)) > 0.0 > h(math.nextafter(R, u.lam))
+
+
+def test_rbar_root_past_float_resolution_names_q():
+    u = UserParams(k=3, q=1e-100, P=1000.0, a=0.5)
+    with pytest.raises(InfeasibleDesignError,
+                       match=r"q = 1e-100: .* float resolution of lam"):
+        rbar_target(u, 1)
+
+
 def test_rbar_admits_half_lambda():
     # 0.5*lam must be feasible at N=1 for the worked two-user setup
     assert rbar_target(U1, 1) > 0.45

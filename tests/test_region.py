@@ -15,16 +15,18 @@ from burstgic.geometry import (
     overlap_profile,
     state_of,
 )
-from burstgic.model import UserParams, capacity_c, rate_pair
+from burstgic.model import UserParams, capacity_c, find_root, rate_pair
 from burstgic.region import (
     _BLOCK,
     _WORKSPACE_BYTES,
     MAX_CELLS,
     MAX_REGION_WORK,
     Region2D,
+    _meets,
     _pert_windows,
     _rbar_raw,
     _region_work,
+    _solve_windows,
     _sym_pert_region,
     gamma_grid,
     rbar_c,
@@ -36,10 +38,12 @@ from burstgic.region import (
 from burstgic.reliability import covered_lengths, rate_bound
 
 from oracles import (
+    _sweep_windows,
     contains_many,
     sym_class_windows,
     sym_omega,
     sym_pert_region_per_class,
+    sym_region_sampled,
     triples_from_state,
 )
 
@@ -1263,18 +1267,20 @@ def test_sym_region_single_burst():
 
 
 def test_sym_region_low_branch_window():
+    # the exact ends; a 2048-sample sweep read (0.7379119, 0.9043227)
     iv = sym_region(4, 1.0, 0.5722, 0.5, 10 ** 0.3617, 0.5)
     (lo, hi), = iv.intervals
-    assert lo == approx(0.7379119, abs=1e-5)
-    assert hi == approx(0.9043227, abs=1e-5)
+    assert lo == approx(0.7373320098, abs=1e-9)
+    assert hi == approx(0.9043844320, abs=1e-9)
     assert lo > 0.5722  # strictly above the arrival rate
 
 
 def test_sym_region_high_branch_window():
+    # the exact ends; a 2048-sample sweep read (0.8268352, 1.5116185)
     iv = sym_region(4, 1.0, 0.7629, 0.5, 10.0, 0.5)
     (lo, hi), = iv.intervals
-    assert lo == approx(0.8268352, abs=1e-5)
-    assert hi == approx(1.5116185, abs=1e-5)
+    assert lo == approx(0.8266729017, abs=1e-9)
+    assert hi == approx(1.5116992205, abs=1e-9)
 
 
 def test_sym_region_agrees_with_perturbation_route():
@@ -1336,22 +1342,22 @@ def test_sym_pert_region_sweeps_at_most_4n_plus_1_windows(monkeypatch,
                                                           theta, alpha):
     # four windows per offset class up to N and one for every class past
     # it: 4*min(ceil(alpha/theta) + 1, N) + 1 = 9 at these ratios, which
-    # are 20, 1e300 and an overflow to inf. The per-class sweep took
+    # are 20, 1e300 and an overflow to inf. The per-class route solves
     # 4*(ceil(alpha/theta) + 1) = 84 at 20.
     # the package's burstgic.region is the function, not the module
     region_mod = sys.modules["burstgic.region"]
-    sweep = region_mod._sweep_union
-    swept = []
+    solve = region_mod._sym_union
+    solved = []
 
-    def counting(samples):
-        swept.append(1)
-        return sweep(samples)
+    def counting(*args):
+        solved.append(1)
+        return solve(*args)
 
-    monkeypatch.setattr(region_mod, "_sweep_union", counting)
+    monkeypatch.setattr(region_mod, "_sym_union", counting)
     N = 2
-    iv = _sym_pert_region(N, theta, 0.6, 0.5, 100.0, alpha, 64)
+    iv = _sym_pert_region(N, theta, 0.6, 0.5, 100.0, alpha)
     assert iv.intervals
-    assert 0 < len(swept) <= 4 * N + 1
+    assert 0 < len(solved) <= 4 * N + 1
 
 
 def _minus(outer, inner):
@@ -1370,18 +1376,14 @@ def _minus(outer, inner):
 
 
 def test_sym_pert_region_contains_per_class_oracle():
-    # The merged window gives every power sample the union of the tiles'
-    # intervals, so it contains the per-class sweep. It also hulls two
-    # consecutive samples that fell in different tiles: that adds at most
-    # the gap between two disjoint consecutive samples. On the merged
-    # window the interval is (max(lam, power line, const), min(const,
-    # phi)): per power step dg its lower end moves at most lam*dg/P and
-    # its upper end at most dg/(2 ln 2), since phi' = 1/(2 ln 2 (1 + g)).
-    # A gap between disjoint samples is at most either move, so each
-    # extra piece is at most dg*min(lam/P, 1/(2 ln 2)) long. Coarse power
-    # grids make such gaps happen.
+    # The exact union contains the per-class sampled sweep up to what an
+    # end moves in one power step, and the sweep reaches it up to the
+    # same. On the merged window the interval is (max(lam, power line,
+    # const), min(const, phi)): per power step dg its lower end moves at
+    # most lam*dg/P and its upper end at most dg/(2 ln 2), since phi' =
+    # 1/(2 ln 2 (1 + g)). Coarse power grids make such gaps happen.
     rng = np.random.default_rng(7)
-    extra_cases = 0
+    gaps = 0
     for _ in range(150):
         N = int(rng.integers(2, 6))
         theta = rng.uniform(0.3, 2.0)
@@ -1390,18 +1392,16 @@ def test_sym_pert_region_contains_per_class_oracle():
         P = 10 ** rng.uniform(0.0, 3.0)
         alpha = theta * rng.uniform(N - 0.9, 3 * N)
         n_gamma = int(rng.integers(3, 40))
-        args = (N, theta, lam, a, P, alpha, n_gamma)
+        args = (N, theta, lam, a, P, alpha)
         got = _sym_pert_region(*args).intervals
-        ref = sym_pert_region_per_class(*args).intervals
-        for lo, hi in ref:
-            assert any(g0 <= lo + 1e-12 and hi <= g1 + 1e-12
-                       for g0, g1 in got), (args, got, ref)
+        ref = sym_pert_region_per_class(*args, n_gamma=n_gamma).intervals
         gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
         bound = gbar / (n_gamma - 1) * min(lam / P, 0.5 / math.log(2.0))
-        extra = [b - a for a, b in _minus(got, ref) if b - a > 1e-12]
-        assert all(e <= bound + 1e-12 for e in extra), (args, extra, bound)
-        extra_cases += bool(extra)
-    assert extra_cases > 0
+        for outer, inner in ((ref, got), (got, ref)):
+            extra = [b - a for a, b in _minus(outer, inner) if b - a > 1e-12]
+            assert all(e <= bound + 1e-12 for e in extra), (args, extra, bound)
+            gaps += bool(extra)
+    assert gaps > 0
 
 
 def test_sym_region_disconnects_at_moderate_offset():
@@ -1418,7 +1418,7 @@ def test_sym_region_aligned_bursts():
     iv = sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.0)
     (lo, hi), = iv.intervals
     assert lo == approx(0.6, abs=1e-9)
-    assert hi == approx(0.7872017, abs=1e-5)
+    assert hi == approx(0.7872121288, abs=1e-9)  # sampled: 0.7872017
 
 
 def test_sym_region_power_rich_cap():
@@ -1431,12 +1431,169 @@ def test_sym_region_power_rich_cap():
     c = sym_curves(N, 1.0, lam, a, P, alpha)
     gx = brentq(lambda g: c.clear_cap(g) - c.power_line(g), 1.0, 1e5, xtol=1e-10)
     cap = c.power_line(gx)
-    # the sweep approaches the crossing from below at the grid step
-    assert hi <= cap + 1e-9
-    assert hi == approx(cap, abs=5e-3)
-    assert sym_region(N, 1.0, lam, a, P, alpha, n_gamma=1 << 15).intervals[0][1] \
-        == approx(cap, abs=2e-4)
-    assert hi == approx(3.5587510, abs=1e-5)
+    # the union ends at the crossing itself, which a 2048-sample sweep
+    # approached from below at 3.5587510
+    assert hi == approx(cap, abs=1e-9)
+    assert hi == approx(3.5589627, abs=1e-7)
+
+
+def _sym_gap(got, ref):
+    """Longest stretch of rates that one of two interval lists has and the
+    other misses."""
+    return max([b - a for o, i in ((got, ref), (ref, got))
+                for a, b in _minus(o, i)], default=0.0)
+
+
+def _sym_step_bound(N, lam, P, n_gamma):
+    """What an interval end of the symmetric sweep moves in one power step
+    of the n_gamma grid over [0, gamma_bar]: the power line lam*dg/P, phi
+    at most dg/(2 ln 2)."""
+    gbar = (1.0 / N + _rbar_raw(lam, P, N) / lam) * P
+    return gbar / (n_gamma - 1) * min(lam / P, 0.5 / math.log(2.0))
+
+
+# (N, theta, lam, a, P, alpha): two closed-form configs, the README one
+# first, three of offset classes past N or up to N, and a closed-form one
+# whose lower end is where the falling ratio cap meets the power line, at
+# a power near 14055: the second derivative of their difference changes
+# sign only near 0.25, four decades lower, and must not be lost there
+SYM_ORACLE_CASES = [
+    (2, 1.0, 0.6, 0.5, 100.0, 0.5),
+    (3, 1.0, 0.6, 0.5, 100.0, 0.2),
+    (4, 1.5, 0.8, 0.3, 316.0, 3.7),
+    (2, 1.0, 0.6, 0.5, 100.0, 5.0),
+    (8, 1.0, 0.6, 0.5, 100.0, 20.0),
+    (3, 1.247809407227839, 0.6730711885244812, 11.580362318205633,
+     9808.314391482503, 0.427466027370108),
+]
+
+
+@pytest.mark.parametrize("case", SYM_ORACLE_CASES)
+def test_sym_region_matches_sampled_oracle(case):
+    # the sweep's ends lag the exact ones by at most one power step of
+    # movement, and by less on a finer grid. A 2**18 sweep of the closed
+    # form takes about a second; of 9 to 33 windows it would take 4 to 13 s
+    N, theta, lam, a, P, alpha = case
+    got = sym_region(*case).intervals
+    sizes = (2 ** 12, 2 ** 15) + ((2 ** 18,) if alpha < theta else ())
+    gaps = []
+    for n_gamma in sizes:
+        ref = sym_region_sampled(*case, n_gamma).intervals
+        assert len(ref) == len(got), (n_gamma, got, ref)
+        gaps.append(_sym_gap(got, ref))
+        assert gaps[-1] <= _sym_step_bound(N, lam, P, n_gamma), (n_gamma, gaps)
+    assert gaps[-1] < gaps[0], gaps
+
+
+def test_sym_region_matches_sampled_oracle_at_random():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 60:
+        N = int(rng.integers(2, 7))
+        theta = rng.uniform(0.3, 2.0)
+        lam = 10 ** rng.uniform(-1.5, 0.5)
+        a = 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(-3.0, 1.5)
+        P = 10 ** rng.uniform(-1.0, 4.0)
+        alpha = theta * (rng.uniform(0.0, 1.0) if rng.random() < 0.5
+                         else rng.uniform(1.0, 2.5 * N))
+        case = (N, theta, lam, a, P, alpha)
+        try:
+            ref = sym_region_sampled(*case, 2 ** 10).intervals
+        except ValueError:  # the curves' handoff power overflows
+            continue
+        got = sym_region(*case).intervals
+        assert _sym_gap(got, ref) <= _sym_step_bound(N, lam, P, 2 ** 10), \
+            (case, got, ref)
+        checked += 1
+
+
+@pytest.mark.parametrize("case, branch_low", [
+    ((2, 1.0, 0.6, 0.0, 100.0, 0.5), True),  # a = 0: psi = phi, d = 0
+    ((2, 1.0, 0.6, 0.0, 100.0, 5.0), None),
+    ((2, 1.0, 0.6, 0.5, 100.0, 0.0), True),  # alpha = 0
+    ((4, 1.0, 0.5722, 0.5, 10 ** 0.3617, 0.5), True),
+    ((4, 1.0, 0.7629, 0.5, 10.0, 0.5), False),
+    ((2, 1.0, 1.2, 1.0, 100.0, 0.5), False),  # gamma1 = +inf
+    ((2, 1.0, 0.6, 0.5, 100.0, 1.0), None),  # alpha = theta
+])
+def test_sym_region_corners_match_sampled_oracle(case, branch_low):
+    N, theta, lam, a, P, alpha = case
+    if branch_low is not None:
+        c = sym_curves(*case)
+        assert c.branch_low == branch_low
+        assert math.isinf(c.gamma1) == (lam == 1.2)
+    got = sym_region(*case).intervals
+    ref = sym_region_sampled(*case, 2 ** 12).intervals
+    assert len(got) == len(ref)
+    assert _sym_gap(got, ref) <= _sym_step_bound(N, lam, P, 2 ** 12)
+
+
+def test_sym_window_feasible_in_two_pieces():
+    # the ratio-cap constraint alone: the rate interval opens, closes and
+    # opens again as the power grows, so one window gives two intervals
+    N, lam, a, P = 3, 0.04932515812414436, 1.2262324347430846, \
+        0.06287441309365652
+    windows = [((0.0, math.inf), ((1, 1.0),))]
+    got = _solve_windows(N, 1.0, lam, a, P, windows).intervals
+    ref = _sweep_windows(N, 1.0, lam, a, P, windows, 2 ** 14).intervals
+    assert len(got) == len(ref) == 2
+    assert _sym_gap(got, ref) <= _sym_step_bound(N, lam, P, 2 ** 14)
+
+
+def test_sym_meets_find_every_sign_change():
+    # where a constraint meets the power line or another constraint: every
+    # sign change of num1*coef2 - num2*coef1 on a dense power grid holds a
+    # zero that _meets returns. Dropping H's own zeros from the chain of
+    # derivatives loses two of these 327.
+    rng = np.random.default_rng(2)
+    changes = 0
+    for _ in range(500):
+        lam, a = 10 ** rng.uniform(-1.5, 0.5), 10 ** rng.uniform(-3.0, 1.5)
+        P, N = 10 ** rng.uniform(-1.0, 4.0), int(rng.integers(2, 6))
+        gb = P * (1.0 / N + rng.uniform(0.5, 5.0))
+        b1 = (1, rng.uniform(-5.0, 5.0), int(rng.integers(-4, 5)), 0.0, 0.0)
+        b2 = (0, 0.0, 0, -lam / N, lam / P) if rng.random() < 0.7 else (
+            1, rng.uniform(-5.0, 5.0), int(rng.integers(-4, 5)), 0.0, 0.0)
+        g = np.concatenate([[0.0], np.geomspace(1e-9 * gb, gb, 20001)])
+        psi = 0.5 * np.log2(1.0 + g / (1.0 + a * g))
+        d = 0.5 * np.log2(1.0 + g) - psi
+        (num1, coef1), (num2, coef2) = [
+            (h * psi - y * d + c0 + c1 * g, 1.0 - x * d / lam)
+            for h, y, x, c0, c1 in (b1, b2)]
+        G = num1 * coef2 - num2 * coef1
+        zeros = np.array(_meets(b1, b2, lam, a, gb))
+        for i in np.flatnonzero(G[:-1] * G[1:] < 0.0):
+            changes += 1
+            assert np.any((g[i] <= zeros) & (zeros <= g[i + 1])), (b1, b2)
+    assert changes == 327
+
+
+def test_sym_region_single_burst_unchanged():
+    # N = 1 keeps its closed form, float for float
+    assert sym_region(1, 1.0, 0.6, 0.5, 100.0, 5.0).intervals \
+        == ((0.0, 4.924058227507308),)
+    assert sym_region(1, 1.0, 0.6, 0.5, 100.0, 0.5).intervals \
+        == ((0.0, 2.6683697104935176),)
+
+
+def test_sym_region_upper_end_is_exact_crossing():
+    # the README config: the union ends where the clear cap meets the
+    # power line, not at the last power sample below it
+    c = sym_curves(2, 1.0, 0.6, 0.5, 100.0, 0.5)
+    g = find_root(lambda g: c.clear_cap(g) - c.power_line(g), 1.0, 1e5)
+    (lo, hi), = sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5).intervals
+    assert hi == approx(c.clear_cap(g), abs=1e-12)
+    assert round(hi, 7) == 2.6287762
+
+
+def test_sym_region_subnormal_theta_is_the_small_theta_limit():
+    # y = -theta is read as -1 in units of theta, so theta = 1e-320 (an
+    # offset ratio past float range) gives what theta = 1e-12 gives
+    tiny = sym_region(2, 1e-320, 0.6, 0.5, 100.0, 5.0).intervals
+    small = sym_region(2, 1e-12, 0.6, 0.5, 100.0, 5.0).intervals
+    assert len(tiny) == len(small) == 1
+    for x, y in zip(tiny[0], small[0]):
+        assert x == approx(y, rel=1e-12)
 
 
 def test_sym_region_matches_region_diagonal():
