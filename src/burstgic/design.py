@@ -20,7 +20,6 @@ from burstgic.model import (
     UserParams,
     capacity_c,
     derive_scheme_v,
-    find_root,
     rate_pair,
 )
 from burstgic.reliability import covered_lengths
@@ -86,9 +85,9 @@ class OutageCurve:
             raise ValueError("outage values must lie in [0, 1]")
 
 
-#: rbar_target solves on (lam*_BRACKET, lam*(1 - _BRACKET)). Its h divides
-#: by both ends' distances from 0 and from lam, so a design user's lam = k*q
-#: must be at least MIN_LAM (about 2.2e-296), where they are normal floats.
+#: rbar_target solves on (lam*_BRACKET, lam). Its h divides by R and by
+#: lam - R, so a design user's lam = k*q must be at least MIN_LAM (about
+#: 2.2e-296), where the lower end is a normal float.
 _BRACKET = 1e-12
 MIN_LAM = sys.float_info.min / _BRACKET
 
@@ -97,8 +96,8 @@ MIN_LAM = sys.float_info.min / _BRACKET
 def rbar_target(u: UserParams, N: int) -> float:
     """Largest average rate with a decodable interference-free codeword.
 
-    Solves theta_hat(R) * C(gamma_hat(R)) = k/N for R on (0, lam) with
-    model.find_root; the left side strictly exceeds k/N below the root.
+    Solves theta_hat(R) * C(gamma_hat(R)) = k/N for R on (0, lam) to
+    neighbouring floats; the left side strictly exceeds k/N below the root.
     Cached per (user, N): active_set asks for the same roots at every
     spread optimize_N visits and again in please1_holds.
     """
@@ -111,22 +110,19 @@ def rbar_target(u: UserParams, N: int) -> float:
         gamma = (u.P / N) * lam / (lam - R)
         return theta * capacity_c(gamma) - u.k / N
 
-    lo, hi = lam * _BRACKET, lam * (1.0 - _BRACKET)
+    lo, hi = lam * _BRACKET, lam
     if h(lo) <= 0.0:
-        raise InfeasibleDesignError(
-            f"no feasible rate for N={N}: even R->0 cannot carry k/N={u.k / N}"
-        )
-    if h(hi) < 0.0:
-        return find_root(h, lo, hi)
-    # theta*phi -> 0 as R -> lam: halve w = lam - hi until h(lam - w/2) < 0,
-    # then solve R = lam - w*t on [1/2, 1], to a tolerance relative to w
-    w = lam - hi
-    while h(lam - 0.5 * w) >= 0.0:
-        w *= 0.5
-        if not lam - w < lam - 0.5 * w < lam:
-            raise InfeasibleDesignError(f"q = {u.q!r}: the rate root for N={N} "
-                                        "lies within float resolution of lam")
-    return lam - w * find_root(lambda t: h(lam - w * t), 0.5, 1.0)
+        raise InfeasibleDesignError(f"no feasible rate for N={N}: even R->0 "
+                                    f"cannot carry k/N={u.k / N}")
+    # h > 0 below the root and h -> -k/N as R -> lam: bisect down to
+    # neighbouring floats, where rounding may still step h up by an ulp,
+    # and keep the end whose neighbours straddle the root
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if h(mid) > 0.0 else (lo, mid)
+    if hi == lam:
+        raise InfeasibleDesignError(f"q = {u.q!r}: the rate root for N={N} "
+                                    "lies within float resolution of lam")
+    return lo if h(math.nextafter(lo, 0.0)) > 0.0 > h(hi) else hi
 
 
 def _n_window(u: UserParams, R: float) -> list:

@@ -359,9 +359,9 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
     budgets hold for the rows i < ic and the columns j < kc.
 
     Most cells are decided before the row loop, by a pre-pass of O(1)
-    comparisons per cell against running extremes of the table: pm1[ic] =
-    max of T1_i over i < ic, ps1[ic] = min of S1_ij over i < ic and all j,
-    and pm2[kc], ps2[kc] likewise over the columns j < kc.
+    comparisons per cell, at one pair and against running extremes of the
+    table: pm1[ic] = max of T1_i over i < ic, ps1[ic] = min of S1_ij over
+    i < ic and all j, and pm2[kc], ps2[kc] likewise over columns j < kc.
 
     - Exclusion. If load1 >= fl(pm1[ic] - fl(ps1[ic]*worst1)), or the same
       holds for user 2, the cell is out (ic = 0 or kc = 0 reads pm = -inf).
@@ -370,11 +370,7 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
       fl(T - fl(S*w)) <= fl(pm - fl(ps*w)) <= load; that user's test fails
       there. A NaN anywhere makes a comparison false, so it excludes
       nothing, and its pair's own test fails too.
-    - Interference-free cells (worst1 = worst2 = 0) with a finite table:
-      S*0 is +0, so the test at (i, j) is load1 < T1_i and load2 < T2_j,
-      which separate. A cell that passes the exclusion has load1 <
-      pm1[ic] = T1_i for some i < ic and load2 < T2_j for some j < kc, so
-      the pair (i, j) admits it.
+    - Admission. A cell passing both tests at (ic - 1, kc - 1) is in.
 
     The other cells are gathered from consecutive raw blocks into batches
     of at most _BLOCK cells: each block is staged behind the batch's cells
@@ -455,7 +451,6 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
         (0.0, np.minimum.accumulate, smin1),
         (-np.inf, np.maximum.accumulate, top2[0]),
         (0.0, np.minimum.accumulate, slope2.min(axis=0))))
-    free_exact = all(np.isfinite(t).all() for t in tables)
     members = np.zeros(math.prod(grid), dtype=bool)
     cells = min(_BLOCK, members.size)
     # the workspace: bank and ibank hold the batch's cells as rows
@@ -505,25 +500,31 @@ def region_members(u1: UserParams, u2: UserParams, N1: int, N2: int,
             for j in range(2, N + 1):
                 covered_length(j, mu, theta, nu, *other, cov, scratch)
                 np.maximum(worst, cov, out=worst)
-        # the pre-pass: refused, admitted (free) or undecided (und)
+        # the pre-pass: refused, admitted (hit) or undecided (und). A cell
+        # not refused affords its corner pair (i, j) = (ic - 1, kc - 1)
         b, c = kern[:2, :n]
-        refused, fail2, free, und = flags[:, :n]
-        for load, worst, count, pm, ps, fails in (
-                (load1, worst1, ic, pm1, ps1, refused),
-                (load2, worst2, kc, pm2, ps2, fail2)):
-            pm.take(count, out=b, mode="clip")
-            ps.take(count, out=c, mode="clip")
+        i, ij = kern[2:4, :n].view(np.intp)
+        refused, fail2, hit, und = flags[:, :n]
+        np.subtract(ic, 1, out=i)
+        np.multiply(i, slope1.shape[1], out=ij)
+        np.add(ij, kc, out=ij)
+        np.subtract(ij, 1, out=ij)  # the flat index of (i, j)
+        for t, at, s, sat, load, worst, test, out in (
+                (pm1, ic, ps1, ic, load1, worst1, np.greater_equal, refused),
+                (pm2, kc, ps2, kc, load2, worst2, np.greater_equal, fail2),
+                (top1, i, slope1, ij, load1, worst1, np.less, hit),
+                (top2, ij, slope2, ij, load2, worst2, np.less, und)):
+            t.take(at, out=b, mode="clip")
+            s.take(sat, out=c, mode="clip")
             np.multiply(c, worst, out=c)
             np.subtract(b, c, out=b)
-            np.greater_equal(load, b, out=fails)
-        np.logical_or(refused, fail2, out=refused)
+            test(load, b, out=out)
+        hit &= und  # und holds user 2's corner test until reset below
+        refused |= fail2
+        np.greater(hit, refused, out=hit)  # and not refused
+        members[idx] = hit  # base cells are not members yet
         np.logical_not(refused, out=und)
-        if free_exact:
-            np.equal(worst1, 0.0, out=free)
-            free &= np.equal(worst2, 0.0, out=fail2)
-            free &= und
-            members[idx] = free  # base cells are not members yet
-            und ^= free
+        und ^= hit
         sel = np.flatnonzero(und)
         _compact(*staged, sel, kern)
         fill += sel.size
@@ -626,8 +627,8 @@ class SymCurves:
     interval (max(f(gamma), power_line(gamma)), g(gamma)), with f = g = 0
     encoding empty. gamma0 solves 2*psi = phi and only selects the branch;
     gamma1 solves psi = lam (+inf when psi saturates below lam); gamma2 is
-    where the overlap-free cap crosses (1 + alpha/theta)*lam, the handoff
-    between the ratio-form bound and the overlap-free bound.
+    where the overlap-free cap crosses (1 + alpha/theta)*lam (+inf likewise),
+    the handoff between the ratio-form bound and the overlap-free bound.
     """
 
     N: int
@@ -697,9 +698,11 @@ def sym_curves(N: int, theta, lam, a, P, alpha) -> SymCurves:
     t = 2.0 ** (2.0 * lam) - 1.0 if lam < 512.0 else math.inf
     den = 1.0 - a * t
     gamma1 = t / den if den > 0 else math.inf
-    gamma2 = gamma1 if alpha == 0 else find_root(
-        lambda g: _clear_cap(a, g, alpha / theta) - (1.0 + alpha / theta) * lam,
-        0.0, 1.0)
+    try:  # +inf when the clear cap stays below the line over all floats
+        gamma2 = gamma1 if alpha == 0 else find_root(lambda g: _clear_cap(
+            a, g, alpha / theta) - (1.0 + alpha / theta) * lam, 0.0, 1.0)
+    except ValueError:
+        gamma2 = math.inf
     return SymCurves(N, theta, lam, a, P, alpha, gamma0, gamma1, gamma2)
 
 

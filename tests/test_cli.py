@@ -446,6 +446,26 @@ def test_region_symmetric_extreme_cross_gain(tmp_path, a):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"scenario": "symmetric", "N": 3, "theta": 1.6629, "lam": 2.4194,
+     "a": 15.795, "P": 83.459, "alpha": 0.005738},
+    {"scenario": "symmetric", "N": 2, "theta": 2.4737, "lam": 1.9023,
+     "a": 1.4283, "P": 3.2709, "alpha": 0.0038},
+    dict(SYM_CFG, lam=1e300),
+], ids=["N3", "N2", "lam-1e300"])
+def test_region_symmetric_cap_below_the_line_at_every_power(tmp_path, cfg):
+    # the clear cap stays below (1 + alpha/theta)*lam over all floats, so
+    # gamma2 is +inf, as gamma1 is; the curves are written, not refused
+    res = run_cli("region", cfg, tmp_path,
+                  flags=("-W", "error::RuntimeWarning"))
+    assert res.returncode == 0, res.stderr
+    meta = json.loads((tmp_path / "out" / "sym_intervals.json").read_text(),
+                      parse_constant=_reject_constant)
+    assert meta["gamma2"] == "inf" and meta["gamma1"] == "inf"
+    assert meta["intervals"] == []
+    assert read_rows(tmp_path / "out" / "sym_curves.csv")
+
+
 def test_region_symmetric_scenario(tmp_path):
     cfg = {"scenario": "symmetric", "N": 2, "theta": 1.0, "lam": 0.6,
            "a": 0.5, "P_db": 20, "alpha": 0.5, "curve_points": 64}
@@ -611,10 +631,8 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     ("region", dict(SYM_CFG, lam=math.nan), "must be finite"),
     ("region", dict(SYM_CFG, a=math.nan), "must be finite"),
     ("region", SYM_P_NAN, "must be finite"),
-    ("region", dict(SYM_CFG, lam=1e300), "before overflow"),
-    ("region", {"scenario": "symmetric", "N": 2, "theta": 2.4737,
-                "lam": 1.9023, "a": 1.4283, "P": 3.2709, "alpha": 0.0038},
-     "before overflow"),
+    ("region", dict(SYM_CFG, lam=-0.6), "must be positive"),
+    ("region", dict(SYM_CFG, a=-0.5), "must be nonnegative"),
     ("region", dict(SYM_CFG, N=math.inf), "'N' must be an integer"),
     ("region", dict(SYM_CFG, N=2.5), "'N' must be an integer"),
     ("region", dict(GRID_CFG, theta1=1e308), "2**1013"),

@@ -111,6 +111,22 @@ def test_rbar_root_at_tiny_q_is_float_exact(N):
     assert h(math.nextafter(R, 0.0)) > 0.0 > h(math.nextafter(R, u.lam))
 
 
+@pytest.mark.parametrize("q", [1e-4, 1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_rbar_root_is_float_exact_at_small_q(q, N):
+    # lam = 3q is small and the root sits within 3e-5*lam of lam, so an
+    # absolute tolerance of 1e-10 in R stops short of it
+    u = UserParams(k=3, q=q, P=1000.0, a=0.5)
+
+    def h(R):
+        theta = (u.lam / R - 1.0) / u.q
+        return theta * capacity_c((u.P / N) * u.lam / (u.lam - R)) - u.k / N
+
+    R = rbar_target(u, N)
+    assert 0.0 < R < u.lam
+    assert h(math.nextafter(R, 0.0)) > 0.0 > h(math.nextafter(R, u.lam))
+
+
 def test_rbar_root_past_float_resolution_names_q():
     u = UserParams(k=3, q=1e-100, P=1000.0, a=0.5)
     with pytest.raises(InfeasibleDesignError,

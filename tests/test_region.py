@@ -724,11 +724,11 @@ def test_g2_runs_cut_at_every_uncertified_step():
 # ------------------------------------------ pre-pass routes and batches
 #
 # region_members decides most cells before the row loop: cells that fail
-# one user at every affordable power pair are excluded, interference-free
-# cells are decided by two prefix maxima, and only the rest are gathered
-# into batches for the row loop (_test_batch), each cell starting at its
-# first live g1 row. These tests force each route and check the mask
-# against the full-grid oracle.
+# one user at every affordable power pair are excluded, cells that pass
+# both tests at their corner pair (the largest affordable powers) are
+# admitted, and only the rest are gathered into batches for the row loop
+# (_test_batch), each cell starting at its first live g1 row. These tests
+# force each route and check the mask against the full-grid oracle.
 
 def _spy_batches(monkeypatch):
     """Record the flat cell indices of every batch _test_batch receives."""
@@ -764,8 +764,9 @@ def _first_live_rows(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, R1, R2):
 
 def test_region_members_interference_free_cells_skip_the_row_loop(monkeypatch):
     # at a far offset no burst meets a codeword of the other user, so every
-    # base cell is interference-free and the two prefix maxima decide it:
-    # inside the box it is in, past rbar_c or at a power cap it is out
+    # base cell is interference-free and the pre-pass decides it: inside
+    # the box the corner test admits it, past rbar_c or at a power cap the
+    # exclusion refuses it
     rb = rbar_c(U, 2)
     xs = np.linspace(U.lam, 1.2 * rb, 90)
     ys = np.linspace(0.5 * U.lam, 1.2 * rb, 80)
@@ -797,12 +798,14 @@ def test_region_members_excluded_cells_skip_the_row_loop(monkeypatch):
 def test_region_members_batches_fill_mid_grid_then_a_partial_one(monkeypatch):
     # about 1.2 workspaces' worth of undecided cells: a batch is decided
     # once it is more than three quarters full, in the middle of the grid,
-    # and the cells left at the end make a last, partial batch
-    rb = rbar_c(U, 2)
-    n = math.ceil(math.sqrt(7 * _BLOCK))
-    xs = np.linspace(U.lam, 1.05 * rb, n)
-    ys = np.linspace(U.lam, 1.05 * rb, n + 1)
-    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 5)
+    # and the cells left at the end make a last, partial batch. At P = 10
+    # and m_grid 12 about a quarter of the cells pass neither pre-pass test
+    w = UserParams(k=2, q=0.3, P=10.0, a=0.5)
+    rb = rbar_c(w, 2)
+    n = math.ceil(math.sqrt(4.5 * _BLOCK))
+    xs = np.linspace(w.lam, 1.05 * rb, n)
+    ys = np.linspace(w.lam, 1.05 * rb, n + 1)
+    args = (w, w, 2, 2, 1.0, 1.0, 0.5, 12)
     batches = _spy_batches(monkeypatch)
     got = region_members(*args, xs[:, None], ys[None, :])
     sizes = [b.size for b in batches]
@@ -866,21 +869,23 @@ def test_region_members_exclusion_never_refuses_a_member(monkeypatch):
 
 def test_region_members_full_grid_oracle_across_blocks_and_batches(monkeypatch):
     # the four sections of test_region_members_full_grid_oracle_across_blocks
-    # at a near offset and m_grid 12, with larger mixed sections (2.5
-    # blocks each): at or below lam (no base cells), beyond rbar_c (all
-    # refused by the pre-pass), then two sections across the box, whose
-    # undecided cells fill one batch past three quarters, mid-grid, and
-    # leave a partial one. Row counts follow _BLOCK
-    rb = rbar_c(U, 2)
+    # at a near offset, P = 10 and m_grid 12, with larger sections (1.5,
+    # 1.75 and 2.5 blocks): at or below lam (no base cells), beyond rbar_c
+    # (all refused by the pre-pass), then two sections across the box,
+    # where about a third of the cells pass neither pre-pass test. Those
+    # fill one batch past three quarters, mid-grid, and leave a partial
+    # one. Row counts follow _BLOCK
+    w = UserParams(k=2, q=0.3, P=10.0, a=0.5)
+    rb = rbar_c(w, 2)
     ny = 307
-    rows = [math.ceil(blocks * _BLOCK / ny) for blocks in (0.375, 1.125, 2.5, 2.5)]
-    box = lambda lo, hi, n: U.lam + (rb - U.lam) * np.linspace(lo, hi, n)
-    xs = np.concatenate((np.linspace(0.5 * U.lam, U.lam, rows[0]),
+    rows = [math.ceil(blocks * _BLOCK / ny) for blocks in (0.375, 1.5, 1.75, 2.5)]
+    box = lambda lo, hi, n: w.lam + (rb - w.lam) * np.linspace(lo, hi, n)
+    xs = np.concatenate((np.linspace(0.5 * w.lam, w.lam, rows[0]),
                          box(1.01, 1.5, rows[1]),
                          box(0.02, 0.98, rows[2]),
                          box(0.3, 0.98, rows[3])))
     ys = box(0.02, 0.98, ny)
-    args = (U, U, 2, 2, 1.0, 1.0, 0.5, 12)
+    args = (w, w, 2, 2, 1.0, 1.0, 0.5, 12)
     batches = _spy_batches(monkeypatch)
     got, X, Y = _axes_match_mesh(args, xs, ys)
     assert X.size > 6 * _BLOCK
@@ -906,7 +911,7 @@ def test_region_members_row_loop_tests_on_the_benchmark_grid(monkeypatch):
     # the benchmark's grid (428 x 428 cells, m_grid 40): the row loop runs
     # user 1's window search once a row per cell it still tests. Testing
     # every undecided cell against every row up to its cap took 2,228,863
-    # cell-row tests; the pre-pass and first live rows leave 317,905
+    # cell-row tests; the pre-pass and first live rows leave 248,610
     mod = sys.modules["burstgic.region"]
     tests = []
 
@@ -919,6 +924,16 @@ def test_region_members_row_loop_tests_on_the_benchmark_grid(monkeypatch):
     reg = region(U, U, 2, 2, 1.0, 1.0, 0.5, 40, 0.01)
     assert reg.mask.shape == (428, 428)
     assert sum(tests) <= 400_000, sum(tests)
+
+
+def test_region_members_corner_test_on_the_benchmark_grid(monkeypatch):
+    # of the benchmark grid's 183,184 cells the exclusion refuses 23,410
+    # and the corner test admits 130,953, so 28,821 reach the row loop;
+    # admitting only interference-free cells left it 65,544
+    batches = _spy_batches(monkeypatch)
+    reg = region(U, U, 2, 2, 1.0, 1.0, 0.5, 40, 0.01)
+    assert reg.mask.shape == (428, 428)
+    assert sum(b.size for b in batches) <= 30_000, [b.size for b in batches]
 
 
 def test_region_members_memory_does_not_grow_with_cells():
@@ -1657,8 +1672,8 @@ def test_root_problems_match_brentq_exactly():
             want = _brentq_doubling(cap_short, 1.0, True)
         except ValueError:  # f(inf) is NaN: no root below overflow
             overflowed += 1
-            with pytest.raises(ValueError, match="before overflow"):
-                sym_curves(max(N, 2), theta, lam, a, P, alpha)
+            assert sym_curves(max(N, 2), theta, lam, a, P, alpha).gamma2 \
+                == math.inf
         else:
             assert sym_curves(max(N, 2), theta, lam, a, P, alpha).gamma2 == want
 
@@ -1673,11 +1688,13 @@ def test_root_problems_match_brentq_exactly():
     assert overflowed < 30  # the comparison must mostly be of real roots
 
 
-def test_sym_curves_bracket_overflow_is_value_error():
+def test_sym_curves_gamma2_is_inf_when_the_cap_saturates():
     # the overlap-free cap saturates below (1 + alpha/theta) lam, so no
-    # finite power reaches it
-    with pytest.raises(ValueError, match="no sign change .* before overflow"):
-        sym_curves(2, 2.4737, 1.9023, 1.4283, 3.2709, 0.0038)
+    # finite power reaches it: gamma2 = +inf, as gamma1 is where psi
+    # saturates below lam
+    c = sym_curves(2, 2.4737, 1.9023, 1.4283, 3.2709, 0.0038)
+    assert math.isinf(c.gamma2) and c.gamma2 > 0
+    assert c.clear_cap(sys.float_info.max / 2) < (1 + 0.0038 / 2.4737) * 1.9023
 
 
 @pytest.mark.parametrize("bad", ["theta", "lam", "a", "P", "alpha"])
@@ -1692,7 +1709,6 @@ def test_sym_args_must_be_finite(bad, value):
 
 def test_sym_curves_huge_rate_needs_infinite_power():
     # 2**(2*lam) overflows: psi = lam is out of reach, so gamma1 = +inf
-    # and the handoff power has no finite root either
-    with pytest.raises(ValueError, match="before overflow"):
-        sym_curves(2, 1.0, 1e300, 0.5, 100.0, 0.5)
+    # and the handoff power has no finite root either, so gamma2 = +inf
+    assert sym_curves(2, 1.0, 1e300, 0.5, 100.0, 0.5).gamma2 == math.inf
     assert math.isinf(sym_curves(2, 1.0, 1e300, 0.5, 100.0, 0.0).gamma1)
