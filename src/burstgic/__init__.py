@@ -22,14 +22,7 @@ _SOURCE = {
     "capacity_c": "model",
     "rate_pair": "model",
     "derive_scheme_v": "model",
-    "BurstLayout": "geometry",
-    "ChannelStateS": "geometry",
-    "OverlapTriple": "geometry",
-    "enumerate_states": "geometry",
-    "overlap_profile": "geometry",
-    "state_of": "geometry",
     "rate_bound": "reliability",
-    "rate_decomp": "reliability",
     "IntervalUnion": "design",
     "OutageCurve": "design",
     "InfeasibleDesignError": "design",

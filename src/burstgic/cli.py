@@ -220,7 +220,11 @@ def _rate(params: dict, key: str, u: UserParams) -> float:
 def _d_values(params: dict) -> list:
     from burstgic.design import MAX_SPREADS
     if "ds" in params:
-        ds = [_float(d, "ds") for d in _list(params, "ds")]
+        raw = _list(params, "ds")
+        if len(raw) > MAX_SPREADS:
+            raise ConfigError(f"ds count {_shown(len(raw))} exceeds "
+                              f"design.MAX_SPREADS = {MAX_SPREADS}")
+        ds = [_float(d, "ds") for d in raw]
     else:
         grid = params.get("d_grid")
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):

@@ -22,7 +22,7 @@ from burstgic.model import (
     derive_scheme_v,
     rate_pair,
 )
-from burstgic.reliability import covered_lengths
+from burstgic.reliability import covered_lengths, rate_bound
 
 __all__ = [
     "InfeasibleDesignError",
@@ -206,14 +206,15 @@ def please1_holds(u1: UserParams, u2: UserParams, R1: float, R2: float) -> bool:
 
 def _thresholds(s1, s2, rp1, rp2, nu1, nu2) -> np.ndarray:
     """Reliability threshold of every codeword, user 1's then user 2's,
-    for arrays of offsets; each entry equals rate_bound on that layout."""
+    for arrays of offsets."""
     covs = covered_lengths(s1.mu, s1.theta, nu1, s1.N,
                            s2.mu, s2.theta, nu2, s2.N)
     out = []
     for s, rp, nu, cov in ((s1, rp1, nu1, covs[0]), (s2, rp2, nu2, covs[1])):
         lo = np.arange(1, s.N + 1) * s.mu + np.asarray(nu)[..., None]
-        length = (lo + s.theta) - lo
-        out.append(cov * rp.psi + (length - cov) * rp.phi)
+        # the length as the codeword's endpoints give it, not theta, so
+        # the thresholds match the per-layout oracle bit for bit
+        out.append(rate_bound(cov, (lo + s.theta) - lo, rp))
     return np.concatenate(out, axis=-1)
 
 

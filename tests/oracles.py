@@ -1,19 +1,28 @@
 """Oracles and helpers that only the tests use.
 
-Closed forms of the symmetric layout, the overlap triples rebuilt from a
-channel state, the degeneracy filter for burst offsets, membership and
-intersection of interval unions (the Monte Carlo side of the outage
-checks), the former body of reliability.covered_lengths, the
-per-window typicality test behind detection._typical_from_sums, the
-full-trace preamble scan that detection.estimate_arrivals replaced, and
-the long-run power and throughput that derive_scheme_v inverts.
-Names that a single test module needs live in that module.
+The per-layout geometry the library no longer runs: BurstLayout, the
+overlap triples (overlap_profile), the channel state (state_of) and its
+enumeration, the degeneracy check for coinciding endpoints, and the
+per-layout clear/interfered split (rate_decomp) with its case-by-case
+closed form (closed_form_bound), which layout_bound prices through
+reliability.rate_bound. Also closed forms of the symmetric layout, the
+overlap triples rebuilt from a channel state, the degeneracy filter for
+burst offsets, membership and intersection of interval unions (the Monte
+Carlo side of the outage checks), the former body of
+reliability.covered_lengths, the per-window typicality test behind
+detection._typical_from_sums, the full-trace preamble scan that
+detection.estimate_arrivals replaced, and the long-run power and
+throughput that derive_scheme_v inverts. Names that a single test module
+needs live in that module.
 
 Importable from any test module because pytest puts this directory on
 sys.path.
 """
 
+import itertools
 import math
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +34,255 @@ from burstgic.detection import (
     _typical_from_sums,
     _window_sums,
 )
-from burstgic.geometry import ChannelStateS, OverlapTriple, _critical_alphas
-from burstgic.model import UserParams, capacity_c
+from burstgic.geometry import _COINCIDENCE_TOL, _critical_alphas
+from burstgic.model import RatePair, UserParams, capacity_c
 from burstgic.region import _pert_windows, _rbar_raw, _solve_windows, sym_curves
+from burstgic.reliability import rate_bound
 
+
+# ------------------------------------------------- per-layout geometry
+#
+# One layout of both users' bursts and what the library's covered-length
+# kernel is checked against: the overlap triple of each codeword, the
+# channel state, every state of a burst-count pair, and each codeword's
+# clear/interfered split with its closed form.
+
+_STATE_COUNT_GUARD = 10**7
+
+
+class DegenerateLayoutError(ValueError):
+    """Burst endpoints coincide, so overlap bookkeeping is ill-defined."""
+
+
+@dataclass(frozen=True)
+class BurstLayout:
+    """Interval layout of both users' bursts in scaled time.
+
+    Burst j of user i occupies (j*mu_i + nu_i, j*mu_i + nu_i + theta_i)
+    for j = 1..N_i.
+    """
+
+    mu1: float
+    theta1: float
+    nu1: float
+    N1: int
+    mu2: float
+    theta2: float
+    nu2: float
+    N2: int
+
+    def __post_init__(self):
+        for i, (mu, theta, N) in enumerate(
+            [(self.mu1, self.theta1, self.N1), (self.mu2, self.theta2, self.N2)], 1
+        ):
+            if mu <= 0 or theta <= 0:
+                raise ValueError(f"user {i}: need mu > 0 and theta > 0")
+            if N < 1:
+                raise ValueError(f"user {i}: N must be >= 1, got {N}")
+            if N > 1 and mu <= theta:
+                raise ValueError(
+                    f"user {i}: bursts overlap each other (mu={mu} <= theta={theta})"
+                )
+
+    def params(self, user: int) -> tuple[float, float, float, int]:
+        if user == 1:
+            return self.mu1, self.theta1, self.nu1, self.N1
+        if user == 2:
+            return self.mu2, self.theta2, self.nu2, self.N2
+        raise ValueError(f"user must be 1 or 2, got {user}")
+
+    def burst(self, user: int, j: int) -> tuple[float, float]:
+        """Endpoints of burst j of the given user."""
+        mu, theta, nu, N = self.params(user)
+        if not 1 <= j <= N:
+            raise IndexError(f"user {user} has bursts 1..{N}, got {j}")
+        lo = j * mu + nu
+        return lo, lo + theta
+
+    def bursts(self, user: int) -> list[tuple[float, float]]:
+        _, _, _, N = self.params(user)
+        return [self.burst(user, j) for j in range(1, N + 1)]
+
+
+@dataclass(frozen=True)
+class OverlapTriple:
+    """How the other user's bursts sit relative to one codeword.
+
+    w_minus / w_plus: index of the burst covering the codeword's left/right
+    endpoint (0 when uncovered). w_in: number of bursts fully inside.
+    """
+
+    w_minus: int
+    w_plus: int
+    w_in: int
+
+    def __post_init__(self):
+        if min(self.w_minus, self.w_plus, self.w_in) < 0:
+            raise ValueError("overlap indices are nonnegative")
+
+
+@dataclass(frozen=True)
+class ChannelStateS:
+    """Channel state: interval indices (u_j, v_j) of each Tx-2 burst's
+    endpoints in the partition cut by Tx-1's burst endpoints."""
+
+    pairs: tuple
+
+    def __post_init__(self):
+        flat = self.flat
+        if any(b < a for a, b in zip(flat, flat[1:])):
+            raise ValueError(f"state sequence must be nondecreasing: {flat}")
+        if any(f < 1 for f in flat):
+            raise ValueError("interval indices start at 1")
+
+    @property
+    def flat(self) -> tuple:
+        return tuple(x for p in self.pairs for x in p)
+
+    @classmethod
+    def from_flat(cls, flat) -> "ChannelStateS":
+        flat = tuple(int(x) for x in flat)
+        if len(flat) % 2:
+            raise ValueError("flat state must have even length")
+        return cls(pairs=tuple((flat[m], flat[m + 1]) for m in range(0, len(flat), 2)))
+
+
+def _check_mild(l: BurstLayout, tol: float = _COINCIDENCE_TOL):
+    ends1 = [e for b in l.bursts(1) for e in b]
+    ends2 = [e for b in l.bursts(2) for e in b]
+    for e1 in ends1:
+        for e2 in ends2:
+            if abs(e1 - e2) <= tol:
+                raise DegenerateLayoutError(
+                    f"burst endpoints coincide at t={e1} (within {tol})"
+                )
+
+
+def overlap_profile(l: BurstLayout) -> dict:
+    """Overlap triple of every codeword, keyed by (user, j)."""
+    _check_mild(l)
+    out = {}
+    for user, other in ((1, 2), (2, 1)):
+        interferers = l.bursts(other)
+        _, _, _, N = l.params(user)
+        for j in range(1, N + 1):
+            a, a2 = l.burst(user, j)
+            w_minus = w_plus = w_in = 0
+            for m, (b, b2) in enumerate(interferers, 1):
+                if b < a < b2:
+                    w_minus = m
+                if b < a2 < b2:
+                    w_plus = m
+                if a < b and b2 < a2:
+                    w_in += 1
+            out[(user, j)] = OverlapTriple(w_minus, w_plus, w_in)
+    return out
+
+
+def state_of(l: BurstLayout) -> ChannelStateS:
+    """Locate each Tx-2 endpoint in the partition cut by Tx-1 endpoints."""
+    _check_mild(l)
+    cuts = sorted(e for b in l.bursts(1) for e in b)
+    pairs = []
+    for b, b2 in l.bursts(2):
+        u = bisect_left(cuts, b) + 1
+        v = bisect_left(cuts, b2) + 1
+        pairs.append((u, v))
+    return ChannelStateS(pairs=tuple(pairs))
+
+
+def enumerate_states(N1: int, N2: int) -> list:
+    """All channel states reachable for burst counts (N1, N2).
+
+    These are the nondecreasing sequences of length 2*N2 over the alphabet
+    1..2*N1+1; there are C(2*N1+2*N2, 2*N2) of them.
+    """
+    if N1 < 1 or N2 < 1:
+        raise ValueError("burst counts must be >= 1")
+    count = math.comb(2 * N1 + 2 * N2, 2 * N2)
+    if count > _STATE_COUNT_GUARD:
+        raise ValueError(
+            f"state count {count} exceeds guard {_STATE_COUNT_GUARD}"
+        )
+    alphabet = range(1, 2 * N1 + 2)
+    states = []
+    for flat in itertools.combinations_with_replacement(alphabet, 2 * N2):
+        states.append(ChannelStateS.from_flat(flat))
+    if len(states) != count:
+        raise AssertionError(f"enumerated {len(states)} states, expected {count}")
+    return states
+
+
+@dataclass(frozen=True)
+class RateDecomp:
+    """Scaled lengths of the clear and interfered parts of one codeword."""
+
+    len_clear: float
+    len_interf: float
+
+    def __post_init__(self):
+        if self.len_clear < 0 or self.len_interf < 0:
+            raise ValueError("subinterval lengths must be nonnegative")
+
+
+def rate_decomp(l: BurstLayout, user: int, j: int) -> RateDecomp:
+    """Split codeword j of the given user into clear/interfered lengths."""
+    other = 2 if user == 1 else 1
+    a, a2 = l.burst(user, j)
+    covered = 0.0
+    for b, b2 in l.bursts(other):
+        covered += max(0.0, min(a2, b2) - max(a, b))
+    theta = a2 - a
+    d = RateDecomp(len_clear=theta - covered, len_interf=covered)
+    if not abs(d.len_clear + d.len_interf - theta) < 1e-12:
+        raise AssertionError(
+            f"clear {d.len_clear} + interfered {d.len_interf} != length {theta}")
+    return d
+
+
+def closed_form_bound(triple, schemes, nu1: float, nu2: float,
+                      user: int, j: int, rp: RatePair) -> float:
+    """Same threshold as layout_bound, but from the overlap-case formulas.
+
+    The interfered length is reconstructed from the overlap triple alone
+    (plus the layout parameters), not from interval intersections.
+    """
+    s1, s2 = schemes
+    if user == 1:
+        mu, theta, nu = s1.mu, s1.theta, nu1
+        mu_o, theta_o, nu_o = s2.mu, s2.theta, nu2
+    elif user == 2:
+        mu, theta, nu = s2.mu, s2.theta, nu2
+        mu_o, theta_o, nu_o = s1.mu, s1.theta, nu1
+    else:
+        raise ValueError(f"user must be 1 or 2, got {user}")
+
+    wm, wp, w = triple.w_minus, triple.w_plus, triple.w_in
+    if wm == 0 and wp == 0:
+        covered = w * theta_o
+    elif wm != 0 and wp == wm:
+        if w != 0:
+            raise ValueError(f"containment triple cannot also enclose bursts: {triple}")
+        covered = theta
+    elif wm != 0 and wp != 0:
+        if wp - wm != w + 1:
+            raise ValueError(f"no overlap case matches triple {triple}")
+        covered = theta - (1 + w) * (mu_o - theta_o)
+    elif wm != 0:  # left end covered, right end clear
+        covered = (wm * mu_o + nu_o + theta_o) - (j * mu + nu) + w * theta_o
+    else:  # right end covered, left end clear
+        covered = (j * mu + nu + theta) - (wp * mu_o + nu_o) + w * theta_o
+    return theta * rp.phi - (rp.phi - rp.psi) * covered
+
+
+def layout_bound(l: BurstLayout, user: int, j: int, rp: RatePair) -> float:
+    """Reliability threshold of codeword j of the given user on layout l:
+    reliability.rate_bound on rate_decomp's interfered length."""
+    lo, hi = l.burst(user, j)
+    return rate_bound(rate_decomp(l, user, j).len_interf, hi - lo, rp)
+
+
+# ------------------------------------------------------- other oracles
 
 def limit_power_rate(s, u: UserParams) -> tuple[float, float]:
     """Long-run (average power, throughput) of a scheme as n grows.

@@ -35,23 +35,27 @@ from burstgic.detection import (
     detection_experiment,
     rx_params,
 )
-from burstgic.geometry import (
-    BurstLayout,
-    DegenerateLayoutError,
-    alpha_breakpoints,
-    enumerate_states,
-    overlap_profile,
-    state_of,
-)
+from burstgic.geometry import alpha_breakpoints
 from burstgic.model import (
     UserParams,
     derive_scheme_v,
     rate_pair,
 )
 from burstgic.region import rbar_c, region, sym_curves, sym_region
-from burstgic.reliability import closed_form_bound, rate_bound
 
-from oracles import contains_many, limit_power_rate, mild_check, sym_omega
+from oracles import (
+    BurstLayout,
+    DegenerateLayoutError,
+    closed_form_bound,
+    contains_many,
+    enumerate_states,
+    layout_bound,
+    limit_power_rate,
+    mild_check,
+    overlap_profile,
+    state_of,
+    sym_omega,
+)
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
 U2 = UserParams(k=2, q=0.4, P=1000.0, a=0.7)
@@ -200,7 +204,7 @@ def test_closed_form_bounds_match_geometry():
         rp = rate_pair(rng.uniform(0.5, 20), rng.uniform(0.0, 20),
                        rng.uniform(0.1, 2))
         for (user, j), trip in prof.items():
-            want = rate_bound(lay, user, j, rp)
+            want = layout_bound(lay, user, j, rp)
             got = closed_form_bound(trip, (s1, s2), nu1, nu2, user, j, rp)
             assert abs(got - want) <= 1e-9
             if trip.w_minus == 0 and trip.w_plus == 0 and trip.w_in == 0:

@@ -4,7 +4,7 @@ bench/run.py still ends on a strict-JSON result line.
 bench/layers.py wraps library functions by name and binds some of their
 arguments by name, so a renamed function or argument makes a traced child
 fail or report a layer as missing. This runs it on a tiny detect config,
-and runs the traced harness itself for a second on two workloads.
+and runs the traced harness itself for a second on every workload.
 """
 
 import json
@@ -46,7 +46,8 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["region", "detect"])
+@pytest.mark.parametrize("workload", ["region", "detect", "design",
+                                      "buffers"])
 def test_traced_harness_ends_on_a_strict_result_line(workload):
     # the last stdout line is what a benchmark driver parses: strict JSON,
     # every child correct, and exactly the per-layer metrics that

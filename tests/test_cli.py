@@ -21,7 +21,7 @@ import pytest
 from pytest import approx
 
 from burstgic import cli, detection
-from burstgic.design import d_max
+from burstgic.design import MAX_SPREADS, d_max
 from burstgic.model import UserParams
 from burstgic.region import sym_region
 
@@ -713,6 +713,9 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # theta = mu = 1/(N*q) is resonant at m = 1; the delta check runs first
     ("buffers", dict(BUFFERS_CFG, theta=1.6666666666666667, delta=-1),
      "delta must be positive"),
+    # an explicit list of spreads obeys the d_grid count's budget
+    ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
+                    ds=[0.5] * (MAX_SPREADS + 1)), "MAX_SPREADS"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read

@@ -19,7 +19,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
                                   "detection_walkthrough.py",
                                   "buffer_schedulers.py"])
 def test_demo_exits_cleanly(name):
-    res = subprocess.run([sys.executable, str(DEMOS / name)],
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(DEMOS / name)],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout

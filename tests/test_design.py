@@ -19,11 +19,18 @@ from burstgic.design import (
     please1_holds,
     rbar_target,
 )
-from burstgic.geometry import BurstLayout, alpha_breakpoints, state_of
+from burstgic.geometry import alpha_breakpoints
 from burstgic.model import UserParams, capacity_c, derive_scheme_v, rate_pair
-from burstgic.reliability import rate_bound
 
-from oracles import contains, contains_many, intersect, mild_check
+from oracles import (
+    BurstLayout,
+    contains,
+    contains_many,
+    intersect,
+    layout_bound,
+    mild_check,
+    state_of,
+)
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
 U2 = UserParams(k=2, q=0.4, P=1000.0, a=0.7)
@@ -46,7 +53,7 @@ def _member_direct(u1, u2, N1, N2, R1, R2, alpha):
                     mu2=s2.mu, theta2=s2.theta, nu2=alpha, N2=N2)
     for user, s, rp in ((1, s1, rp1), (2, s2, rp2)):
         for j in range(1, s.N + 1):
-            if s.eta >= rate_bound(l, user, j, rp):
+            if s.eta >= layout_bound(l, user, j, rp):
                 return False
     return True
 

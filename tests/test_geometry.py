@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from burstgic.geometry import (
+from burstgic.geometry import alpha_breakpoints
+
+from oracles import (
     BurstLayout,
     ChannelStateS,
     DegenerateLayoutError,
     OverlapTriple,
-    alpha_breakpoints,
     enumerate_states,
+    mild_check,
     overlap_profile,
     state_of,
+    triples_from_state,
 )
-
-from oracles import mild_check, triples_from_state
 
 
 def _layout(mu1, th1, nu1, N1, mu2, th2, nu2, N2):

@@ -8,13 +8,6 @@ import pytest
 from pytest import approx
 from scipy.optimize import brentq
 
-from burstgic.geometry import (
-    BurstLayout,
-    ChannelStateS,
-    enumerate_states,
-    overlap_profile,
-    state_of,
-)
 from burstgic.model import UserParams, capacity_c, find_root, rate_pair
 from burstgic.region import (
     _BLOCK,
@@ -35,11 +28,17 @@ from burstgic.region import (
     sym_curves,
     sym_region,
 )
-from burstgic.reliability import covered_lengths, rate_bound
+from burstgic.reliability import covered_lengths
 
 from oracles import (
+    BurstLayout,
+    ChannelStateS,
     _sweep_windows,
     contains_many,
+    enumerate_states,
+    layout_bound,
+    overlap_profile,
+    state_of,
     sym_class_windows,
     sym_omega,
     sym_pert_region_per_class,
@@ -325,8 +324,8 @@ def test_reliability_rows_match_codeword_bounds():
         assert len(rows) == N1 + N2 + 2
         rp1 = rate_pair(g1, g2, a2)
         rp2 = rate_pair(g2, g1, a1)
-        bounds = [rate_bound(lay, 1, j, rp1) - th1 * R1 for j in range(1, N1 + 1)]
-        bounds += [rate_bound(lay, 2, j, rp2) - th2 * R2 for j in range(1, N2 + 1)]
+        bounds = [layout_bound(lay, 1, j, rp1) - th1 * R1 for j in range(1, N1 + 1)]
+        bounds += [layout_bound(lay, 2, j, rp2) - th2 * R2 for j in range(1, N2 + 1)]
         for row, b in zip(rows, bounds):
             m = row[2] - (row[0] * R1 + row[1] * R2)
             if abs(m) < 1e-9 or abs(b) < 1e-9:
@@ -365,8 +364,8 @@ def _member_direct(u1, u2, N1, N2, th1, th2, alpha, m_grid, R1, R2):
             continue
         rp1 = rate_pair(g1, g2, u2.a)
         rp2 = rate_pair(g2, g1, u1.a)
-        if all(rate_bound(lay, 1, j, rp1) > th1 * R1 for j in range(1, N1 + 1)) \
-                and all(rate_bound(lay, 2, j, rp2) > th2 * R2
+        if all(layout_bound(lay, 1, j, rp1) > th1 * R1 for j in range(1, N1 + 1)) \
+                and all(layout_bound(lay, 2, j, rp2) > th2 * R2
                         for j in range(1, N2 + 1)):
             return True
     return False

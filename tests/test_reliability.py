@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from burstgic.geometry import (
+from burstgic.model import rate_pair
+from burstgic.reliability import covered_lengths
+
+from oracles import (
     BurstLayout,
     DegenerateLayoutError,
     OverlapTriple,
-    overlap_profile,
-)
-from burstgic.model import rate_pair
-from burstgic.reliability import (
     closed_form_bound,
-    covered_lengths,
-    rate_bound,
+    covered_lengths_loop,
+    layout_bound,
+    overlap_profile,
     rate_decomp,
 )
-
-from oracles import covered_lengths_loop
 
 
 class _Sch:
@@ -37,14 +35,14 @@ def test_no_overlap_gives_clear_bound():
     s1, s2 = _Sch(1.0, 0.4, 2), _Sch(0.7, 0.3, 2)
     l = _layout(s1, 0.0, s2, 50.0)
     for j in (1, 2):
-        assert rate_bound(l, 1, j, RP) == pytest.approx(0.4 * RP.phi)
+        assert layout_bound(l, 1, j, RP) == pytest.approx(0.4 * RP.phi)
 
 
 def test_full_containment_gives_interfered_bound():
     # user 1's short codeword sits strictly inside user 2's long burst
     s1, s2 = _Sch(5.0, 0.5, 1), _Sch(5.0, 3.0, 1)
     l = _layout(s1, 0.0, s2, -1.0)  # cw (5, 5.5) inside burst (4, 7)
-    assert rate_bound(l, 1, 1, RP) == pytest.approx(0.5 * RP.psi)
+    assert layout_bound(l, 1, 1, RP) == pytest.approx(0.5 * RP.psi)
 
 
 def test_decomp_sums_to_theta():
@@ -59,7 +57,7 @@ def test_index_out_of_range():
     s1, s2 = _Sch(1.0, 0.4, 2), _Sch(0.7, 0.3, 2)
     l = _layout(s1, 0.0, s2, 50.0)
     with pytest.raises(IndexError):
-        rate_bound(l, 1, 3, RP)
+        layout_bound(l, 1, 3, RP)
 
 
 def test_one_vs_two_overlapped_codeword():
@@ -67,7 +65,7 @@ def test_one_vs_two_overlapped_codeword():
     # left half interfered, so the bound lands midway between psi and phi
     s1, s2 = _Sch(2.0, 2.0, 1), _Sch(2.0, 1.0, 2)
     l = _layout(s1, 0.0, s2, -0.5)
-    got = rate_bound(l, 2, 2, RP)
+    got = layout_bound(l, 2, 2, RP)
     assert got == pytest.approx(0.5 * (RP.phi + RP.psi))
     trip = overlap_profile(l)[(2, 2)]
     assert trip == OverlapTriple(1, 0, 0)
@@ -92,7 +90,7 @@ def test_closed_form_matches_geometry_all_cases():
             continue
         rp = rate_pair(rng.uniform(0.5, 20), rng.uniform(0.0, 20), rng.uniform(0.1, 2))
         for (user, j), trip in prof.items():
-            want = rate_bound(l, user, j, rp)
+            want = layout_bound(l, user, j, rp)
             got = closed_form_bound(trip, (s1, s2), nu1, nu2, user, j, rp)
             assert got == pytest.approx(want, abs=1e-9)
             if trip.w_minus == 0 and trip.w_plus == 0:
@@ -121,7 +119,7 @@ def test_bound_between_extremes():
         except DegenerateLayoutError:
             continue
         for (user, j) in prof:
-            b = rate_bound(l, user, j, RP)
+            b = layout_bound(l, user, j, RP)
             theta = s1.theta if user == 1 else s2.theta
             assert theta * RP.psi - 1e-12 <= b <= theta * RP.phi + 1e-12
 
@@ -133,7 +131,7 @@ def test_bound_monotone_in_interferer_length():
         s2 = _Sch(2.0, float(th2), 2)
         l = _layout(s1, 0.0, s2, 0.31)
         try:
-            b = rate_bound(l, 1, 1, RP)
+            b = layout_bound(l, 1, 1, RP)
         except DegenerateLayoutError:
             continue
         if prev is not None:
@@ -145,7 +143,7 @@ def test_zero_cross_gain_means_clear_everywhere():
     rp0 = rate_pair(5.0, 3.0, 0.0)
     s1, s2 = _Sch(5.0, 0.5, 1), _Sch(5.0, 3.0, 1)
     l = _layout(s1, 0.0, s2, -1.0)  # full containment
-    assert rate_bound(l, 1, 1, rp0) == pytest.approx(0.5 * rp0.phi)
+    assert layout_bound(l, 1, 1, rp0) == pytest.approx(0.5 * rp0.phi)
 
 
 def test_inconsistent_triples_rejected():
