@@ -5,7 +5,9 @@ reliability bounds, outage-optimal design and achievable rate regions,
 plus a Monte Carlo detection/decoding simulator.
 
 Public names load on first use: `import burstgic` runs no submodule, and
-the first read of `burstgic.optimize_N` imports `burstgic.design`.
+the first read of `burstgic.optimize_N` imports `burstgic.design`. The
+two exception types are defined here, so the CLI catches them without
+loading a submodule.
 """
 
 import importlib
@@ -23,7 +25,7 @@ _SOURCE = {
     "rate_pair": "model",
     "derive_scheme_v": "model",
     "rate_bound": "reliability",
-    "IntervalUnion": "design",
+    "IntervalUnion": "model",
     "OutageCurve": "design",
     "InfeasibleDesignError": "design",
     "active_set": "design",
@@ -49,7 +51,15 @@ _SOURCE = {
     "estimate_arrivals": "detection",
 }
 
-__all__ = list(_SOURCE)
+__all__ = ["ConfigError", "InfeasibleError", *_SOURCE]
+
+
+class ConfigError(ValueError):
+    """A config value is malformed or out of range (CLI exit code 2)."""
+
+
+class InfeasibleError(ValueError):
+    """The scenario has no solution (CLI exit code 3)."""
 
 
 def __getattr__(name):

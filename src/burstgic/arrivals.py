@@ -28,6 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import ConfigError, InfeasibleError
+from .model import _count
+
 __all__ = [
     "HorizonTooShortError",
     "ResonanceError",
@@ -56,7 +59,7 @@ class HorizonTooShortError(ValueError):
     """The trace ended before all codewords were triggered."""
 
 
-class ResonanceError(ValueError):
+class ResonanceError(InfeasibleError):
     """mu is (numerically) an integer multiple of theta/m, so the
     synchronous-vs-asynchronous delay gap theorem does not apply."""
 
@@ -160,10 +163,10 @@ def _checkpoints(triggers: np.ndarray, n_i: int) -> np.ndarray:
 
 def _preamble(n: int, nprime: int | None) -> int:
     """The preamble length: nprime, or ceil(sqrt(n)) when it is None."""
-    if nprime is None:
-        return math.ceil(math.sqrt(n))
+    if nprime is None:  # no root of an n below 1: _checked_events refuses it
+        return math.ceil(math.sqrt(max(n, 0)))
     if nprime < 0:
-        raise ValueError(f"nprime must be nonnegative, got {nprime}")
+        raise ConfigError(f"nprime must be nonnegative, got {nprime}")
     return nprime
 
 
@@ -254,13 +257,13 @@ def _check_slots(u, n: int, N: int, theta: float, bits: float):
     e = N * bits / u.k + 1
     bound = max(N * bits, e * (1 + 10 * math.sqrt(e)) / u.q + N * (n * theta))
     if not bound <= 2.0 ** 62:
-        raise ValueError(f"the trigger draw reaches {bound:.4g}, beyond its "
-                         f"int64 guard of 2**62")
+        raise ConfigError(f"the trigger draw reaches {bound:.4g}, beyond its "
+                          f"int64 guard of 2**62")
 
 
 def _check_theta(theta: float):
     if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive and finite, got {theta}")
+        raise ConfigError(f"theta must be positive and finite, got {theta}")
 
 
 def _checked_events(u, n: int, N: int, theta: float,
@@ -269,18 +272,20 @@ def _checked_events(u, n: int, N: int, theta: float,
     draw. Callers run these before the resonance check over m = 1..N:
     MAX_TRIGGERS bounds N, and the int64 guard bounds n and k."""
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ConfigError(f"N must be >= 1, got {N}")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {_count(n)}")
     _check_theta(theta)
     bits = n * (u.k / N)
     _check_slots(u, n, N, theta, bits)
     chunk = math.floor(bits)
     if chunk < u.k:
-        raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
+        raise ConfigError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ConfigError("need at least one trial")
     if trials * N > MAX_TRIGGERS:
-        raise ValueError(f"trials*N = {trials * N} trigger slots exceed "
-                         f"MAX_TRIGGERS = {MAX_TRIGGERS}")
+        raise ConfigError(f"trials*N = {trials * N} trigger slots exceed "
+                          f"MAX_TRIGGERS = {MAX_TRIGGERS}")
     return _trigger_events(u.k, chunk, N)
 
 
@@ -291,10 +296,10 @@ def _check_delay_gap(u, n: int, N: int, theta: float, delta: float,
     events = _checked_events(u, n, N, theta, trials)
     # _lag_freq scales int64 slots by 1 + delta in float arithmetic
     if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
-        raise ValueError(f"delta must be positive, with (1 + delta) * 2**63 "
-                         f"finite, got {delta}")
+        raise ConfigError(f"delta must be positive, with (1 + delta) * 2**63 "
+                          f"finite, got {delta}")
     if math.floor(n * theta) < 1:
-        raise ValueError(f"n*theta under one slot (n={n}, theta={theta})")
+        raise ConfigError(f"n*theta under one slot (n={n}, theta={theta})")
     _check_resonance(1.0 / (N * u.q), theta, N)
     return events
 

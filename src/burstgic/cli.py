@@ -10,8 +10,9 @@ suffix tag: write "P": 100.0 or "P_db": 20.0 (never both). Conversion
 happens only at this boundary; everything downstream is linear. A
 config number must be a JSON number: a string or a boolean is an error.
 
-Exit codes: 0 success, 2 config error, 3 infeasible scenario; any other
-fault exits 1 with a traceback.
+Exit codes: 0 success, 2 config error (burstgic.ConfigError or OSError),
+3 infeasible scenario (burstgic.InfeasibleError); any other exception is a
+fault and propagates, so it exits 1 with a traceback.
 
 Each command imports the library modules it runs when it runs, so
 `import burstgic.cli` loads no other burstgic module, and `design` and
@@ -29,6 +30,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from burstgic import ConfigError, InfeasibleError
 
 # The CLI runs BLAS on one thread unless the user chose a count through a
 # variable OpenBLAS reads; this must happen before numpy loads OpenBLAS.
@@ -62,15 +65,6 @@ SCENARIOS = {
 }
 
 
-class ConfigError(ValueError):
-    """Malformed or out-of-range configuration (exit code 2)."""
-
-
-class InfeasibleError(Exception):
-    """The scenario has no solution (exit code 3). Each command raises it
-    from its own library's infeasibility error."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     scenario: str
@@ -86,7 +80,7 @@ class RunConfig:
 def _load_config(command: str, args) -> RunConfig:
     try:
         raw = json.loads(Path(args.config).read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
@@ -103,6 +97,8 @@ def _load_config(command: str, args) -> RunConfig:
     seed = args.seed
     if seed is None:
         seed = _integer(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {_shown(seed)}")
     fmt = args.format if args.format is not None else raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -202,7 +198,7 @@ def _user(params: dict, key: str) -> UserParams:
                           q=_float(_need(spec, "q"), "q"),
                           P=_power(spec, "P", default=1.0),
                           a=_float(spec.get("a", 0.0), "a"))
-    except ValueError as e:
+    except ConfigError as e:
         raise ConfigError(f"{key}: {e}")
 
 
@@ -282,7 +278,7 @@ def _finite(x: float):
 # commands
 
 def cmd_buffers(rc: RunConfig) -> list:
-    from burstgic.arrivals import ResonanceError, buffer_experiment
+    from burstgic.arrivals import buffer_experiment
     p = rc.params
     u = _user(p, "user")
     n_values = [_integer(n, "n_values") for n in _list(p, "n_values")]
@@ -295,35 +291,23 @@ def cmd_buffers(rc: RunConfig) -> list:
     gap_rows = []
     imm_rows = []
     for n in n_values:
-        try:
-            freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta,
-                                           trials, rc.seed)
-        except ResonanceError as e:
-            raise InfeasibleError(e) from e
+        freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta, trials,
+                                       rc.seed)
         for j, f in enumerate(freqs, start=1):
             gap_rows.append({"n": n, "j": j, "lag_freq": float(f),
                              "trials": trials})
         if imm is not None:
             imm_rows.append({"n": n, "violation_freq": float(imm),
                              "trials": trials})
-    files = [
+    return [
         _emit(gap_rows, ("n", "j", "lag_freq", "trials"),
               rc.out / "delay_gap", rc.fmt),
         _emit(imm_rows, ("n", "violation_freq", "trials"),
               rc.out / "immediacy", rc.fmt),
     ]
-    return files
 
 
 def cmd_design(rc: RunConfig) -> list:
-    from burstgic.design import InfeasibleDesignError
-    try:
-        return _design(rc)
-    except InfeasibleDesignError as e:
-        raise InfeasibleError(e) from e
-
-
-def _design(rc: RunConfig) -> list:
     from burstgic.design import (MAX_ACTIVE_PAIRS, MAX_ACTIVE_WORK, MIN_LAM,
                                  active_set, active_work, admissible_alpha,
                                  d_max, inadmissible_alpha, optimize_N,
@@ -398,11 +382,7 @@ def _region_grid(rc: RunConfig) -> list:
     m_grid = _integer(p.get("m_grid", 10), "m_grid")
     resolution = (_number(p, "resolution")
                   if p.get("resolution") is not None else None)
-    try:
-        reg = region(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
-                     resolution)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    reg = region(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, resolution)
     meta = {
         "scenario": rc.scenario,
         "box": [reg.x0, reg.x1, reg.y0, reg.y1],
@@ -465,16 +445,13 @@ def _region_symmetric(rc: RunConfig) -> list:
     if not 1 <= points <= MAX_CURVE_POINTS:
         raise ConfigError(f"curve_points must be in [1, MAX_CURVE_POINTS = "
                           f"{MAX_CURVE_POINTS}], got {_shown(points)}")
-    try:
-        # lam is given, or k and q are read under UserParams' rules
-        lam = _number(p, "lam") if "lam" in p else UserParams(
-            k=_integer(_need(p, "k"), "k"), q=_float(_need(p, "q"), "q"),
-            P=P, a=a).lam
-        intervals = sym_region(N, theta, lam, a, P, alpha).intervals
-        c = sym_curves(N, theta, lam, a, P, alpha) \
-            if N >= 2 and alpha < theta else None
-    except ValueError as e:
-        raise ConfigError(str(e))
+    # lam is given, or k and q are read under UserParams' rules
+    lam = _number(p, "lam") if "lam" in p else UserParams(
+        k=_integer(_need(p, "k"), "k"), q=_float(_need(p, "q"), "q"),
+        P=P, a=a).lam
+    intervals = sym_region(N, theta, lam, a, P, alpha).intervals
+    c = sym_curves(N, theta, lam, a, P, alpha) \
+        if N >= 2 and alpha < theta else None
     meta = {"scenario": rc.scenario, "N": N, "theta": theta, "lam": lam,
             "a": a, "P": P, "alpha": alpha,
             "intervals": [[lo, hi] for lo, hi in intervals]}
@@ -498,25 +475,20 @@ def cmd_detect(rc: RunConfig) -> list:
     p = rc.params
     nprime_values = (_list(p, "nprime_values")
                      if p.get("nprime_values") is not None else None)
-    try:
-        cfg = DetectionConfig(
-            n_values=tuple(_integer(n, "n_values")
-                           for n in _list(p, "n_values")),
-            gamma1=_power(p, "gamma1"),
-            gamma2=_power(p, "gamma2"),
-            a1=_number(p, "a1"),
-            a2=_number(p, "a2"),
-            eps=_number(p, "eps"),
-            M=_integer(_need(p, "M"), "M"),
-            nprime_values=(tuple(_integer(m, "nprime_values")
-                                 for m in nprime_values)
-                           if nprime_values is not None else None),
-        )
-        trials = _integer(p.get("trials", 200), "trials")
-        cfg.check_trials(trials)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    rows = detection_experiment(cfg, trials, rc.seed)
+    cfg = DetectionConfig(
+        n_values=tuple(_integer(n, "n_values") for n in _list(p, "n_values")),
+        gamma1=_power(p, "gamma1"),
+        gamma2=_power(p, "gamma2"),
+        a1=_number(p, "a1"),
+        a2=_number(p, "a2"),
+        eps=_number(p, "eps"),
+        M=_integer(_need(p, "M"), "M"),
+        nprime_values=(tuple(_integer(m, "nprime_values")
+                             for m in nprime_values)
+                       if nprime_values is not None else None),
+    )
+    rows = detection_experiment(
+        cfg, _integer(p.get("trials", 200), "trials"), rc.seed)
     header = ("n", "nprime", "trials", "traces", "bursts_total",
               "bursts_located", "recovered_traces", "recovery_rate",
               "misid_errors", "misid_rate", "false_alarms", "decode_errors",
@@ -560,7 +532,7 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"infeasible scenario: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     for path in files:

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from burstgic import ConfigError, InfeasibleError
 from burstgic.geometry import alpha_breakpoints
 from burstgic.model import (
+    IntervalUnion,
     UserParams,
     capacity_c,
     derive_scheme_v,
@@ -26,7 +28,6 @@ from burstgic.reliability import covered_lengths, rate_bound
 
 __all__ = [
     "InfeasibleDesignError",
-    "IntervalUnion",
     "OutageCurve",
     "rbar_target",
     "active_set",
@@ -39,37 +40,9 @@ __all__ = [
     "outage_curve",
 ]
 
-_MERGE_TOL = 1e-12
 
-
-class InfeasibleDesignError(ValueError):
+class InfeasibleDesignError(InfeasibleError):
     """No burst count is compatible with the requested rates."""
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Union of disjoint open intervals, kept sorted."""
-
-    intervals: tuple
-
-    @classmethod
-    def from_intervals(cls, pairs) -> "IntervalUnion":
-        """Normalize: drop empty pieces, sort, merge overlaps and touches."""
-        pairs = sorted((lo, hi) for lo, hi in pairs if hi - lo > 0)
-        merged = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1] + _MERGE_TOL:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(intervals=tuple((lo, hi) for lo, hi in merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_intervals(self.intervals + other.intervals)
 
 
 @dataclass(frozen=True)
@@ -132,7 +105,7 @@ def _n_window(u: UserParams, R: float) -> list:
     noise) is excluded, so e.g. R = 0.8*lam does not activate N = 4.
     """
     if not 0.0 < R < u.lam:
-        raise ValueError(f"R must be in (0, lam={u.lam}), got {R}")
+        raise ConfigError(f"R must be in (0, lam={u.lam}), got {R}")
     tol = 1e-9 * u.lam
     out = []
     N = 1

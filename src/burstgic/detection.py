@@ -18,6 +18,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import ConfigError
+
 LOG2E = math.log2(math.e)
 
 PDF_IDS = ("p1", "p2", "p3", "p4")
@@ -592,47 +594,47 @@ class DetectionConfig:
     nprime_values: tuple = None  # default: ceil(sqrt(n)) per n
 
     def check_trials(self, trials: int) -> None:
-        """Raise ValueError unless 1 <= trials and trials times the
+        """Raise ConfigError unless 1 <= trials and trials times the
         per-trial trace slots fit MAX_TRIAL_SLOTS."""
         if trials < 1:
-            raise ValueError("need at least one trial")
+            raise ConfigError("need at least one trial")
         slots = sum(max(2 * n + 9 * self.nprime_for(idx), 1 << 12)
                     for idx, n in enumerate(self.n_values))
         if trials * slots > MAX_TRIAL_SLOTS:
-            raise ValueError(f"trials of {slots} trace slots each may "
-                             f"number at most {MAX_TRIAL_SLOTS // slots} "
-                             f"(MAX_TRIAL_SLOTS = {MAX_TRIAL_SLOTS})")
+            raise ConfigError(f"trials of {slots} trace slots each may "
+                              f"number at most {MAX_TRIAL_SLOTS // slots} "
+                              f"(MAX_TRIAL_SLOTS = {MAX_TRIAL_SLOTS})")
 
     def __post_init__(self):
         if not self.n_values or any(n < 4 for n in self.n_values):
-            raise ValueError("n_values must be codeword lengths >= 4")
+            raise ConfigError("n_values must be codeword lengths >= 4")
         if self.nprime_values is not None:
             if len(self.nprime_values) != len(self.n_values):
-                raise ValueError("nprime_values must pair up with n_values")
+                raise ConfigError("nprime_values must pair up with n_values")
             if any(m < 2 for m in self.nprime_values):
-                raise ValueError("preamble lengths must be >= 2")
+                raise ConfigError("preamble lengths must be >= 2")
         for idx, n in enumerate(self.n_values):
             if 2 * n + 9 * self.nprime_for(idx) > MAX_TRACE:
-                raise ValueError(
+                raise ConfigError(
                     f"n={n} with nprime={self.nprime_for(idx)} makes a "
                     f"trace of 2n + 9nprime slots beyond MAX_TRACE = "
                     f"{MAX_TRACE}")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("symbol powers must be positive")
+            raise ConfigError("symbol powers must be positive")
         if self.a1 < 0 or self.a2 < 0:
-            raise ValueError("cross gains must be nonnegative")
+            raise ConfigError("cross gains must be nonnegative")
         for rx, power in ((1, 1 + self.gamma1 + self.a2 * self.gamma2),
                           (2, 1 + self.gamma2 + self.a1 * self.gamma1)):
             if not power <= MAX_POWER:
-                raise ValueError(
+                raise ConfigError(
                     f"receive power {power:.4g} at Rx {rx} exceeds "
                     f"MAX_POWER = {MAX_POWER:.4g}")
         if self.M < 2 or self.M > M_CAP:
-            raise ValueError(f"M must be in [2, {M_CAP}]")
+            raise ConfigError(f"M must be in [2, {M_CAP}]")
         guard = min(eps_guard(self.gamma1, self.gamma2, self.a2),
                     eps_guard(self.gamma2, self.gamma1, self.a1))
         if not 0 < self.eps < guard:
-            raise ValueError(
+            raise ConfigError(
                 f"eps must sit in (0, {guard:.3g}) for these powers")
 
     def nprime_for(self, idx: int) -> int:

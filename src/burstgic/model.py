@@ -11,8 +11,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import ConfigError
+
 __all__ = [
     "InfeasibleRateError",
+    "IntervalUnion",
     "UserParams",
     "SchemeV",
     "RatePair",
@@ -54,22 +57,23 @@ _RTOL = 4.0 * sys.float_info.epsilon
 _MAXITER = 100
 
 
-def find_root(f, lo: float, hi: float) -> float:
+def find_root(f, lo: float, hi: float, error: type = ValueError) -> float:
     """Root of a continuous scalar f between lo and a bracket end >= hi.
 
     While f(lo) and f(hi) have the same strict sign, hi doubles; doubling
-    past the largest float is a ValueError. The bracket is then solved by
-    Brent's method, stepped exactly as the C brentq that the tests use as
-    an oracle (xtol 1e-10, rtol 4*eps, at most 100 iterations), so both
-    return the same float. A zero denominator in the interpolation step
-    bisects, as the inf or NaN quotient of IEEE division does in C.
+    past the largest float raises error, ConfigError where config numbers
+    set f. The bracket is then solved by Brent's method, stepped exactly as
+    the C brentq that the tests use as an oracle (xtol 1e-10, rtol 4*eps,
+    at most 100 iterations), so both return the same float. A zero
+    denominator in the interpolation step bisects, as the inf or NaN
+    quotient of IEEE division does in C.
     """
     xpre, xcur = float(lo), float(hi)
     fpre, fcur = float(f(xpre)), float(f(xcur))
     while (fpre < 0 and fcur < 0) or (fpre > 0 and fcur > 0):
         xcur *= 2.0
         if math.isinf(xcur):
-            raise ValueError(
+            raise error(
                 f"no sign change of f on [{lo}, {hi}*2**k] before overflow")
         fcur = float(f(xcur))
     if fpre == 0:
@@ -158,13 +162,13 @@ class UserParams:
 
     def __post_init__(self):
         if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
         if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
+            raise ConfigError(f"q must be in (0, 1], got {self.q}")
         if not (math.isfinite(self.P) and self.P > 0):
-            raise ValueError(f"P must be positive and finite, got {self.P}")
+            raise ConfigError(f"P must be positive and finite, got {self.P}")
         if not (math.isfinite(self.a) and self.a >= 0):
-            raise ValueError(
+            raise ConfigError(
                 f"cross gain a must be nonnegative and finite, got {self.a}")
 
     @property
@@ -229,3 +233,32 @@ def derive_scheme_v(u: UserParams, N: int, R: float) -> SchemeV:
             f"R={R} outside feasible interval ({lo}, {lam}) for N={N}"
         )
     return SchemeV(user=u, N=N, R=R)
+
+
+_MERGE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class IntervalUnion:
+    """Union of disjoint open intervals, kept sorted."""
+
+    intervals: tuple
+
+    @classmethod
+    def from_intervals(cls, pairs) -> "IntervalUnion":
+        """Normalize: drop empty pieces, sort, merge overlaps and touches."""
+        pairs = sorted((lo, hi) for lo, hi in pairs if hi - lo > 0)
+        merged = []
+        for lo, hi in pairs:
+            if merged and lo <= merged[-1][1] + _MERGE_TOL:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        return cls(intervals=tuple((lo, hi) for lo, hi in merged))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.intervals
+
+    def union(self, other: "IntervalUnion") -> "IntervalUnion":
+        return IntervalUnion.from_intervals(self.intervals + other.intervals)

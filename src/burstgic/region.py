@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import IntervalUnion
-from .model import UserParams, _count, capacity_c, find_root, rate_pair
+from . import ConfigError
+from .model import (IntervalUnion, UserParams, _count, capacity_c, find_root,
+                    rate_pair)
 from .reliability import covered_length
 
 
@@ -66,7 +67,7 @@ def _rbar_raw(lam: float, P: float, N: int) -> float:
     def short(R):
         return R - capacity_c((1.0 / N + R / lam) * P)
 
-    return find_root(short, 0.0, 64.0)
+    return find_root(short, 0.0, 64.0, ConfigError)
 
 
 def rbar_c(u: UserParams, N: int) -> float:
@@ -76,14 +77,14 @@ def rbar_c(u: UserParams, N: int) -> float:
     fails, so it bounds every achievable region box.
     """
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ConfigError(f"N must be >= 1, got {N}")
     return _rbar_raw(u.lam, u.P, N)
 
 
 def gamma_grid(u: UserParams, N: int, m: int) -> np.ndarray:
     """Interior power grid {(l/m)*gamma_bar : l = 1..m-1}."""
     if m < 2:
-        raise ValueError(f"power grid needs m >= 2, got {m}")
+        raise ConfigError(f"power grid needs m >= 2, got {m}")
     gbar = (1.0 / N + rbar_c(u, N) / u.lam) * u.P
     return gbar * np.arange(1, m) / m
 
@@ -576,8 +577,8 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     """
     # rates are below C(float max) < 2**9: theta*rate < 2**1022 stays finite
     if not all(0 < t <= 2.0 ** 1013 for t in (theta1, theta2)):
-        raise ValueError(f"theta1 and theta2 must be positive and at most "
-                         f"2**1013, got {theta1} and {theta2}")
+        raise ConfigError(f"theta1 and theta2 must be positive and at most "
+                          f"2**1013, got {theta1} and {theta2}")
     lo1 = u1.lam if N1 > 1 else 0.0
     lo2 = u2.lam if N2 > 1 else 0.0
     hi1 = rbar_c(u1, N1)
@@ -585,19 +586,22 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
     if resolution is None:
         resolution = max(hi1 - lo1, hi2 - lo2) / 100.0
     if not resolution > 0:
-        raise ValueError("resolution must be positive")
+        raise ConfigError("resolution must be positive")
     wx, wy = (hi1 - lo1) / resolution, (hi2 - lo2) / resolution
     nx = max(2, int(math.ceil(wx))) if wx <= MAX_CELLS else math.inf
     ny = max(2, int(math.ceil(wy))) if wy <= MAX_CELLS else math.inf
     if nx * ny > MAX_CELLS:
-        raise ValueError(f"resolution {resolution} needs more than "
-                         f"{MAX_CELLS} grid cells")
+        raise ConfigError(f"resolution {resolution} needs more than "
+                          f"{MAX_CELLS} grid cells")
     work = _region_work(nx * ny, N1, N2, m_grid)
     if work > MAX_REGION_WORK:
-        raise ValueError(f"{nx * ny} cells at N1 = {_count(N1)}, N2 = "
-                         f"{_count(N2)} and m_grid = {_count(m_grid)} cost "
-                         f"{_count(work)} work units, beyond "
-                         f"MAX_REGION_WORK = {MAX_REGION_WORK}")
+        raise ConfigError(f"{nx * ny} cells at N1 = {_count(N1)}, N2 = "
+                          f"{_count(N2)} and m_grid = {_count(m_grid)} cost "
+                          f"{_count(work)} work units, beyond "
+                          f"MAX_REGION_WORK = {MAX_REGION_WORK}")
+    if not (hi1 > lo1 and hi2 > lo2):
+        raise ConfigError(f"empty rate box [{lo1}, {hi1}] x [{lo2}, {hi2}]: "
+                          f"with N > 1, rbar_c must exceed lam = k*q")
     xs = lo1 + (hi1 - lo1) / nx * (np.arange(nx) + 0.5)
     ys = lo2 + (hi2 - lo2) / ny * (np.arange(ny) + 0.5)
     mask = region_members(u1, u2, N1, N2, theta1, theta2, alpha, m_grid,
@@ -610,13 +614,13 @@ def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,
 
 def _check_sym_args(N, theta, lam, a, P, alpha):
     if not (isinstance(N, int) and N >= 1):
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+        raise ConfigError(f"N must be a positive integer, got {N!r}")
     if not all(map(math.isfinite, (theta, lam, a, P, alpha))):
-        raise ValueError("theta, lam, a, P and alpha must be finite")
+        raise ConfigError("theta, lam, a, P and alpha must be finite")
     if theta <= 0 or lam <= 0 or P <= 0:
-        raise ValueError("theta, lam and P must be positive")
+        raise ConfigError("theta, lam and P must be positive")
     if a < 0 or alpha < 0:
-        raise ValueError("a and alpha must be nonnegative")
+        raise ConfigError("a and alpha must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -882,8 +886,8 @@ def _sym_pert_region(N, theta, lam, a, P, alpha) -> IntervalUnion:
     tail = ratio > N - 1  # js_max > N: some class lies past N
     classes = N if tail else math.ceil(ratio) + 1
     if 4 * classes + 1 > MAX_SYM_WINDOWS:
-        raise ValueError(f"{_count(4 * classes + 1)} windows exceed "
-                         f"MAX_SYM_WINDOWS = {MAX_SYM_WINDOWS}")
+        raise ConfigError(f"{_count(4 * classes + 1)} windows exceed "
+                          f"MAX_SYM_WINDOWS = {MAX_SYM_WINDOWS}")
     windows = [w for js in range(1, classes + 1)
                for w in _pert_windows(js, N, theta, alpha)]
     if tail:
@@ -915,7 +919,7 @@ def sym_region(N: int, theta, lam, a, P, alpha) -> IntervalUnion:
         if alpha >= theta:
             return IntervalUnion.from_intervals([(0.0, _rbar_raw(lam, P, 1))])
         gstar = find_root(lambda g: _clear_cap(a, g, alpha / theta)
-                          - (g / P - 1.0) * lam, 0.0, 2.0 * P)
+                          - (g / P - 1.0) * lam, 0.0, 2.0 * P, ConfigError)
         return IntervalUnion.from_intervals([(0.0, (gstar / P - 1.0) * lam)])
     if not alpha < theta:
         return _sym_pert_region(N, theta, lam, a, P, alpha)

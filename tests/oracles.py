@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from burstgic.design import IntervalUnion
 from burstgic.detection import (
     PDF_IDS,
     TypicalityParams,
@@ -35,7 +34,7 @@ from burstgic.detection import (
     _window_sums,
 )
 from burstgic.geometry import _COINCIDENCE_TOL, _critical_alphas
-from burstgic.model import RatePair, UserParams, capacity_c
+from burstgic.model import IntervalUnion, RatePair, UserParams, capacity_c
 from burstgic.region import _pert_windows, _rbar_raw, _solve_windows, sym_curves
 from burstgic.reliability import rate_bound
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from burstgic import arrivals
+from burstgic import ConfigError, arrivals
 from burstgic.arrivals import (
     ArrivalTrace,
     BurstSchedule,
@@ -310,12 +310,12 @@ def _full_draw_traces(u, n, N, theta, trials, seed):
     """One arrival trace per trial generator, drawn in full at a length no
     stream of these tests outruns, after the checks that need no draw."""
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ConfigError(f"N must be >= 1, got {N}")
     if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive and finite, got {theta}")
+        raise ConfigError(f"theta must be positive and finite, got {theta}")
     chunk = math.floor(n * (u.k / N))
     if chunk < u.k:
-        raise ValueError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
+        raise ConfigError(f"n={n} too small: floor(n*eta)={chunk} < k={u.k}")
     horizon = 16 * _span(u, N, chunk) + 8 * math.floor(n * theta)
     return [ArrivalTrace(rng.random(horizon) < u.q)
             for rng in trial_rngs(seed, trials)]
@@ -339,8 +339,10 @@ def _violation_freq(traces, u, n, N, nprime, theta):
 def _full_draw_delay_gap(u, n, N, theta, delta, trials, seed):
     traces = _full_draw_traces(u, n, N, theta, trials, seed)
     if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    # run_sync_scheduler refuses n*theta under one slot; resonance is last
+        raise ConfigError(f"delta must be positive, got {delta}")
+    if math.floor(n * theta) < 1:
+        raise ConfigError(f"n*theta under one slot (n={n}, theta={theta})")
+    # resonance is last
     freq = _lag_freq(traces, u, n, N, theta, delta)
     arrivals._check_resonance(1.0 / (N * u.q), theta, N)
     return freq
@@ -493,7 +495,7 @@ def _two_sided_z(alpha):
 
 
 def test_experiments_match_full_horizon_oracle():
-    passed, failed = 0, {ValueError: 0, ResonanceError: 0}
+    passed, failed = 0, {ConfigError: 0, ResonanceError: 0}
     for cfg in _oracle_configs(np.random.default_rng(77)):
         rel = _check_against_full_draw(*cfg)
         passed += rel is not None

@@ -6,6 +6,7 @@ subprocess, and inspects exit code, stdout/stderr, and the emitted files.
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -560,6 +561,14 @@ def test_malformed_json_is_config_error(tmp_path):
     assert res.returncode == 2
 
 
+def test_undecodable_config_is_config_error(tmp_path):
+    # bytes the locale's codec cannot decode are a config error, not a fault
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b"\xff\xfe\xfa{")
+    assert cli.main(["buffers", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+
+
 def test_both_power_tags_rejected(tmp_path):
     cfg = dict(BUFFERS_CFG, user={"k": 2, "q": 0.3, "P": 1.0, "P_db": 0.0})
     res = run_cli("buffers", cfg, tmp_path)
@@ -716,6 +725,12 @@ SYM_KQ = {k: v for k, v in SYM_CFG.items() if k != "lam"}
     # an explicit list of spreads obeys the d_grid count's budget
     ("design", dict(DESIGN_CFG, R1_over_lambda=0.7, R2_over_lambda=0.7,
                     ds=[0.5] * (MAX_SPREADS + 1)), "MAX_SPREADS"),
+    # the default preamble ceil(sqrt(n)) takes no root of a negative n
+    ("buffers", dict({k: v for k, v in BUFFERS_CFG.items() if k != "nprime"},
+                     n_values=[-5]), "n must be >= 1"),
+    # at P = 0.8 (-1 dB) rbar_c1 falls below lam1 = 0.6: no rate box
+    ("region", dict(GRID_CFG, user1=dict(USYM, P_db=-1), resolution=0.5),
+     "empty rate box"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, command, cfg, needle):
     # no --out flag, so the config's "out" is read
@@ -852,6 +867,39 @@ def test_design_and_region_load_no_rng(tmp_path):
     assert "burstgic.region" in loaded
     assert not loaded & {"numpy.random", "burstgic.detection",
                          "burstgic.arrivals"}
+
+
+def test_region_loads_no_design_module(tmp_path):
+    # IntervalUnion lives in model, so neither scenario of region loads
+    # design or the geometry design imports
+    runs = []
+    for name, cfg in (("grid", dict(GRID_CFG, m_grid=3, resolution=0.25)),
+                      ("symmetric", SYM_CFG)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append(["region", "--config", str(path),
+                     "--out", str(tmp_path / name)])
+    loaded = _loaded_after(f"from burstgic.cli import main\n"
+                           f"assert [main(a) for a in {runs!r}] == [0, 0]")
+    assert loaded == {"burstgic", "burstgic.cli", "burstgic.model",
+                      "burstgic.reliability", "burstgic.region"}
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    # main maps ConfigError and OSError to 2 and InfeasibleError to 3; a
+    # bare ValueError from inside a command is a fault and must escape
+    cfg = tmp_path / "buffers.json"
+    cfg.write_text(json.dumps(BUFFERS_CFG))
+    importlib.import_module("burstgic.arrivals")
+
+    def fault(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(sys.modules["burstgic.arrivals"], "_trigger_rows",
+                        fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["buffers", "--config", str(cfg),
+                  "--out", str(tmp_path / "out")])
 
 
 def test_json_format_emits_json(tmp_path):

@@ -7,8 +7,10 @@ directory. Whatever the edit, the command must exit 0, 2 (config error)
 or 3 (infeasible scenario) without raising. A number replaced by
 something that is not a finite JSON number must exit 2.
 
-Magnitudes outside POOL (say 1e308) are not drawn, and the emitted
-files are not checked for strict JSON.
+A second test replaces each numeric leaf of each base, one at a time, by
+each extreme magnitude of EXTREMES (1e308, 2**63, 1e-320 and the like),
+with RuntimeWarning raised as an error; such an edit too must exit 0, 2
+or 3 without raising. The emitted files are not checked for strict JSON.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -53,6 +56,7 @@ BASES = {
 POOL = [True, False, None, "7", "x", [], [1], {}, math.nan, math.inf,
         -math.inf, 0, -1, 0.5, 2]
 DELETE = "<delete>"
+EXTREMES = [1e308, -1e308, 1e300, 1e-320, 2**63, 10**30, -0.0, 1e-12]
 
 
 def _is_number(v):
@@ -136,6 +140,27 @@ def test_single_edits_keep_exit_contract(name):
     assert not escaped, escaped
     assert not wrong_code, wrong_code
     assert not not_rejected, not_rejected
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_extreme_magnitudes_keep_exit_contract(name):
+    command, base = BASES[name]
+    escaped, wrong_code = [], []
+    for path, val in NODES[name]:
+        if not _is_number(val):
+            continue
+        for new in EXTREMES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = _run(command, _edited(base, [(path, new)]))
+            except Exception as e:  # listed, so one run shows every escape
+                escaped.append((path, new, repr(e)))
+                continue
+            if code not in (0, 2, 3):
+                wrong_code.append((path, new, code))
+    assert not escaped, escaped
+    assert not wrong_code, wrong_code
 
 
 @st.composite

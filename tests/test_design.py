@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from burstgic.design import (
     InfeasibleDesignError,
-    IntervalUnion,
     OutageCurve,
     active_set,
     admissible_alpha,
@@ -20,7 +19,13 @@ from burstgic.design import (
     rbar_target,
 )
 from burstgic.geometry import alpha_breakpoints
-from burstgic.model import UserParams, capacity_c, derive_scheme_v, rate_pair
+from burstgic.model import (
+    IntervalUnion,
+    UserParams,
+    capacity_c,
+    derive_scheme_v,
+    rate_pair,
+)
 
 from oracles import (
     BurstLayout,
