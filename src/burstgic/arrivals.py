@@ -163,8 +163,8 @@ def _checkpoints(triggers: np.ndarray, n_i: int) -> np.ndarray:
 
 def _preamble(n: int, nprime: int | None) -> int:
     """The preamble length: nprime, or ceil(sqrt(n)) when it is None."""
-    if nprime is None:  # no root of an n below 1: _checked_events refuses it
-        return math.ceil(math.sqrt(max(n, 0)))
+    if nprime is None:  # _checked_events refuses an n below 1 or not finite
+        return math.ceil(math.sqrt(n)) if 1 <= n < math.inf else 0
     if nprime < 0:
         raise ConfigError(f"nprime must be nonnegative, got {nprime}")
     return nprime
@@ -341,9 +341,7 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
     Reads both schedulers off common trigger rows and reports, for each
     codeword j, the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
-    events = _check_delay_gap(u, n, N, theta, delta, trials)
-    return _lag_freq(_trigger_rows(u, events, trials, seed),
-                     math.floor(n * theta), delta)
+    return buffer_experiment(u, n, N, None, theta, delta, trials, seed)[0]
 
 
 def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,

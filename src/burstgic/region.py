@@ -247,37 +247,16 @@ def _test_batch(members, fl, it, kern, flags, tables):
     n, nrows = load1.size, top1.size
     ints = kern.view(np.intp)
     first = ints[6, :n]
-    k, probe = ints[3:5, :n]
-    g, sw = kern[:2, :n]
-    live, dead = flags[:2, :n]
-    # row i is dead for a cell when load1 >= fl(T1_i - fl(smin1_i*worst1)):
-    # smin1_i is the row's least slope, so by the bound of region_members'
-    # pre-pass no g2 passes user 1 there. On a run of rows where that
-    # right-hand side rises for the batch's every worst1 (_rising), the
-    # dead rows of a cell live at the run's last row are a prefix of the
-    # run, counted by binary lifting: a probe moves past rows only once it
-    # finds them dead, and a probe beyond the run reads its live last row.
-    # Runs go backwards, so the last write is the first live row
+    g, live = kern[0, :n], flags[0, :n]
+    # row i is dead for a cell when load1 >= fl(T1_i - fl(smin1_i*worst1))
+    # (see region_members); one backward pass over the affordable rows
+    # leaves each cell's first live row
     first.fill(nrows)
-    top = int(ic.max())
-    for a, b in reversed(_runs(_rising(top1[:top], smin1[:top],
-                                       worst1.min(), worst1.max()))):
-        np.multiply(smin1[b - 1], worst1, out=g)
-        np.subtract(top1[b - 1], g, out=g)
+    for i in reversed(range(int(ic.max()))):
+        np.multiply(smin1[i], worst1, out=g)
+        np.subtract(top1[i], g, out=g)
         np.less(load1, g, out=live)
-        k.fill(a)
-        step = 1 << (b - 1 - a).bit_length() >> 1
-        while step:
-            np.add(k, step - 1, out=probe)
-            np.minimum(probe, b - 1, out=probe)
-            top1.take(probe, out=g, mode="clip")
-            smin1.take(probe, out=sw, mode="clip")
-            np.multiply(sw, worst1, out=sw)
-            np.subtract(g, sw, out=g)
-            np.greater_equal(load1, g, out=dead)
-            np.add(k, step, out=k, where=dead)
-            step >>= 1
-        np.copyto(first, k, where=live)
+        np.copyto(first, i, where=live)
     # a first live row the cell cannot afford means no row admits it
     np.greater_equal(first, ic, out=live)
     np.copyto(first, nrows, where=live)
@@ -554,18 +533,27 @@ MAX_CELLS = 2 ** 21
 #: N1*N2 units for its worst covered lengths and at most about 2 for each
 #: of the m_grid - 1 g1 rows (a cell the pre-pass decides pays none of
 #: them); each of the (m_grid - 1)**2 power pairs costs about 1000 to
-#: tabulate with rate_pair. A unit took 4 to 6 ns on the 2-CPU benchmark
-#: machine (a CLI run on 180k cells: 1.2 s at N1 = N2 = 32, 0.6 s at
-#: m_grid 160; 25 cells at m_grid 1000: 3.8 s; 2.1M cells at m_grid 40:
-#: 0.8 to 0.9 s, where the row term overprices the pre-pass), and up to
-#: 8 ns when the machine ran slow, so 2**30 units is 4 to 9 s.
+#: tabulate with rate_pair. A raw block costs _BLOCK_PAIR units for each
+#: burst pair, whatever its cell count: it calls covered_length once per
+#: codeword, and each call loops over the other user's bursts in Python
+#: (8 to 13 us a pair on an 81-cell grid at N1 = 1e4 or 1e5 and N2 = 2,
+#: or N1 = N2 = 300). Each block but the last fills at least a quarter of
+#: the workspace, so a grid makes at most ceil(4*cells/_BLOCK) of them.
+#: A unit took 4 to 6 ns on the 2-CPU benchmark machine (a CLI run on
+#: 180k cells: 1.2 s at N1 = N2 = 32, 0.6 s at m_grid 160; 25 cells at
+#: m_grid 1000: 3.8 s; 2.1M cells at m_grid 40: 0.8 to 0.9 s, where the
+#: row term overprices the pre-pass), and up to 8 ns when the machine ran
+#: slow, so 2**30 units is 4 to 9 s.
 MAX_REGION_WORK = 2 ** 30
+_BLOCK_PAIR = 3000
 
 
 def _region_work(cells: int, N1: int, N2: int, m_grid: int) -> int:
     """region()'s cost in MAX_REGION_WORK units."""
     rows = max(m_grid - 1, 0)
-    return cells * (N1 * N2 + 2 * rows) + 1000 * rows ** 2
+    blocks = -(-4 * cells // _BLOCK)
+    return ((cells + _BLOCK_PAIR * blocks) * N1 * N2 + 2 * rows * cells
+            + 1000 * rows ** 2)
 
 
 def region(u1: UserParams, u2: UserParams, N1: int, N2: int, theta1, theta2,

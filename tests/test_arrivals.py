@@ -593,6 +593,18 @@ def test_resonance_check_treats_overflow_as_not_resonant():
                              theta=1e-320, delta=0.5, trials=2, seed=0)
 
 
+@pytest.mark.parametrize("n", [math.inf, math.nan])
+def test_default_preamble_leaves_non_finite_n_to_the_config_checks(n):
+    # with nprime None the preamble is ceil(sqrt(n)), which has no value
+    # at these n; the int64 guard refuses them in every experiment
+    u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
+    for call in (lambda: delay_gap_experiment(u, n, 2, 1.3, 0.5, 3, 1),
+                 lambda: buffer_experiment(u, n, 2, None, 1.3, 0.5, 3, 1),
+                 lambda: immediacy_violation_freq(u, n, 2, None, 1.3, 3, 1)):
+        with pytest.raises(ConfigError, match="int64 guard"):
+            call()
+
+
 def test_schedulers_are_causal_on_prefixes():
     # every prefix of a trace either runs out or gives the full-trace
     # schedule, so the slots past the last trigger do not matter

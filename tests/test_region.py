@@ -8,6 +8,7 @@ import pytest
 from pytest import approx
 from scipy.optimize import brentq
 
+from burstgic import ConfigError
 from burstgic.model import UserParams, capacity_c, find_root, rate_pair
 from burstgic.region import (
     _BLOCK,
@@ -743,22 +744,31 @@ def _spy_batches(monkeypatch):
     return batches
 
 
-def _first_live_rows(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, R1, R2):
-    """Each cell's first g1 row where user 1's test can pass at some g2
-    within its power cap, or m_grid - 1 if none: the row loop's start."""
+def _row_bounds(u1, u2, N1, N2, theta1, theta2, alpha, m_grid, R1, R2):
+    """Per g1 row and cell: whether user 1's test can pass at some g2,
+    load1 < fl(theta1*phi1 - fl(smin1*worst1)) with smin1 the row's least
+    slope, and whether the row is within the cell's power cap."""
     g1s = gamma_grid(u1, N1, m_grid)
     g2s = gamma_grid(u2, N2, m_grid)
     cov1, _ = covered_lengths(theta1 * R1 / u1.lam, theta1, 0.0, N1,
                               theta2 * R2 / u2.lam, theta2, alpha, N2)
     worst1 = cov1.max(axis=-1)
     cap1 = (1.0 / N1 + R1 / u1.lam) * u1.P
-    first = np.full(R1.shape, g1s.size)
-    for i in reversed(range(g1s.size)):
-        rps = [rate_pair(g1s[i], g2, u2.a) for g2 in g2s]
+    bound, afford = [], []
+    for g1 in g1s:
+        rps = [rate_pair(g1, g2, u2.a) for g2 in g2s]
         smin = min(rp.phi - rp.psi for rp in rps)
-        live = (theta1 * R1 < theta1 * rps[0].phi - smin * worst1) & (g1s[i] <= cap1)
-        first[live] = i
-    return first
+        bound.append(theta1 * R1 < theta1 * rps[0].phi - smin * worst1)
+        afford.append(g1 <= cap1)
+    return np.array(bound), np.array(afford)
+
+
+def _first_live_rows(*args):
+    """Each cell's first g1 row where user 1's test can pass at some g2
+    within its power cap, or m_grid - 1 if none: the row loop's start."""
+    bound, afford = _row_bounds(*args)
+    live = bound & afford
+    return np.where(live.any(axis=0), live.argmax(axis=0), live.shape[0])
 
 
 def test_region_members_interference_free_cells_skip_the_row_loop(monkeypatch):
@@ -837,6 +847,30 @@ def test_region_members_cells_start_at_different_first_live_rows(monkeypatch):
     # members among cells that start late as well as early
     late = batches[0][first >= 5]
     assert want.ravel()[late].any() and not want.ravel()[late].all()
+
+
+@pytest.mark.parametrize("a2", [1e15, 1e300])
+def test_region_members_first_live_rows_where_user1_bound_is_a_few_ulps(
+        monkeypatch, a2):
+    # a huge cross gain at user 1's receiver flattens psi1 to a few ulps,
+    # and theta2 > theta1 with no offset lets a user-2 burst cover a whole
+    # user-1 codeword (worst1 = theta1). Then fl(T1_i - fl(smin1_i*worst1))
+    # is a few ulps that do not rise with i, so at these tiny rates a cell
+    # can be live in one row and dead in the next one it affords
+    u1 = UserParams(k=1, q=0.5, P=10.0, a=0.5)
+    u2 = UserParams(k=2, q=0.3, P=100.0, a=a2)
+    X, Y = np.meshgrid(np.linspace(1e-18, 1e-15, 60),
+                       np.linspace(1e-19, 1e-15, 60), indexing="ij")
+    args = (u1, u2, 1, 1, 0.8, 1.5, 0.0, 40, X, Y)
+    bound, afford = _row_bounds(*args)
+    falls = bound[:-1] & ~bound[1:] & afford[1:]
+    assert falls.any(axis=0).sum() >= 10
+    batches = _spy_batches(monkeypatch)
+    got = region_members(*args)
+    assert batches
+    want = _members_full_grid(*args)
+    assert 100 < want.sum() < want.size - 100
+    assert np.array_equal(got, want)
 
 
 def test_region_members_exclusion_never_refuses_a_member(monkeypatch):
@@ -1003,6 +1037,25 @@ def test_region_work_budget_is_checked_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16, (N1, N2, m_grid, peak)
+
+
+def test_region_work_budget_prices_each_raw_block():
+    # every raw block calls covered_length once per codeword, and each
+    # call loops over the other user's bursts, so a block costs about
+    # 2*N1*N2 burst steps whatever its cell count: the 81 cells of this
+    # grid at N1 = 1e6 took some 23 s, though they price at 1.6e8 units
+    # by cell alone. The budget refuses it before allocating; at N1 = 1e5
+    # (2 to 3 s) it still fits
+    assert _region_work(81, 10 ** 5, 2, 2) <= MAX_REGION_WORK
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^81 cells at N1 = 1000000.*"
+                           "MAX_REGION_WORK"):
+            region(U, U, 10 ** 6, 2, 1.0, 1.0, 0.5, 2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
 
 
 def test_region_members_power_grid_nesting():
