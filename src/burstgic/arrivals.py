@@ -17,7 +17,9 @@ cumulative sums of d_j + NegativeBinomial(d_j, q) along each row.
 buffer_experiment reads the delay gap and the immediacy frequency off that
 one array; delay_gap_experiment and immediacy_violation_freq each read one
 of them. Before the draw, trials*N is checked against MAX_TRIGGERS, and a
-bound on every integer the draw forms against an int64 guard.
+bound on every integer the draw forms against an int64 guard; check_run
+makes every n's checks, and prices the run against MAX_RUN_TRIGGERS,
+before the first draw of a run over several n.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "delay_gap_experiment",
     "immediacy_violation_freq",
     "buffer_experiment",
+    "check_run",
     "trial_rngs",
 ]
 
@@ -53,6 +56,17 @@ __all__ = [
 #: above the CLI's imports (67.5 MB ru_maxrss of the CLI process at N = 1,
 #: 2 and 3, x86-64 Linux, numpy 2.4).
 MAX_TRIGGERS = 2 ** 20
+
+#: Most work one buffers run may do over all of its n_values, in trigger
+#: slots. Measured in-process on the 2-CPU x86-64 benchmark box (numpy
+#: 2.4): a slot costs about 140 ns to draw and read (n = 300 at 349,525
+#: trials and N = 3: 0.15 s), each of an n's N output rows about 2 us, or
+#: 15 slots (N = 2**20 at one trial: 2.2 s for the CLI), and each n about
+#: 100 us of fixed work, or 700 slots (20,000 n at one trial and N = 1:
+#: 2.0 s). So an n costs (trials + 15)*N + 700 slots, one n that
+#: MAX_TRIGGERS admits costs at most about half the budget, and a run at
+#: the budget takes about 5 s.
+MAX_RUN_TRIGGERS = 2 ** 25
 
 
 class HorizonTooShortError(ValueError):
@@ -266,11 +280,10 @@ def _check_theta(theta: float):
         raise ConfigError(f"theta must be positive and finite, got {theta}")
 
 
-def _checked_events(u, n: int, N: int, theta: float,
-                    trials: int) -> np.ndarray:
-    """The trigger events of codewords 1..N, after the checks that need no
-    draw. Callers run these before the resonance check over m = 1..N:
-    MAX_TRIGGERS bounds N, and the int64 guard bounds n and k."""
+def _checked_chunk(u, n: int, N: int, theta: float, trials: int) -> int:
+    """The chunk floor(n*eta), after the checks that need no draw. Callers
+    run these before the resonance check over m = 1..N: MAX_TRIGGERS
+    bounds N, and the int64 guard bounds n and k."""
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     if n < 1:
@@ -286,22 +299,45 @@ def _checked_events(u, n: int, N: int, theta: float,
     if trials * N > MAX_TRIGGERS:
         raise ConfigError(f"trials*N = {trials * N} trigger slots exceed "
                           f"MAX_TRIGGERS = {MAX_TRIGGERS}")
-    return _trigger_events(u.k, chunk, N)
+    return chunk
+
+
+def _checked_events(u, n: int, N: int, theta: float,
+                    trials: int) -> np.ndarray:
+    """The trigger events of codewords 1..N, after _checked_chunk."""
+    return _trigger_events(u.k, _checked_chunk(u, n, N, theta, trials), N)
 
 
 def _check_delay_gap(u, n: int, N: int, theta: float, delta: float,
-                     trials: int) -> np.ndarray:
-    """_checked_events, after the delay gap's config checks. The resonance
-    check runs last, so a config error exits 2 rather than 3."""
-    events = _checked_events(u, n, N, theta, trials)
+                     trials: int) -> int:
+    """The chunk floor(n*eta), after the config checks of _checked_chunk
+    and the delay gap's. Callers run the resonance check after these, so a
+    config error exits 2 rather than 3."""
+    chunk = _checked_chunk(u, n, N, theta, trials)
     # _lag_freq scales int64 slots by 1 + delta in float arithmetic
     if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
         raise ConfigError(f"delta must be positive, with (1 + delta) * 2**63 "
                           f"finite, got {delta}")
     if math.floor(n * theta) < 1:
         raise ConfigError(f"n*theta under one slot (n={n}, theta={theta})")
+    return chunk
+
+
+def check_run(u, n_values, N: int, nprime: int | None, theta: float,
+              delta: float, trials: int):
+    """Refuse a buffers run over n_values before its first draw: every n's
+    config checks, then MAX_RUN_TRIGGERS, then the resonance check, which
+    depends on N, q and theta alone. So a config error exits 2 whatever
+    the order of n_values."""
+    for n in n_values:
+        _preamble(n, nprime)
+        _check_delay_gap(u, n, N, theta, delta, trials)
+    each = (trials + 15) * N + 700
+    if len(n_values) * each > MAX_RUN_TRIGGERS:
+        raise ConfigError(f"{len(n_values)} n_values at (trials + 15)*N + 700 "
+                          f"= {each} trigger slots each exceed "
+                          f"MAX_RUN_TRIGGERS = {MAX_RUN_TRIGGERS}")
     _check_resonance(1.0 / (N * u.q), theta, N)
-    return events
 
 
 def _trigger_rows(u, events: np.ndarray, trials: int,
@@ -367,8 +403,9 @@ def buffer_experiment(u, n: int, N: int, nprime: int | None, theta: float,
     the same seed.
     """
     nprime = _preamble(n, nprime)
-    events = _check_delay_gap(u, n, N, theta, delta, trials)
-    rel = _trigger_rows(u, events, trials, seed)
+    chunk = _check_delay_gap(u, n, N, theta, delta, trials)
+    _check_resonance(1.0 / (N * u.q), theta, N)
+    rel = _trigger_rows(u, _trigger_events(u.k, chunk, N), trials, seed)
     n_i = math.floor(n * theta)
     lag = _lag_freq(rel, n_i, delta)
     return lag, (_violation_freq(rel, nprime + n_i) if N >= 2 else None)

@@ -278,7 +278,7 @@ def _finite(x: float):
 # commands
 
 def cmd_buffers(rc: RunConfig) -> list:
-    from burstgic.arrivals import buffer_experiment
+    from burstgic.arrivals import buffer_experiment, check_run
     p = rc.params
     u = _user(p, "user")
     n_values = [_integer(n, "n_values") for n in _list(p, "n_values")]
@@ -288,6 +288,7 @@ def cmd_buffers(rc: RunConfig) -> list:
     trials = _integer(p.get("trials", 200), "trials")
     nprime = p.get("nprime")
     nprime = _integer(nprime, "nprime") if nprime is not None else None
+    check_run(u, n_values, N, nprime, theta, delta, trials)
     gap_rows = []
     imm_rows = []
     for n in n_values:
@@ -308,29 +309,14 @@ def cmd_buffers(rc: RunConfig) -> list:
 
 
 def cmd_design(rc: RunConfig) -> list:
-    from burstgic.design import (MAX_ACTIVE_PAIRS, MAX_ACTIVE_WORK, MIN_LAM,
-                                 active_set, active_work, admissible_alpha,
-                                 d_max, inadmissible_alpha, optimize_N,
-                                 outage_curve, please1_holds)
+    from burstgic.design import (admissible_alpha, checked_active_set, d_max,
+                                 inadmissible_alpha, optimize_N, outage_curve,
+                                 please1_holds)
     p = rc.params
     u1, u2 = _user(p, "user1"), _user(p, "user2")
-    for key, u in (("user1", u1), ("user2", u2)):
-        if u.lam < MIN_LAM:
-            raise ConfigError(f"{key}: q = {u.q!r} puts lam = k*q = {u.lam!r} "
-                              f"below design.MIN_LAM = {MIN_LAM:.3g}")
     R1, R2 = _rate(p, "R1", u1), _rate(p, "R2", u2)
     ds = _d_values(p)
-    act = sorted(active_set(u1, u2, R1, R2))
-    if not act:
-        raise InfeasibleError(f"active set is empty at R1={R1}, R2={R2}")
-    if len(act) > MAX_ACTIVE_PAIRS:
-        raise ConfigError(f"active set of {len(act)} pairs exceeds "
-                          f"MAX_ACTIVE_PAIRS = {MAX_ACTIVE_PAIRS}")
-    work = active_work(act)
-    if work > MAX_ACTIVE_WORK:
-        raise ConfigError(f"active set needs {work} units of "
-                          f"alpha analysis, beyond MAX_ACTIVE_WORK = "
-                          f"{MAX_ACTIVE_WORK}")
+    act = checked_active_set(u1, u2, R1, R2)
     reliable = not please1_holds(u1, u2, R1, R2)
     if reliable:
         print("ALWAYS_RELIABLE: an active pair keeps both loads below the "

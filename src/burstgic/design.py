@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "OutageCurve",
     "rbar_target",
     "active_set",
+    "checked_active_set",
     "please1_holds",
     "admissible_alpha",
     "inadmissible_alpha",
@@ -98,25 +100,28 @@ def rbar_target(u: UserParams, N: int) -> float:
     return lo if h(math.nextafter(lo, 0.0)) > 0.0 > h(hi) else hi
 
 
-def _n_window(u: UserParams, R: float) -> list:
+def _n_window(u: UserParams, R: float) -> range:
     """All N whose feasible-rate window contains R.
 
     The window bounds are strict; a rate sitting on a bound (up to float
-    noise) is excluded, so e.g. R = 0.8*lam does not activate N = 4.
+    noise) is excluded, so e.g. R = 0.8*lam does not activate N = 4. Both
+    bounds rise with N (the upper as theta_hat(R)*N*C(x/N), x = P*lam/(lam
+    - R)), so the window ends at top and bisection finds its start. Errors
+    are a scan's from N = 1 up, but a root at lam's resolution names top.
     """
     if not 0.0 < R < u.lam:
         raise ConfigError(f"R must be in (0, lam={u.lam}), got {R}")
     tol = 1e-9 * u.lam
-    out = []
-    N = 1
-    while True:
-        lower = u.lam * N / (N + 1.0) if N > 1 else 0.0
-        if lower >= R - tol:
-            break
-        if R < rbar_target(u, N) - tol:
-            out.append(N)
-        N += 1
-    return out
+    if R <= tol:
+        return range(1, 1)
+    top = math.ceil((R - tol) / (u.lam - (R - tol))) + 1  # closed form + 2
+    while top > 1 and u.lam * top / (top + 1.0) >= R - tol:
+        top -= 1
+    for N in (1, top):  # the rest raise only if one of these does
+        rbar_target(u, N)
+    start = bisect_right(range(top + 1), R, 1,
+                         key=lambda N: rbar_target(u, N) - tol)
+    return range(start, top + 1)
 
 
 def active_set(u1: UserParams, u2: UserParams, R1: float, R2: float) -> set:
@@ -146,9 +151,24 @@ MAX_ACTIVE_WORK = 10 ** 7
 MAX_SPREADS = 2 ** 12
 
 
-def active_work(act) -> int:
-    """Alpha-analysis work units N1*N2*(N1 + N2) summed over pairs."""
-    return sum(N1 * N2 * (N1 + N2) for N1, N2 in act)
+def checked_active_set(u1: UserParams, u2: UserParams, R1: float,
+                       R2: float) -> list:
+    """Sorted active pairs, after the MIN_LAM, empty-set and budget checks."""
+    for key, u in (("user1", u1), ("user2", u2)):
+        if u.lam < MIN_LAM:
+            raise ConfigError(f"{key}: q = {u.q!r} puts lam = k*q = {u.lam!r} "
+                              f"below design.MIN_LAM = {MIN_LAM:.3g}")
+    w1, w2 = _n_window(u1, R1), _n_window(u2, R2)
+    if not (w1 and w2):
+        raise InfeasibleDesignError(f"active set is empty at R1={R1}, R2={R2}")
+    if (pairs := len(w1) * len(w2)) > MAX_ACTIVE_PAIRS:
+        raise ConfigError(f"active set of {pairs} pairs exceeds "
+                          f"MAX_ACTIVE_PAIRS = {MAX_ACTIVE_PAIRS}")
+    work = sum(N * N for N in w1) * sum(w2) + sum(w1) * sum(N * N for N in w2)
+    if work > MAX_ACTIVE_WORK:
+        raise ConfigError(f"active set needs {work} units of alpha analysis, "
+                          f"beyond MAX_ACTIVE_WORK = {MAX_ACTIVE_WORK}")
+    return [(a, b) for a in w1 for b in w2]
 
 
 def _schemes_and_rates(u1, u2, N1, N2, R1, R2):

@@ -12,7 +12,8 @@ Carlo side of the outage checks), the former body of
 reliability.covered_lengths, the per-window typicality test behind
 detection._typical_from_sums, the full-trace preamble scan that
 detection.estimate_arrivals replaced, and the long-run power and
-throughput that derive_scheme_v inverts. Names that a single test module
+throughput that derive_scheme_v inverts, and the per-N scan of burst
+counts that design._n_window replaced. Names that a single test module
 needs live in that module.
 
 Importable from any test module because pytest puts this directory on
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from burstgic import ConfigError
+from burstgic.design import rbar_target
 from burstgic.detection import (
     PDF_IDS,
     TypicalityParams,
@@ -665,3 +668,23 @@ def sym_region_sampled(N, theta, lam, a, P, alpha, n_gamma):
             yield (lo, hi) if hi > lo else None
 
     return _sweep_union(samples())
+
+
+# ------------------------------------------------- burst-count windows
+
+def n_window_scan(u: UserParams, R: float) -> list:
+    """design._n_window's former body: solve rbar_target for every N from
+    1 up, until N's lower window bound lam*N/(N + 1) reaches R."""
+    if not 0.0 < R < u.lam:
+        raise ConfigError(f"R must be in (0, lam={u.lam}), got {R}")
+    tol = 1e-9 * u.lam
+    out = []
+    N = 1
+    while True:
+        lower = u.lam * N / (N + 1.0) if N > 1 else 0.0
+        if lower >= R - tol:
+            break
+        if R < rbar_target(u, N) - tol:
+            out.append(N)
+        N += 1
+    return out

@@ -658,3 +658,13 @@ def test_trace_budget_is_checked_before_drawing():
     assert arrivals._trigger_rows(u, events, 2**19, 1).shape == (2**19, 2)
     assert delay_gap_experiment(UserParams(k=2, q=1e-12, P=1.0, a=0.0),
                                 300, 2, 1.3, 0.5, 3, 1).shape == (2,)
+
+
+def test_one_n_within_max_triggers_fits_the_run_budget():
+    # the most trigger slots and output rows one n may have (one trial at
+    # N = MAX_TRIGGERS) fits the run budget once, not twice; no draw
+    u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
+    N = arrivals.MAX_TRIGGERS
+    arrivals.check_run(u, [2 * N], N, None, 1.3, 0.5, 1)
+    with pytest.raises(ConfigError, match="MAX_RUN_TRIGGERS"):
+        arrivals.check_run(u, [2 * N, 2 * N], N, None, 1.3, 0.5, 1)

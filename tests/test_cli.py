@@ -86,6 +86,29 @@ def test_buffers_resonant_ratio_is_infeasible(tmp_path):
     assert "integer multiple of theta/1" in res.stderr
 
 
+@pytest.mark.parametrize("n_values", [[300, 1], [1, 300]])
+def test_buffers_config_error_precedes_resonance_in_any_order(tmp_path,
+                                                              n_values):
+    # theta = mu = 1/(N*q) is resonant at m = 1, and n = 1 leaves a codeword
+    # under k bits: every n's config checks run before the resonance check
+    cfg = dict(BUFFERS_CFG, n_values=n_values, N=3,
+               theta=1.1111111111111112)
+    res = run_cli("buffers", cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "n=1 too small" in res.stderr
+
+
+def test_buffers_run_budget_spans_n_values(tmp_path):
+    # each n is within MAX_TRIGGERS, but the run would take about 30 s
+    cfg = dict(BUFFERS_CFG, n_values=[300] * 200, N=3, trials=349525)
+    start = time.monotonic()
+    res = run_cli("buffers", cfg, tmp_path, timeout=60.0)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_RUN_TRIGGERS" in res.stderr
+    assert time.monotonic() - start < 1.0
+    assert not (tmp_path / "out" / "delay_gap.csv").exists()
+
+
 def test_buffers_builds_one_generator_per_trial(tmp_path, monkeypatch):
     # both statistics come from one pass, and every trial's trigger slots
     # from one draw, so each n builds one generator for all its trials

@@ -10,7 +10,8 @@ something that is not a finite JSON number must exit 2.
 A second test replaces each numeric leaf of each base, one at a time, by
 each extreme magnitude of EXTREMES (1e308, 2**63, 1e-320 and the like),
 with RuntimeWarning raised as an error; such an edit too must exit 0, 2
-or 3 without raising. The emitted files are not checked for strict JSON.
+or 3 without raising, within EDIT_SECONDS. The emitted files are not
+checked for strict JSON.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import os
+import signal
 import tempfile
 import warnings
 
@@ -56,7 +58,31 @@ BASES = {
 POOL = [True, False, None, "7", "x", [], [1], {}, math.nan, math.inf,
         -math.inf, 0, -1, 0.5, 2]
 DELETE = "<delete>"
-EXTREMES = [1e308, -1e308, 1e300, 1e-320, 2**63, 10**30, -0.0, 1e-12]
+# 1 - 2**-40 as R*_over_lambda gives design about 1e9 candidate burst counts
+EXTREMES = [1e308, -1e308, 1e300, 1e-320, 2**63, 10**30, -0.0, 1e-12,
+            1 - 2**-40]
+
+#: Seconds one extreme edit may run before it fails as a hang.
+EDIT_SECONDS = 10
+
+
+class EditTimedOut(Exception):
+    """An edit ran past EDIT_SECONDS."""
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Raise EditTimedOut in the block once seconds of real time pass."""
+    def expire(signum, frame):
+        raise EditTimedOut(f"edit ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _is_number(v):
@@ -145,20 +171,24 @@ def test_single_edits_keep_exit_contract(name):
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_extreme_magnitudes_keep_exit_contract(name):
     command, base = BASES[name]
-    escaped, wrong_code = [], []
+    escaped, wrong_code, timed_out = [], [], []
     for path, val in NODES[name]:
         if not _is_number(val):
             continue
         for new in EXTREMES:
             try:
-                with warnings.catch_warnings():
+                with _time_bound(EDIT_SECONDS), warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     code = _run(command, _edited(base, [(path, new)]))
+            except EditTimedOut:
+                timed_out.append((path, new))
+                continue
             except Exception as e:  # listed, so one run shows every escape
                 escaped.append((path, new, repr(e)))
                 continue
             if code not in (0, 2, 3):
                 wrong_code.append((path, new, code))
+    assert not timed_out, timed_out
     assert not escaped, escaped
     assert not wrong_code, wrong_code
 

@@ -1,15 +1,21 @@
 import math
+import re
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from pytest import approx
 from scipy.optimize import brentq
 
+from burstgic import ConfigError, InfeasibleError
 from burstgic.design import (
     InfeasibleDesignError,
     OutageCurve,
+    _n_window,
     active_set,
     admissible_alpha,
+    checked_active_set,
     d_max,
     inadmissible_alpha,
     optimize_N,
@@ -34,6 +40,7 @@ from oracles import (
     intersect,
     layout_bound,
     mild_check,
+    n_window_scan,
     state_of,
 )
 
@@ -220,6 +227,62 @@ def test_rbar_target_is_solved_once_per_user_and_count():
     please1_holds(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam)
     assert active_set(U1, U2, 0.8 * U1.lam, 0.8 * U2.lam) == act
     assert rbar_target.cache_info().misses == solved
+
+
+def _window_or_error(window, u, R):
+    """The window as a list, or the error's type and message. A message
+    about a root at lam's float resolution may name any N: _n_window
+    names its top candidate, the scan named the first N to reach it."""
+    try:
+        return list(window(u, R))
+    except ValueError as e:
+        return type(e), re.sub(r"N=\d+ lies", "N lies", str(e))
+
+
+def test_n_window_matches_the_per_n_scan():
+    # users down to rbar_target's float resolution error (q below about
+    # 1e-11), and one in ten with no root at N = 1 (P under 1.4e-12*k*q).
+    # Powers just above that are left out: there 0.5*log2(1 + P/N) is
+    # mostly rounding, the roots need not rise with N, and a scan can find
+    # N = 1 feasible and a larger N not. Rates run from under the window
+    # tolerance to within 1e-3 of lam, where the scan solves about 1000
+    # roots.
+    rng = np.random.default_rng(35)
+    seen = Counter()
+    for _ in range(2000):
+        weak = rng.uniform() < 0.1
+        u = UserParams(k=int(rng.integers(1, 9)),
+                       q=float(10 ** rng.uniform(-2 if weak else -15, 0)),
+                       P=float(10 ** (rng.uniform(-18, -14) if weak
+                                      else rng.uniform(-4, 6))), a=0.0)
+        f = (rng.uniform(0, 1), 10 ** rng.uniform(-12, -8),
+             1 - 10 ** rng.uniform(-3, -0.3),
+             1 - 10 ** rng.uniform(-3.05, -3))[
+            rng.choice(4, p=[0.6, 0.15, 0.2, 0.05])]
+        got = _window_or_error(_n_window, u, f * u.lam)
+        assert got == _window_or_error(n_window_scan, u, f * u.lam), (u, f)
+        seen["near lam"] += f > 0.999
+        seen[bool(got) if isinstance(got, list) else
+             "no root" if "cannot carry" in got[1] else got[1][-30:]] += 1
+    assert seen["near lam"] >= 50, seen
+    for outcome in (True, False, "no root", "within float resolution of lam"):
+        assert seen[outcome] >= 20, (outcome, seen)
+
+
+@pytest.mark.parametrize("f, error, message", [
+    # the scan solved about 1e5 roots here (3 s), and about 5e8 at 1 - 1e-9
+    (0.99999, ConfigError,
+     "active set of 257763 pairs exceeds MAX_ACTIVE_PAIRS = 256"),
+    (1 - 1e-9, InfeasibleError, "active set is empty"),
+])
+def test_checked_active_set_prices_near_lambda_rates_at_once(f, error,
+                                                              message):
+    rbar_target.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(error, match=re.escape(message)):
+        checked_active_set(U1, U2, f * U1.lam, 0.8 * U2.lam)
+    assert time.perf_counter() - start < 1.0
+    assert rbar_target.cache_info().misses <= 64
 
 
 def test_please1_errors_on_empty_active_set():
