@@ -15,11 +15,12 @@ the gaps d_j = e_j - e_{j-1} between trigger events. So one draw from one
 generator gives every trial's N trigger slots as a (trials, N) array, the
 cumulative sums of d_j + NegativeBinomial(d_j, q) along each row.
 buffer_experiment reads the delay gap and the immediacy frequency off that
-one array; delay_gap_experiment and immediacy_violation_freq each read one
-of them. Before the draw, trials*N is checked against MAX_TRIGGERS, and a
-bound on every integer the draw forms against an int64 guard; check_run
-makes every n's checks, and prices the run against MAX_RUN_TRIGGERS,
-before the first draw of a run over several n.
+one array for each n of a run; delay_gap_experiment and
+immediacy_violation_freq each read one of them. Before the draw, trials*N
+is checked against MAX_TRIGGERS, and a bound on every integer the draw
+forms against an int64 guard; buffer_experiment runs check_run, which
+makes every n's checks and prices the run against MAX_RUN_TRIGGERS, once
+before its first draw.
 """
 
 from __future__ import annotations
@@ -275,11 +276,6 @@ def _check_slots(u, n: int, N: int, theta: float, bits: float):
                           f"int64 guard of 2**62")
 
 
-def _check_theta(theta: float):
-    if not (math.isfinite(theta) and theta > 0):
-        raise ConfigError(f"theta must be positive and finite, got {theta}")
-
-
 def _checked_chunk(u, n: int, N: int, theta: float, trials: int) -> int:
     """The chunk floor(n*eta), after the checks that need no draw. Callers
     run these before the resonance check over m = 1..N: MAX_TRIGGERS
@@ -288,7 +284,8 @@ def _checked_chunk(u, n: int, N: int, theta: float, trials: int) -> int:
         raise ConfigError(f"N must be >= 1, got {N}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {_count(n)}")
-    _check_theta(theta)
+    if not (math.isfinite(theta) and theta > 0):
+        raise ConfigError(f"theta must be positive and finite, got {theta}")
     bits = n * (u.k / N)
     _check_slots(u, n, N, theta, bits)
     chunk = math.floor(bits)
@@ -308,30 +305,21 @@ def _checked_events(u, n: int, N: int, theta: float,
     return _trigger_events(u.k, _checked_chunk(u, n, N, theta, trials), N)
 
 
-def _check_delay_gap(u, n: int, N: int, theta: float, delta: float,
-                     trials: int) -> int:
-    """The chunk floor(n*eta), after the config checks of _checked_chunk
-    and the delay gap's. Callers run the resonance check after these, so a
-    config error exits 2 rather than 3."""
-    chunk = _checked_chunk(u, n, N, theta, trials)
-    # _lag_freq scales int64 slots by 1 + delta in float arithmetic
-    if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
-        raise ConfigError(f"delta must be positive, with (1 + delta) * 2**63 "
-                          f"finite, got {delta}")
-    if math.floor(n * theta) < 1:
-        raise ConfigError(f"n*theta under one slot (n={n}, theta={theta})")
-    return chunk
-
-
 def check_run(u, n_values, N: int, nprime: int | None, theta: float,
               delta: float, trials: int):
     """Refuse a buffers run over n_values before its first draw: every n's
     config checks, then MAX_RUN_TRIGGERS, then the resonance check, which
-    depends on N, q and theta alone. So a config error exits 2 whatever
-    the order of n_values."""
+    depends on N, q and theta alone. So a config error exits 2 rather than
+    3, whatever the order of n_values."""
     for n in n_values:
         _preamble(n, nprime)
-        _check_delay_gap(u, n, N, theta, delta, trials)
+        _checked_chunk(u, n, N, theta, trials)
+        # _lag_freq scales int64 slots by 1 + delta in float arithmetic
+        if not (delta > 0 and math.isfinite((1.0 + delta) * 2.0 ** 63)):
+            raise ConfigError(f"delta must be positive, with (1 + delta) * "
+                              f"2**63 finite, got {delta}")
+        if math.floor(n * theta) < 1:
+            raise ConfigError(f"n*theta under one slot (n={n}, theta={theta})")
     each = (trials + 15) * N + 700
     if len(n_values) * each > MAX_RUN_TRIGGERS:
         raise ConfigError(f"{len(n_values)} n_values at (trials + 15)*N + 700 "
@@ -377,7 +365,7 @@ def delay_gap_experiment(u, n: int, N: int, theta: float, delta: float,
     Reads both schedulers off common trigger rows and reports, for each
     codeword j, the fraction of trials with sigma_j > (1+delta)*tau_j.
     """
-    return buffer_experiment(u, n, N, None, theta, delta, trials, seed)[0]
+    return buffer_experiment(u, [n], N, None, theta, delta, trials, seed)[0][0]
 
 
 def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
@@ -392,20 +380,26 @@ def immediacy_violation_freq(u, n: int, N: int, nprime: int | None,
     return _violation_freq(rel, nprime + math.floor(n * theta))
 
 
-def buffer_experiment(u, n: int, N: int, nprime: int | None, theta: float,
-                      delta: float, trials: int, seed: int):
-    """Both buffer statistics from one pass over the trials.
+def buffer_experiment(u, n_values, N: int, nprime: int | None, theta: float,
+                      delta: float, trials: int, seed: int) -> list:
+    """Both buffer statistics for each n of a run, one pass over the trials
+    of each.
 
-    Returns (lag, violation): lag is delay_gap_experiment's per-j
+    check_run refuses the run before the first draw. Returns one
+    (lag, violation) pair per n: lag is delay_gap_experiment's per-j
     frequency and violation is immediacy_violation_freq's, or None when
     N < 2 and no burst can follow another. Both read the same trigger
-    rows, so the values are those of the two experiments run apart with
-    the same seed.
+    rows, drawn afresh from seed for each n, so the values are those of
+    the two experiments run apart with the same seed.
     """
-    nprime = _preamble(n, nprime)
-    chunk = _check_delay_gap(u, n, N, theta, delta, trials)
-    _check_resonance(1.0 / (N * u.q), theta, N)
-    rel = _trigger_rows(u, _trigger_events(u.k, chunk, N), trials, seed)
-    n_i = math.floor(n * theta)
-    lag = _lag_freq(rel, n_i, delta)
-    return lag, (_violation_freq(rel, nprime + n_i) if N >= 2 else None)
+    check_run(u, n_values, N, nprime, theta, delta, trials)
+    out = []
+    for n in n_values:
+        events = _trigger_events(u.k, math.floor(n * (u.k / N)), N)
+        rel = _trigger_rows(u, events, trials, seed)
+        n_i = math.floor(n * theta)
+        busy = _preamble(n, nprime) + n_i
+        out.append((_lag_freq(rel, n_i, delta),
+                    _violation_freq(rel, busy) if N >= 2 else None))
+        del rel  # free this n's rows before the next n's draw
+    return out

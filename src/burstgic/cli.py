@@ -278,7 +278,7 @@ def _finite(x: float):
 # commands
 
 def cmd_buffers(rc: RunConfig) -> list:
-    from burstgic.arrivals import buffer_experiment, check_run
+    from burstgic.arrivals import buffer_experiment
     p = rc.params
     u = _user(p, "user")
     n_values = [_integer(n, "n_values") for n in _list(p, "n_values")]
@@ -288,12 +288,11 @@ def cmd_buffers(rc: RunConfig) -> list:
     trials = _integer(p.get("trials", 200), "trials")
     nprime = p.get("nprime")
     nprime = _integer(nprime, "nprime") if nprime is not None else None
-    check_run(u, n_values, N, nprime, theta, delta, trials)
+    runs = buffer_experiment(u, n_values, N, nprime, theta, delta, trials,
+                             rc.seed)
     gap_rows = []
     imm_rows = []
-    for n in n_values:
-        freqs, imm = buffer_experiment(u, n, N, nprime, theta, delta, trials,
-                                       rc.seed)
+    for n, (freqs, imm) in zip(n_values, runs):
         for j, f in enumerate(freqs, start=1):
             gap_rows.append({"n": n, "j": j, "lag_freq": float(f),
                              "trials": trials})

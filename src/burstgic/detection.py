@@ -39,7 +39,11 @@ MAX_TRACE = 1 << 21
 #: much as about 2**12 slots, so each n is charged at least that many. A
 #: slot took about 0.2 us on the 2-CPU benchmark machine (0.34 s a trial
 #: at n = 10**6, 0.6 ms at n = 64), so 2**28 slots is about a minute; a
-#: trial count past it is refused before any stream is spawned.
+#: trial count past it is refused before any stream is spawned. Decoding
+#: also pays for each of the M codewords, so each n is charged 2*M slots
+#: more: on a later day that machine took 0.10 us a slot (0.20 s a trial
+#: at n = 10**6 and M = 64) and 0.12 to 0.19 us a codeword (at n = 64 and
+#: 1000, M = 2**16 took 9 to 13 ms a trial against about 1 ms at M = 64).
 MAX_TRIAL_SLOTS = 1 << 28
 
 #: Largest receive power P per sample, 1 + gamma_own + a * gamma_other, at
@@ -595,13 +599,14 @@ class DetectionConfig:
 
     def check_trials(self, trials: int) -> None:
         """Raise ConfigError unless 1 <= trials and trials times the
-        per-trial trace slots fit MAX_TRIAL_SLOTS."""
+        per-trial slots, codewords priced in, fit MAX_TRIAL_SLOTS."""
         if trials < 1:
             raise ConfigError("need at least one trial")
-        slots = sum(max(2 * n + 9 * self.nprime_for(idx), 1 << 12)
+        slots = sum(max(2 * n + 9 * self.nprime_for(idx) + 2 * self.M,
+                        1 << 12)
                     for idx, n in enumerate(self.n_values))
         if trials * slots > MAX_TRIAL_SLOTS:
-            raise ConfigError(f"trials of {slots} trace slots each may "
+            raise ConfigError(f"trials of {slots} slots each may "
                               f"number at most {MAX_TRIAL_SLOTS // slots} "
                               f"(MAX_TRIAL_SLOTS = {MAX_TRIAL_SLOTS})")
 

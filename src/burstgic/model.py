@@ -259,6 +259,3 @@ class IntervalUnion:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_intervals(self.intervals + other.intervals)

@@ -394,6 +394,10 @@ def contains_many(iu: IntervalUnion, xs: np.ndarray) -> np.ndarray:
     return np.searchsorted(bounds, xs) % 2 == 1
 
 
+def union(iu: IntervalUnion, other: IntervalUnion) -> IntervalUnion:
+    return IntervalUnion.from_intervals(iu.intervals + other.intervals)
+
+
 def intersect(iu: IntervalUnion, other: IntervalUnion) -> IntervalUnion:
     out = []
     for a_lo, a_hi in iu.intervals:
@@ -633,7 +637,7 @@ def _sweep_windows(N, theta, lam, a, P, windows, n_gamma) -> IntervalUnion:
     for (wlo, whi), cons in windows:
         if whi <= wlo:
             continue
-        out = out.union(_sweep_union(window_samples(wlo, whi, cons)))
+        out = union(out, _sweep_union(window_samples(wlo, whi, cons)))
     return out
 
 

@@ -401,8 +401,8 @@ def _check_against_full_draw(u, n, N, nprime, theta, delta, trials, seed):
     assert _failure(gap) is _failure(want_gap)
     assert _failure(imm) is _failure(want_imm)
     # the one pass gives both, and fails as the delay gap does
-    got = _outcome(buffer_experiment, u, n, N, nprime, theta, delta, trials,
-                   seed)
+    got = _outcome(lambda: buffer_experiment(u, [n], N, nprime, theta, delta,
+                                             trials, seed)[0])
     if _failure(gap):
         assert got is gap
         return None
@@ -518,8 +518,8 @@ def test_experiments_match_full_horizon_oracle():
     compared = sum(N + 1 for _, _, N, _, _, _ in COMPARED)
     z = _two_sided_z(1e-3 / compared)
     for u, n, N, nprime, theta, delta in COMPARED:
-        lag, viol = buffer_experiment(u, n, N, nprime, theta, delta, T,
-                                      seed)
+        lag, viol = buffer_experiment(u, [n], N, nprime, theta, delta, T,
+                                      seed)[0]
         traces = _full_draw_traces(u, n, N, theta, T, seed)
         want_lag = _lag_freq(traces, u, n, N, theta, delta)
         want_viol = _violation_freq(traces, u, n, N, nprime, theta)
@@ -599,7 +599,7 @@ def test_default_preamble_leaves_non_finite_n_to_the_config_checks(n):
     # at these n; the int64 guard refuses them in every experiment
     u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
     for call in (lambda: delay_gap_experiment(u, n, 2, 1.3, 0.5, 3, 1),
-                 lambda: buffer_experiment(u, n, 2, None, 1.3, 0.5, 3, 1),
+                 lambda: buffer_experiment(u, [n], 2, None, 1.3, 0.5, 3, 1)[0],
                  lambda: immediacy_violation_freq(u, n, 2, None, 1.3, 3, 1)):
         with pytest.raises(ConfigError, match="int64 guard"):
             call()
@@ -668,3 +668,18 @@ def test_one_n_within_max_triggers_fits_the_run_budget():
     arrivals.check_run(u, [2 * N], N, None, 1.3, 0.5, 1)
     with pytest.raises(ConfigError, match="MAX_RUN_TRIGGERS"):
         arrivals.check_run(u, [2 * N, 2 * N], N, None, 1.3, 0.5, 1)
+
+
+def test_buffer_experiment_over_a_run_is_each_n_alone():
+    # each n draws afresh from the seed, so a run over several n gives
+    # each n's single-n values, array for array
+    u = UserParams(k=2, q=0.3, P=1.0, a=0.0)
+    for N, nprime in ((3, None), (1, 20)):
+        run = buffer_experiment(u, [300, 600], N, nprime, 1.3, 0.5, 40, 7)
+        alone = [buffer_experiment(u, [n], N, nprime, 1.3, 0.5, 40, 7)[0]
+                 for n in (300, 600)]
+        assert len(run) == 2
+        for (lag, viol), (want_lag, want_viol) in zip(run, alone):
+            np.testing.assert_array_equal(lag, want_lag)
+            assert viol == want_viol
+            assert (viol is None) == (N < 2)

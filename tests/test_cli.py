@@ -127,6 +127,25 @@ def test_buffers_builds_one_generator_per_trial(tmp_path, monkeypatch):
     assert len(built) == len(BUFFERS_CFG["n_values"])
 
 
+def test_buffers_checks_resonance_once_per_run(tmp_path, monkeypatch):
+    # the run is checked whole before its first draw, and no n repeats
+    # the resonance check
+    arrivals = importlib.import_module("burstgic.arrivals")
+    calls = []
+    check = arrivals._check_resonance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(arrivals, "_check_resonance", counted)
+    (tmp_path / "config.json").write_text(json.dumps(BUFFERS_CFG))
+    code = cli.main(["buffers", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(BUFFERS_CFG["n_values"]) == 2 and len(calls) == 1
+
+
 def test_buffers_slow_arrivals_run(tmp_path):
     # about 3e14 slots to the last trigger: one draw, no stream
     cfg = dict(BUFFERS_CFG, user={"k": 2, "q": 1e-12})
@@ -426,16 +445,21 @@ def test_region_symmetric_window_budget_edge(monkeypatch):
     assert sym_region(2, 1.0, 0.6, 0.5, 100.0, 0.5).intervals
 
 
-@pytest.mark.parametrize("trials", [1e300, 2**63, 10**8])
-def test_detect_trials_budget_is_config_error(tmp_path, trials):
+@pytest.mark.parametrize("edit", [
+    {"trials": 1e300}, {"trials": 2**63}, {"trials": 10**8},
+    # the budget prices the codebook: at M = 2**16 these trials would
+    # decode for about 13 minutes
+    {"n_values": [1000], "M": 2**16, "trials": 65536},
+], ids=["1e+300", "9223372036854775808", "100000000", "big_codebook"])
+def test_detect_trials_budget_is_config_error(tmp_path, edit):
     start = time.monotonic()
-    res = run_cli("detect", dict(DETECT_CFG, trials=trials), tmp_path,
+    res = run_cli("detect", dict(DETECT_CFG, **edit), tmp_path,
                   timeout=60.0)
     assert res.returncode == 2, res.stderr
     assert "MAX_TRIAL_SLOTS" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "out" / "detect.csv").exists()
-    assert time.monotonic() - start < 10.0
+    assert time.monotonic() - start < 1.0
 
 
 def test_detect_trials_budget_edge():

@@ -42,6 +42,7 @@ from oracles import (
     mild_check,
     n_window_scan,
     state_of,
+    union,
 )
 
 U1 = UserParams(k=3, q=0.3, P=1000.0, a=0.5)
@@ -86,7 +87,7 @@ def test_interval_union_set_ops():
     a = IntervalUnion.from_intervals([(0.0, 2.0), (5.0, 7.0)])
     b = IntervalUnion.from_intervals([(1.0, 6.0)])
     assert intersect(a, b).intervals == ((1.0, 2.0), (5.0, 6.0))
-    assert a.union(b).intervals == ((0.0, 7.0),)
+    assert union(a, b).intervals == ((0.0, 7.0),)
     assert contains(a, 1.5) and not contains(a, 3.0)
 
 
